@@ -21,7 +21,8 @@ from .graphcx import (NAMED_GRAPHS, GraphLinComb, differential, divergence,
                       gc_bracket, grt_check, phi_map, psi3_normalized)
 from .kz import anti_kz, build_phi_kz, mzv
 from .confint import (QuadratureSpec, RECORDED_LAMBDA_RATIO, TETRA_PREFACTOR,
-                      TETRA_SYMMETRY_FACTOR, tetra_type1_integral, tetra_weight)
+                      TETRA_SYMMETRY_FACTOR, tetra_type1_integral,
+                      tetra_weight_from_type1)
 
 EXIT_OK = 0
 EXIT_CHECK = 2
@@ -206,7 +207,7 @@ def cmd_weights(args) -> int:
         raise IOError("weight quadrature is implemented for the tetrahedron")
     spec = QuadratureSpec(tol=args.tol, max_cells=args.budget)
     base = tetra_type1_integral(spec)
-    w = tetra_weight(args.t, spec)
+    w = tetra_weight_from_type1(base, args.t)
     payload = {
         "command": "weights",
         "version": __version__,
@@ -259,6 +260,15 @@ def cmd_mzv(args) -> int:
     return EXIT_OK
 
 
+def _int_at_least(lo: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="assoclab",
                                 description="associator, graph-complex and "
@@ -266,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, order_default=4):
-        sp.add_argument("--order", type=int, default=order_default,
+    def common(sp, order_default=4, order_type=int):
+        sp.add_argument("--order", type=order_type, default=order_default,
                         help="series truncation (word length)")
         sp.add_argument("--series-order", type=int, default=64,
                         help="number of expansion powers for the regular parts")
@@ -280,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_kz)
 
     sp = sub.add_parser("interp", help="integrate the interpolation flow to t")
-    common(sp)
+    # the flow starts in degree 3: a lower truncation has nothing to pin
+    common(sp, order_type=_int_at_least(3))
     sp.add_argument("--t", type=float, default=0.5)
     sp.set_defaults(func=cmd_interp)
 

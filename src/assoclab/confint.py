@@ -218,7 +218,11 @@ RECORDED_LAMBDA_RATIO = Fraction(16)
 
 def tetra_weight(t: float, spec: QuadratureSpec = QuadratureSpec()) -> WeightResult:
     """Assembled tetrahedron weight: symmetry factor, prefactor and t-scaling."""
-    base = tetra_type1_integral(spec)
+    return tetra_weight_from_type1(tetra_type1_integral(spec), t)
+
+
+def tetra_weight_from_type1(base: WeightResult, t: float) -> WeightResult:
+    """The tetrahedron weight at t from an already computed type-I integral."""
     scale = (4.0 * t * (1.0 - t)) ** 2
     factor = float(TETRA_SYMMETRY_FACTOR * TETRA_PREFACTOR)
     return WeightResult(value=scale * factor * base.value,

@@ -186,9 +186,6 @@ def canonicalize(n: int, edges: list[Edge]):
     return GCGraph(n, key), sign
 
 
-ZERO = None
-
-
 class GraphLinComb:
     """Rational linear combination of canonical graphs."""
 

@@ -6,8 +6,8 @@ expansion at both singular points and matching at z = 1/2.  The local
 exponents are X/(2pi i) at 0 and Y/(2pi i) at 1; the tame-part recurrences
 are then mirror images of each other under X <-> Y, z <-> 1-z, which is
 what the duality equation requires.  Multiple zeta values enter only as
-independent numeric spot checks, summed directly with Euler-Maclaurin tail
-corrections.
+independent numeric spot checks, computed by the Hoelder convolution at 1/2
+from exact partial sums with a bound on the geometric tails.
 """
 
 from __future__ import annotations
@@ -15,15 +15,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-import numpy as np
+from fractions import Fraction
 
 from .associator import Associator
-from .ncalg import NCSeries
+from .ncalg import NCSeries, add_scaled
 
 TWO_PI_I = 2j * math.pi
 ALPHA = 1.0 / TWO_PI_I
-
-EULER_GAMMA = 0.5772156649015328606065120900824024
 
 
 class KZError(ValueError):
@@ -36,97 +34,95 @@ class MzvError(ValueError):
 
 # -- multiple zeta values -------------------------------------------------------
 
-def _tail_power(s: float, n: int) -> tuple[float, float]:
-    """(sum_{m >= n} m^-s, rigorous-ish error bound), Euler-Maclaurin."""
-    f = n ** (-s)
-    val = n ** (1 - s) / (s - 1) + 0.5 * f + (s / 12.0) * n ** (-s - 1)
-    err = 2.0 * (s * (s + 1) * (s + 2) / 720.0) * n ** (-s - 3)
-    return val, err
+_EPS = 2.0 ** -53  # unit roundoff of a double
 
 
-def _tail_power_log(s: float, n: int) -> tuple[float, float]:
-    """(sum_{m >= n} m^-s ln m, error bound)."""
-    ln = math.log(n)
-    integral = n ** (1 - s) * (ln / (s - 1) + 1.0 / (s - 1) ** 2)
-    f = n ** (-s) * ln
-    fprime = n ** (-s - 1) * (1.0 - s * ln)
-    val = integral + 0.5 * f - fprime / 12.0
-    err = 2.0 * ((s + 2) ** 3 / 720.0) * n ** (-s - 3) * (1.0 + ln)
-    return val, err
+def _index_word(index: tuple[int, ...]) -> tuple[int, ...]:
+    """The iterated-integral word x0^(s1-1) x1 ... x0^(sk-1) x1 as 0/1 letters."""
+    word: list[int] = []
+    for s in index:
+        word.extend([0] * (s - 1) + [1])
+    return tuple(word)
+
+
+def _word_index(word: tuple[int, ...]) -> tuple[int, ...]:
+    """Inverse of _index_word on words ending in x1 (first exponent may be 1)."""
+    index, run = [], 1
+    for a in word:
+        if a == 0:
+            run += 1
+        else:
+            index.append(run)
+            run = 1
+    return tuple(index)
+
+
+def _polylog_half(index: tuple[int, ...], terms: int) -> Fraction:
+    """Li_index(1/2) summed exactly over n1 <= terms.
+
+    Li_{r1..rd}(x) = sum over n1 > ... > nd >= 1 of x^n1 / (n1^r1 ... nd^rd);
+    the inner sums are kept as running totals, so the cost is terms * d.
+    """
+    d = len(index)
+    if d == 0:
+        return Fraction(1)
+    inner = [Fraction(0)] * (d - 1) + [Fraction(1)]
+    total = Fraction(0)
+    for n in range(1, terms + 1):
+        total += inner[0] / (2 ** n * n ** index[0])
+        for i in range(d - 1):
+            inner[i] += inner[i + 1] / n ** index[i + 1]
+    return total
+
+
+def _polylog_half_rest(depth: int, terms: int) -> float:
+    """Bound on the terms n1 > ``terms`` of any depth-``depth`` Li at 1/2.
+
+    The inner sum is at most (1 + ln n1)^(d-1) / (d-1)!, and consecutive
+    bounds shrink by at most rho = (1 + 1/(terms+1))^(d-1) / 2 < 1.
+    """
+    m, k = terms + 1, depth - 1
+    rho = 0.5 * (1.0 + 1.0 / m) ** k
+    if rho >= 1.0:
+        return math.inf
+    return 2.0 ** -m * (1.0 + math.log(m)) ** k / math.factorial(k) / (1.0 - rho)
 
 
 def mzv(index: tuple[int, ...], tol: float = 1e-12) -> float:
     """zeta(s1, ..., sk) = sum over n1 > ... > nk >= 1 of prod nj^-sj.
 
-    Truncated nested summation; the outer tail is corrected by
-    Euler-Maclaurin using the exact asymptotics of the inner partial sums
-    (available at depth <= 2).  Raises MzvError when the rigorous bound
-    cannot meet ``tol``.
+    Hoelder convolution at 1/2 (Borwein, Bradley and Broadhurst,
+    arXiv:math/9910045): the iterated integral of the word w over (0, 1) is
+    split at 1/2, so zeta(w) = sum_j L(rev-swap(w[:j])) * L(w[j:]), where
+    L is a multiple polylogarithm at 1/2 and rev-swap reverses the word and
+    exchanges x0 <-> x1 (the substitution t -> 1 - t).  Each L converges
+    like 2^-n at any depth.  The truncated sums are exact rationals, so the
+    error bound is the omitted tails plus one rounding to float; MzvError
+    is raised when it cannot meet ``tol``.
     """
     index = tuple(int(s) for s in index)
     if not index or index[0] < 2 or any(s < 1 for s in index):
         raise MzvError(f"non-admissible index {index}")
-    depth = len(index)
-    if depth == 1:
-        s = index[0]
-        for n0 in (200, 2_000, 20_000, 200_000):
-            tail, err = _tail_power(float(s), n0)
-            if err + 1e-15 <= tol:
-                direct = math.fsum((m ** (-float(s)) for m in range(1, n0)))
-                return direct + tail
-        raise MzvError(f"cannot reach tolerance {tol} for {index}")
-    if depth == 2:
-        return _mzv_depth2(index[0], index[1], tol)
-    return _mzv_deep(index, tol)
+    word = _index_word(index)
+    n = len(word)
+    # a factor's depth is its count of x1 letters, at most max(#x1, #x0) of
+    # w; every factor lies in [0, 1], so each of the n + 1 products a*b
+    # misses at most a*eb + b*ea + ea*eb <= 3 * rest
+    depth = max(len(index), n - len(index))
 
+    def rest(terms: int) -> float:
+        return max(_polylog_half_rest(d, terms) for d in range(1, depth + 1))
 
-def _mzv_depth2(s1: int, s2: int, tol: float) -> float:
-    n0 = 200_000
-    m = np.arange(1, n0 + 1, dtype=np.float64)
-    inner = np.cumsum(m ** (-float(s2)))  # inner[n-1] = sum_{j <= n} j^-s2
-    outer_terms = m[1:] ** (-float(s1)) * inner[:-1]  # n from 2 to n0
-    direct = math.fsum(outer_terms)
-    # tail over n > n0 with A(n) = sum_{j < n} j^-s2
-    if s2 == 1:
-        # A(n) = ln n + gamma - 1/(2n) - 1/(12 n^2) + O(n^-4)
-        t_log, e1 = _tail_power_log(float(s1), n0 + 1)
-        t_0, e2 = _tail_power(float(s1), n0 + 1)
-        t_1, e3 = _tail_power(float(s1) + 1, n0 + 1)
-        t_2, e4 = _tail_power(float(s1) + 2, n0 + 1)
-        tail = t_log + EULER_GAMMA * t_0 - 0.5 * t_1 - t_2 / 12.0
-        err = e1 + EULER_GAMMA * e2 + 0.5 * e3 + e4 / 12.0 + _tail_power(float(s1) + 4, n0 + 1)[0] / 120.0
-    else:
-        z2 = mzv((s2,), tol / 10)
-        # A(n) = z2 - sum_{j >= n} j^-s2; expand the inner tail at j >= n
-        t_0, e2 = _tail_power(float(s1), n0 + 1)
-        t_a, ea = _tail_power(float(s1 + s2) - 1.0, n0 + 1)
-        t_b, eb = _tail_power(float(s1 + s2), n0 + 1)
-        t_c, ec = _tail_power(float(s1 + s2) + 1.0, n0 + 1)
-        tail = z2 * t_0 - t_a / (s2 - 1.0) - 0.5 * t_b - (s2 / 12.0) * t_c
-        err = z2 * e2 + ea / (s2 - 1.0) + 0.5 * eb + (s2 / 12.0) * ec \
-            + 2.0 * (s2 * (s2 + 1) * (s2 + 2) / 720.0) * _tail_power(float(s1 + s2) + 3.0, n0 + 1)[0]
-    # fsum is exactly rounded; cumsum rounding enters weighted by the outer
-    # decay, bounded by eps * sum_n n^{1-s1} A(n) <= eps * (1 + ln n0)^2
-    err += 2.3e-16 * (4.0 * abs(direct) + (1.0 + math.log(n0)) ** 2)
+    # past 256 terms the tail is far below the rounding of any double
+    terms = 2 * depth + 8
+    while 3 * (n + 1) * rest(terms) > tol / 2 and terms < 256:
+        terms += 8
+    exact = sum(_polylog_half(_word_index(tuple(1 - a for a in reversed(word[:j]))), terms)
+                * _polylog_half(_word_index(word[j:]), terms) for j in range(n + 1))
+    value = float(exact)
+    err = 3 * (n + 1) * rest(terms) + _EPS * value
     if err > tol:
-        raise MzvError(f"cannot reach tolerance {tol} for ({s1},{s2})")
-    return direct + tail
-
-
-def _mzv_deep(index: tuple[int, ...], tol: float) -> float:
-    n0 = 200_000
-    m = np.arange(1, n0 + 1, dtype=np.float64)
-    partial = np.ones(n0)
-    for s in reversed(index[1:]):
-        terms = m ** (-float(s)) * partial
-        partial = np.concatenate(([0.0], np.cumsum(terms)[:-1]))  # strict <
-    outer = m ** (-float(index[0])) * partial
-    value = math.fsum(outer)
-    k = len(index)
-    bound = (1.0 + math.log(n0)) ** (k - 1) * (n0 ** (1 - index[0])) / (index[0] - 1)
-    if bound > tol:
-        raise MzvError(
-            f"depth-{k} index {index}: rigorous tail bound {bound:.2e} exceeds tol {tol}")
+        raise MzvError(f"cannot reach tolerance {tol} for {index} (error bound {err:.1e})")
     return value
 
 
@@ -144,22 +140,21 @@ class FuchsSeries:
     def evaluate(self, z: complex) -> NCSeries:
         """Value of the tame factor at z (series in z or in 1-z)."""
         x = z if self.point == 0 else 1.0 - z
-        acc = NCSeries.zero(2, self.order)
+        acc: dict = {}
         p = 1.0
         for c in self.coeffs:
-            acc = acc + c.scale(p)
+            add_scaled(acc, c.terms.items(), p)
             p *= x
-        return acc
+        return NCSeries._nonzero(2, self.order, acc)
 
     def derivative_at(self, z: complex) -> NCSeries:
         """d/dz of the tame factor: sum_m m c_m x^{m-1} dx/dz."""
         x = z if self.point == 0 else 1.0 - z
         sign = 1.0 if self.point == 0 else -1.0
-        acc = NCSeries.zero(2, self.order)
-        for mth, c in enumerate(self.coeffs):
-            if mth >= 1:
-                acc = acc + c.scale(sign * mth * x ** (mth - 1))
-        return acc
+        acc: dict = {}
+        for mth, c in enumerate(self.coeffs[1:], start=1):
+            add_scaled(acc, c.terms.items(), sign * mth * x ** (mth - 1))
+        return NCSeries._nonzero(2, self.order, acc)
 
 
 def _ad_series(gen: int, order: int) -> NCSeries:

@@ -1,17 +1,19 @@
 """Truncated noncommutative series and free Lie algebra machinery.
 
 Words are tuples of 1-based generator indices.  An :class:`NCSeries` is a
-sparse coefficient map word -> scalar, truncated at a hard order ``order``;
-every operation silently drops words above the truncation.  Lie elements are
-carried either as NC series (for computation) or as :class:`LieSeries` in
-Lyndon-basis coordinates (for normal forms and linear algebra).
+sparse coefficient map word -> scalar, truncated at a hard order ``order``.
+Truncation is structural: products only pair words whose lengths fit, and
+sums accumulate in place, so no kernel builds a term it then discards.  Lie
+elements are carried either as NC series (for computation) or as
+:class:`LieSeries` in Lyndon-basis coordinates (for normal forms and linear
+algebra).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .scalars import coeff_abs, is_zero
 
@@ -140,7 +142,16 @@ class NCSeries:
     def generator(k: int, order: int, i: int, c=1) -> "NCSeries":
         return NCSeries(k, order, {(i,): c})
 
+    @staticmethod
+    def _nonzero(k: int, order: int, terms: Mapping[Word, object]) -> "NCSeries":
+        """Series from terms whose words are known to fit; drops exact zeros only."""
+        s = NCSeries.__new__(NCSeries)
+        s.k, s.order = k, order
+        s.terms = {w: c for w, c in terms.items() if not is_zero(c)}
+        return s
+
     def copy_with(self, terms: dict) -> "NCSeries":
+        """Series on the same alphabet and order; drops zeros and over-long words."""
         s = NCSeries.__new__(NCSeries)
         s.k, s.order = self.k, self.order
         s.terms = {w: c for w, c in terms.items() if len(w) <= self.order and not is_zero(c)}
@@ -159,10 +170,12 @@ class NCSeries:
         return max((coeff_abs(c) for c in self.terms.values()), default=0.0)
 
     def degree_part(self, d: int) -> "NCSeries":
-        return self.copy_with({w: c for w, c in self.terms.items() if len(w) == d})
+        return NCSeries._nonzero(self.k, self.order,
+                                 {w: c for w, c in self.terms.items() if len(w) == d})
 
     def degree_range(self, lo: int, hi: int) -> "NCSeries":
-        return self.copy_with({w: c for w, c in self.terms.items() if lo <= len(w) <= hi})
+        return NCSeries._nonzero(self.k, self.order,
+                                 {w: c for w, c in self.terms.items() if lo <= len(w) <= hi})
 
     def truncate(self, order: int) -> "NCSeries":
         s = NCSeries.__new__(NCSeries)
@@ -171,7 +184,7 @@ class NCSeries:
         return s
 
     def map_coefficients(self, f: Callable) -> "NCSeries":
-        return self.copy_with({w: f(c) for w, c in self.terms.items()})
+        return NCSeries._nonzero(self.k, self.order, {w: f(c) for w, c in self.terms.items()})
 
     def _check_compatible(self, other: "NCSeries"):
         if self.k != other.k or self.order != other.order:
@@ -185,12 +198,12 @@ class NCSeries:
         out = dict(self.terms)
         for w, c in other.terms.items():
             out[w] = out.get(w, 0) + c
-        return self.copy_with(out)
+        return NCSeries._nonzero(self.k, self.order, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self.copy_with({w: -c for w, c in self.terms.items()})
+        return NCSeries._nonzero(self.k, self.order, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, float, complex, Fraction)):
@@ -198,23 +211,28 @@ class NCSeries:
         return self + (-other)
 
     def scale(self, c) -> "NCSeries":
-        return self.copy_with({w: c * x for w, x in self.terms.items()})
+        return NCSeries._nonzero(self.k, self.order, {w: c * x for w, x in self.terms.items()})
 
     def __mul__(self, other):
-        """Concatenation product, truncated; scalars multiply coefficientwise."""
+        """Concatenation product, truncated; scalars multiply coefficientwise.
+
+        A left word u only meets the right terms of length <= N - len(u)
+        (``fits``, in the right operand's term order), so no pair is formed
+        to be discarded and every output word sums its contributions in the
+        order of the left operand's terms.
+        """
         if not isinstance(other, NCSeries):
             return self.scale(other)
         self._check_compatible(other)
         out: dict[Word, object] = {}
         N = self.order
+        fits = {r: [(v, b) for v, b in other.terms.items() if len(v) <= r]
+                for r in {N - len(u) for u in self.terms}}
         for u, a in self.terms.items():
-            rem = N - len(u)
-            for v, b in other.terms.items():
-                if len(v) > rem:
-                    continue
+            for v, b in fits[N - len(u)]:
                 w = u + v
                 out[w] = out.get(w, 0) + a * b
-        return self.copy_with(out)
+        return NCSeries._nonzero(self.k, N, out)
 
     def __rmul__(self, other):
         if isinstance(other, NCSeries):  # pragma: no cover - handled by __mul__
@@ -227,7 +245,7 @@ class NCSeries:
     def exp(self) -> "NCSeries":
         if not is_zero(self.constant_term()):
             raise SeriesError("exp needs zero constant term")
-        out = NCSeries.unit(self.k, self.order)
+        out: dict[Word, object] = {(): 1}
         power = NCSeries.unit(self.k, self.order)
         fact = 1
         for n in range(1, self.order + 1):
@@ -235,24 +253,21 @@ class NCSeries:
             if power.is_zero():
                 break
             fact *= n
-            out = out + power.scale(Fraction(1, fact))
-        return out
+            add_scaled(out, power.terms.items(), Fraction(1, fact))
+        return NCSeries._nonzero(self.k, self.order, out)
 
     def log(self) -> "NCSeries":
-        c0 = self.constant_term()
-        if is_zero(c0 - 1):
-            pass
-        else:
+        if not is_zero(self.constant_term() - 1):
             raise SeriesError("log needs constant term 1")
         x = self - 1
-        out = NCSeries.zero(self.k, self.order)
+        out: dict[Word, object] = {}
         power = NCSeries.unit(self.k, self.order)
         for n in range(1, self.order + 1):
             power = power * x
             if power.is_zero():
                 break
-            out = out + power.scale(Fraction((-1) ** (n + 1), n))
-        return out
+            add_scaled(out, power.terms.items(), Fraction((-1) ** (n + 1), n))
+        return NCSeries._nonzero(self.k, self.order, out)
 
     def inverse(self) -> "NCSeries":
         """Inverse of a series with invertible (unit-like) constant term."""
@@ -284,7 +299,7 @@ class NCSeries:
             return NCSeries.zero(self.k, self.order)
         any_img = next(iter(images.values()))
         target_k, order = any_img.k, min(self.order, any_img.order)
-        out = NCSeries.zero(target_k, order)
+        out: dict[Word, object] = {}
         # shared-prefix evaluation over the trie of words
         words = sorted(self.terms)
         prefix_cache: dict[Word, NCSeries] = {(): NCSeries.unit(target_k, order)}
@@ -297,9 +312,8 @@ class NCSeries:
             return p
 
         for w in words:
-            c = self.terms[w]
-            out = out + product_for(w).scale(c)
-        return out
+            add_scaled(out, product_for(w).terms.items(), self.terms[w])
+        return NCSeries._nonzero(target_k, order, out)
 
     def distance(self, other: "NCSeries") -> float:
         self._check_compatible(other)
@@ -342,24 +356,22 @@ class NCSeries:
                         {tuple(t["word"]): scalar_from_json(t["coeff"]) for t in obj["terms"]})
 
 
-def nc_mul(a: NCSeries, b: NCSeries) -> NCSeries:
-    return a * b
+def add_scaled(acc: dict, terms: Iterable[tuple[Word, object]], c) -> None:
+    """In place, ``acc += c * terms``, dropping words whose sum is exactly zero.
 
-
-def nc_add(a: NCSeries, b: NCSeries) -> NCSeries:
-    return a + b
-
-
-def nc_scale(c, a: NCSeries) -> NCSeries:
-    return a.scale(c)
-
-
-def nc_exp(a: NCSeries) -> NCSeries:
-    return a.exp()
-
-
-def nc_log(g: NCSeries) -> NCSeries:
-    return g.log()
+    ``terms`` yields (word, coeff) pairs with distinct words.  This gives the
+    values and the term order of ``acc = acc + series.scale(c)`` without
+    copying the accumulator.
+    """
+    for w, x in terms:
+        val = c * x
+        if is_zero(val):
+            continue
+        new = acc.get(w, 0) + val
+        if is_zero(new):
+            del acc[w]
+        else:
+            acc[w] = new
 
 
 # -- Lie elements -------------------------------------------------------------
@@ -451,10 +463,10 @@ class LieSeries:
 
 def lie_to_nc(ell: LieSeries, order: int | None = None) -> NCSeries:
     order = ell.order if order is None else order
-    out = NCSeries.zero(ell.k, order)
+    out: dict[Word, object] = {}
     for w, c in ell.coords.items():
-        out = out + lyndon_bracket_nc(ell.k, order, w).scale(c)
-    return out
+        add_scaled(out, lyndon_bracket_nc(ell.k, order, w).terms.items(), c)
+    return NCSeries._nonzero(ell.k, order, out)
 
 
 def nc_project_lie(a: NCSeries) -> LieSeries:
@@ -466,14 +478,14 @@ def nc_project_lie(a: NCSeries) -> LieSeries:
     """
     if not is_zero(a.constant_term()):
         raise SeriesError("nonzero constant term")
-    projected = NCSeries.zero(a.k, a.order)
+    projected: dict[Word, object] = {}
     for w, c in a.terms.items():
         d = len(w)
         br = _left_bracketing_nc(a.k, a.order, w)
-        projected = projected + br.scale(c * Fraction(1, d) if isinstance(c, (int, Fraction))
-                                         else c / d)
+        add_scaled(projected, br.terms.items(),
+                   c * Fraction(1, d) if isinstance(c, (int, Fraction)) else c / d)
     # the projected series is Lie by construction; only float dust can remain
-    coords, residual = _lyndon_extract(projected)
+    coords, residual = _lyndon_extract(NCSeries._nonzero(a.k, a.order, projected))
     if residual > 1e-6:
         raise SeriesError(f"Dynkin projection produced a non-Lie series ({residual:.3e})")
     return LieSeries(a.k, a.order, coords)
@@ -515,12 +527,6 @@ def lie_coords_from_nc(a: NCSeries, tol: float = 0.0) -> LieSeries:
     if residual > tol:
         raise SeriesError(f"series is not Lie (residual {residual:.3e})")
     return LieSeries(a.k, a.order, coords)
-
-
-def lie_projection_residual(a: NCSeries) -> float:
-    """How far an NC series is from the free Lie algebra (0 means Lie)."""
-    ell = nc_project_lie(a)
-    return lie_to_nc(ell, a.order).distance(a)
 
 
 def lie_bracket(x: LieSeries, y: LieSeries) -> LieSeries:

@@ -16,7 +16,6 @@ rings.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -45,15 +44,6 @@ def coeff_abs(x) -> float:
     if isinstance(x, Fraction):
         return abs(x.numerator) / x.denominator if x else 0.0
     return abs(x)
-
-
-def check_finite(x):
-    """Reject NaN in float/complex scalars; they must never be stored."""
-    if isinstance(x, float) and math.isnan(x):
-        raise ScalarError("NaN scalar")
-    if isinstance(x, complex) and (math.isnan(x.real) or math.isnan(x.imag)):
-        raise ScalarError("NaN scalar")
-    return x
 
 
 class PolyInT:

@@ -13,8 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .ncalg import (LieSeries, NCSeries, SeriesError, lie_coords_from_nc,
-                    lie_to_nc, lyndon_words, bracketing_of)
+from .ncalg import (LieSeries, NCSeries, SeriesError, add_scaled, bracketing_of,
+                    lie_coords_from_nc, lie_to_nc, lyndon_words)
 from .scalars import coeff_abs, is_zero
 
 
@@ -27,7 +27,7 @@ def _strip_gauge(comps: Sequence[NCSeries]) -> tuple[NCSeries, ...]:
     for i, c in enumerate(comps, start=1):
         t = dict(c.terms)
         t.pop((i,), None)
-        out.append(c.copy_with(t))
+        out.append(NCSeries._nonzero(c.k, c.order, t))
     return tuple(out)
 
 
@@ -91,19 +91,37 @@ class TDerElem:
         return max(a.distance(b) for a, b in zip(self.comps, other.comps))
 
     def apply_nc(self, s: NCSeries) -> NCSeries:
-        """Extend the derivation by Leibniz to the free associative algebra."""
-        out = NCSeries.zero(self.k, self.order)
-        images = [NCSeries.generator(self.k, self.order, i + 1).bracket(self.comps[i])
-                  for i in range(self.k)]
+        """Extend the derivation by Leibniz to the free associative algebra.
+
+        Letter j of a word w is replaced by each term (v, b) of its image
+        [X_a, u_a] that fits, len(v) <= N - len(w) + 1, and c*b is added at
+        w[:j] + v + w[j+1:] in one accumulator, in the order the product
+        ``w[:j] * image * w[j+1:]`` would give.
+        """
+        N = self.order
+        images = []
+        for i in range(self.k):
+            img = NCSeries.generator(self.k, N, i + 1).bracket(self.comps[i])
+            # the unit factors of w[:j] * image * w[j+1:], kept so that
+            # signed zeros inside complex coefficients come out unchanged
+            terms = {}
+            for v, b in img.terms.items():
+                x = 0 + 1 * b
+                if not is_zero(x):
+                    x = 0 + x * 1
+                    if not is_zero(x):
+                        terms[v] = x
+            images.append({r: [(v, x) for v, x in terms.items() if len(v) <= r]
+                           for r in range(N + 1)})
+        out: dict[tuple[int, ...], object] = {}
         for w, c in s.terms.items():
+            rem = N - len(w) + 1
+            if rem < 0:  # only from an input truncated above N
+                continue
             for j, a in enumerate(w):
-                img = images[a - 1]
-                if img.is_zero():
-                    continue
-                left = NCSeries(self.k, self.order, {w[:j]: 1})
-                right = NCSeries(self.k, self.order, {w[j + 1:]: 1})
-                out = out + (left * img * right).scale(c)
-        return out
+                head, tail = w[:j], w[j + 1:]
+                add_scaled(out, ((head + v + tail, x) for v, x in images[a - 1][rem]), c)
+        return NCSeries._nonzero(self.k, N, out)
 
     def apply_lie(self, ell: LieSeries) -> LieSeries:
         return lie_coords_from_nc(self.apply_nc(lie_to_nc(ell)))
@@ -149,10 +167,6 @@ def is_sder(u: TDerElem, tol: float = 0.0) -> bool:
     for i in range(u.k):
         acc = acc + NCSeries.generator(u.k, u.order, i + 1).bracket(u.comps[i])
     return acc.max_abs() <= tol
-
-
-def tder_apply(u: TDerElem, ell: LieSeries) -> LieSeries:
-    return u.apply_lie(ell)
 
 
 # -- substitution helpers ------------------------------------------------------
@@ -241,10 +255,10 @@ def substitute_many(images: Sequence[NCSeries], series_list: Sequence[NCSeries])
 
     out = []
     for s in series_list:
-        acc = NCSeries.zero(k, order)
+        acc: dict[tuple[int, ...], object] = {}
         for w, c in sorted(s.terms.items()):
-            acc = acc + product_for(w).scale(c)
-        out.append(acc)
+            add_scaled(acc, product_for(w).terms.items(), c)
+        out.append(NCSeries._nonzero(k, order, acc))
     return out
 
 
@@ -400,7 +414,7 @@ def exp_tder(u: TDerElem) -> TAutElem:
 
     comps = []
     for i in range(k):
-        g = NCSeries.unit(k, order)
+        g: dict[tuple[int, ...], object] = {(): 1}
         for parts in _compositions_upto(order):
             if not parts:
                 continue
@@ -422,22 +436,22 @@ def exp_tder(u: TDerElem) -> TAutElem:
                     break
             if dead or term is None:
                 continue
-            g = g + term.scale(coeff)
-        comps.append(g)
+            add_scaled(g, term.terms.items(), coeff)
+        comps.append(NCSeries._nonzero(k, order, g))
 
     out = TAutElem(k, order, tuple(comps))
     # the action has a direct exact formula: sum_m u^m(X_i)/m!
     imgs = []
     for i in range(1, k + 1):
-        x = NCSeries.generator(k, order, i)
-        acc, term, fact = x, x, 1
+        term = NCSeries.generator(k, order, i)
+        acc, fact = dict(term.terms), 1
         for m in range(1, order + 1):
             term = u.apply_nc(term)
             if term.is_zero():
                 break
             fact *= m
-            acc = acc + term.scale(Fraction(1, fact))
-        imgs.append(acc)
+            add_scaled(acc, term.terms.items(), Fraction(1, fact))
+        imgs.append(NCSeries._nonzero(k, order, acc))
     out._action = tuple(imgs)
     return out
 

@@ -1,7 +1,9 @@
 """Acceptance criteria, one test per numbered criterion.
 
-Each test prints a PASS/FAIL line (run pytest with -s to see them inline);
-a summary is also written to acceptance_report.txt next to this file.
+Each test prints a PASS/FAIL line (run pytest with -s to see them inline).
+The summary goes to acceptance_report.txt next to this file without the
+timings, so rerunning the suite leaves the committed file unchanged; the
+same lines with timings go to acceptance_report.timed.txt (not tracked).
 Criterion 6a asserts a published reference value that three independent
 computations here contradict by an exact factor 3; it is marked xfail with
 the analysis available in the quadrature module's test companions.
@@ -39,15 +41,17 @@ from assoclab.tangent import (TDerElem, center_element, duplicate_slot,
                               exp_tder, is_sder, log_taut, pad_left, pad_right,
                               tder_bracket, tk_generator)
 
-REPORT: list[str] = []
+REPORT: list[str] = []        # deterministic: criterion, PASS/FAIL, values
+TIMED_REPORT: list[str] = []  # the same lines with wall times
 PI = math.pi
 
 
 def record(num, name, ok, elapsed, detail=""):
-    line = f"ACCEPTANCE {num} ({name}): {'PASS' if ok else 'FAIL'} " \
-           f"[{elapsed:.1f}s]{' ' + detail if detail else ''}"
-    REPORT.append(line)
-    print("\n" + line)
+    head = f"ACCEPTANCE {num} ({name}): {'PASS' if ok else 'FAIL'}"
+    tail = f" {detail}" if detail else ""
+    REPORT.append(head + tail)
+    TIMED_REPORT.append(f"{head} [{elapsed:.1f}s]{tail}")
+    print("\n" + TIMED_REPORT[-1])
     return ok
 
 
@@ -321,7 +325,8 @@ def test_criterion_9_property_suites():
 
 
 def test_zz_write_report():
-    path = Path(__file__).with_name("acceptance_report.txt")
-    path.write_text("\n".join(REPORT) + "\n")
-    print("\n" + "\n".join(REPORT))
+    Path(__file__).with_name("acceptance_report.txt").write_text("\n".join(REPORT) + "\n")
+    Path(__file__).with_name("acceptance_report.timed.txt").write_text(
+        "\n".join(TIMED_REPORT) + "\n")
+    print("\n" + "\n".join(TIMED_REPORT))
     assert len(REPORT) >= 9

@@ -1,6 +1,9 @@
 import json
 from fractions import Fraction
 
+import pytest
+
+from assoclab import cli, confint
 from assoclab.cli import EXIT_CHECK, EXIT_IO, EXIT_OK, main
 
 
@@ -63,6 +66,10 @@ def test_mzv_and_cache(tmp_path, capsys):
     code, payload2 = run(capsys, "mzv", "2,1", "--tol", "1e-10",
                          "--cache-dir", str(tmp_path))
     assert payload2["value"] == payload["value"]
+    # depth 3 at the default tolerance: zeta(2,1,1) = zeta(4)
+    code, payload = run(capsys, "mzv", "2,1,1", "--cache-dir", str(tmp_path))
+    assert code == EXIT_OK
+    assert abs(payload["value"] - 1.0823232337111382) < 1e-10
 
 
 def test_kz_command(tmp_path, capsys):
@@ -106,3 +113,30 @@ def test_weights_command(tmp_path, capsys):
     assert payload["prefactor"] == ["1", "8"]
     ratio = Fraction(int(payload["lambda_ratio"][0]), int(payload["lambda_ratio"][1]))
     assert ratio == 16
+
+
+def test_weights_integrates_once(capsys, monkeypatch):
+    calls = []
+    original = confint.tetra_type1_integral
+
+    def counting(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(confint, "tetra_type1_integral", counting)
+    monkeypatch.setattr(cli, "tetra_type1_integral", counting)
+    code, payload = run(capsys, "weights", "--t", "0.25", "--tol", "1e-4", "--budget", "4000")
+    assert code == EXIT_OK
+    assert len(calls) == 1
+    # the weight is the type-I integral times its factors, as tetra_weight gives it
+    direct = confint.tetra_weight(0.25, calls[0]).to_json()
+    assert payload["weight"] == direct
+
+
+def test_interp_rejects_low_order(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    with pytest.raises(SystemExit) as exc:
+        main(["interp", "--order", "2", "--cache-dir", str(cache)])
+    assert exc.value.code == 2
+    assert "--order" in capsys.readouterr().err
+    assert not cache.exists()  # rejected before any computation

@@ -33,9 +33,23 @@ def test_mzv_errors():
     with pytest.raises(MzvError):
         mzv(())
     with pytest.raises(MzvError):
-        mzv((2, 1, 1), tol=1e-12)  # depth-3 tail bound cannot reach this
-    # loose tolerance at depth 3 works and matches the known evaluation
-    assert abs(mzv((2, 1, 1), tol=1e-2) - math.pi ** 4 / 90) < 1e-2
+        mzv((2, 1, 1), tol=1e-17)  # below the rounding of a double
+    with pytest.raises(MzvError):
+        mzv((3, 1), tol=0.0)
+
+
+def test_mzv_duality():
+    # duality zeta(w) = zeta(rev-swap(w)) holds term by term in the
+    # convolution, so the closed forms and the direct sum are the real checks
+    tol = 1e-15
+    z5 = math.fsum(m ** -5.0 for m in range(1, 2001)) + 0.25 * 2000.5 ** -4
+    assert abs(mzv((5,), tol) - z5) < 2e-15
+    assert abs(mzv((2, 1, 1), tol) - math.pi ** 4 / 90) < 2e-15
+    assert abs(mzv((2, 1, 1, 1), tol) - mzv((5,), tol)) < 2e-15
+    assert abs(mzv((3, 1, 1), tol) - mzv((4, 1), tol)) < 2e-15
+    # Euler: zeta(4,1) = 2 zeta(5) - zeta(2) zeta(3)
+    euler = 2 * z5 - (math.pi ** 2 / 6) * mzv((3,), tol)
+    assert abs(mzv((4, 1), tol) - euler) < 2e-15
 
 
 def test_frobenius_series():
