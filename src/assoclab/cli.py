@@ -1,6 +1,8 @@
 """Command line front end: compute, check, cache and report.
 
-Exit codes: 0 success, 2 a requested check failed its tolerance, 3 an
+Exit codes: 0 success, 1 an internal error, 2 a requested check or
+tolerance was not met (a failed check, an unconverged quadrature, an MZV or
+KZ expansion that cannot reach its tolerance, a degree outside t_3), 3 an
 input/output or environment problem.
 """
 
@@ -10,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -19,12 +22,14 @@ from .associator import (Associator, TauFamily, check_hexagon, check_pentagon,
                          etingof_coefficients, interpolate, pin_lambda)
 from .graphcx import (NAMED_GRAPHS, GraphLinComb, differential, divergence,
                       gc_bracket, grt_check, phi_map, psi3_normalized)
-from .kz import anti_kz, build_phi_kz, mzv
-from .confint import (QuadratureSpec, RECORDED_LAMBDA_RATIO, TETRA_PREFACTOR,
-                      TETRA_SYMMETRY_FACTOR, tetra_type1_integral,
+from .kz import KZError, MzvError, anti_kz, build_phi_kz, mzv
+from .tangent import NotInT3Error
+from .confint import (QuadratureError, QuadratureSpec, RECORDED_LAMBDA_RATIO,
+                      TETRA_PREFACTOR, TETRA_SYMMETRY_FACTOR, tetra_type1_integral,
                       tetra_weight_from_type1)
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_CHECK = 2
 EXIT_IO = 3
 
@@ -56,25 +61,49 @@ def _table(rows: list[tuple[str, str]]) -> None:
         print(f"  {name:<{width}}  {val}", file=sys.stderr)
 
 
-def _phi_kz_cached(order: int, m_order: int, tol: float, cache: Path):
-    key = f"phi-kz-N{order}-M{m_order}-tol{tol:.1e}.json"
-    path = cache / key
-    if path.exists():
+def _read_cached(path: Path, *keys: str) -> dict | None:
+    """The cached payload at ``path``; None when it is missing or unreadable.
+
+    A truncated or corrupt file counts as missing, so the caller computes
+    the value again and overwrites it.
+    """
+    try:
         data = json.loads(path.read_text())
+    except (FileNotFoundError, ValueError):
+        return None
+    return data if isinstance(data, dict) and all(k in data for k in keys) else None
+
+
+def _write_cached(path: Path, payload: dict) -> None:
+    """Write ``payload`` so that readers see either the old file or all of the new one."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(json.dumps(payload, default=str))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _phi_kz_cached(order: int, m_order: int, tol: float, cache: Path):
+    path = cache / f"phi-kz-N{order}-v{__version__}-M{m_order}-tol{tol:.1e}.json"
+    data = _read_cached(path, "associator", "report")
+    if data is not None:
         return Associator.from_json(data["associator"]), data["report"]
     phi, report = build_phi_kz(order, m_order, tol)
-    payload = {"associator": phi.to_json(), "report": report}
-    path.write_text(json.dumps(payload, default=str))
+    _write_cached(path, {"associator": phi.to_json(), "report": report})
     return phi, report
 
 
 def _mzv_cached(index: tuple[int, ...], tol: float, cache: Path) -> float:
-    key = "mzv-" + "-".join(map(str, index)) + f"-tol{tol:.1e}.json"
+    key = "mzv-" + "-".join(map(str, index)) + f"-v{__version__}-tol{tol:.1e}.json"
     path = cache / key
-    if path.exists():
-        return json.loads(path.read_text())["value"]
+    data = _read_cached(path, "value")
+    if data is not None:
+        return data["value"]
     val = mzv(index, tol)
-    path.write_text(json.dumps({"index": list(index), "value": val}))
+    _write_cached(path, {"index": list(index), "value": val})
     return val
 
 
@@ -160,9 +189,17 @@ def _load_graph(args) -> GraphLinComb:
     if name in NAMED_GRAPHS:
         return NAMED_GRAPHS[name]()
     if args.infile:
-        data = json.loads(Path(args.infile).read_text())
-        return GraphLinComb.single(data["vertices"],
-                                   [tuple(e) for e in data["edges"]])
+        try:
+            data = json.loads(Path(args.infile).read_text())
+            vertices, edges = data["vertices"], [tuple(e) for e in data["edges"]]
+        except (ValueError, KeyError, TypeError) as e:
+            raise IOError(f"cannot read a graph from {args.infile}: {type(e).__name__}: {e}")
+        if not (isinstance(vertices, int) and vertices >= 1) or any(
+                len(e) != 2 or not all(isinstance(v, int) and 1 <= v <= vertices for v in e)
+                for e in edges):
+            raise IOError(f"{args.infile}: need vertices >= 1 and edges between "
+                          f"vertices 1..{vertices}, got {edges}")
+        return GraphLinComb.single(vertices, edges)
     raise IOError(f"unknown graph {name!r} and no --in file")
 
 
@@ -224,6 +261,11 @@ def cmd_weights(args) -> int:
     _report(payload, args.out)
     _table([("type-I", f"{base.value:.8f} +- {base.error:.1e}"),
             ("weight", f"{w.value:.8f} +- {w.error:.1e}")])
+    if not base.converged:
+        print(f"error: the type-I integral did not converge: error estimate "
+              f"{base.error:.1e} > tol {args.tol:.1e} after {base.cells} cells "
+              f"(budget {args.budget})", file=sys.stderr)
+        return EXIT_CHECK
     return EXIT_OK
 
 
@@ -334,12 +376,15 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except IOError as e:
+    except (MzvError, KZError, NotInT3Error, QuadratureError) as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_CHECK
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
     except Exception as e:  # noqa: BLE001 - the CLI boundary reports and exits
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_IO
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from assoclab import cli, confint
-from assoclab.cli import EXIT_CHECK, EXIT_IO, EXIT_OK, main
+from assoclab import __version__, cli, confint
+from assoclab.cli import EXIT_CHECK, EXIT_INTERNAL, EXIT_IO, EXIT_OK, main
 
 
 def run(capsys, *argv):
@@ -140,3 +140,66 @@ def test_interp_rejects_low_order(tmp_path, capsys):
     assert exc.value.code == 2
     assert "--order" in capsys.readouterr().err
     assert not cache.exists()  # rejected before any computation
+
+
+def test_weights_not_converged_exits_check(capsys):
+    code = main(["weights", "--tol", "1e-12", "--budget", "8"])
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert code == EXIT_CHECK
+    assert payload["type1"]["converged"] is False and payload["weight"]["converged"] is False
+    assert payload["type1"]["error"] > 1e-12
+    assert "did not converge" in captured.err
+    code, payload = run(capsys, "weights")
+    assert code == EXIT_OK
+    assert payload["type1"]["converged"] is True and payload["type1"]["error"] <= 1e-6
+
+
+def test_exit_codes(tmp_path, capsys, monkeypatch):
+    # a tolerance that cannot be met is a failed check, not an I/O problem
+    code, _ = run(capsys, "mzv", "2,1,1", "--tol", "1e-17", "--cache-dir", str(tmp_path))
+    assert code == EXIT_CHECK
+    # a malformed graph file is bad input
+    bad = tmp_path / "g.json"
+    bad.write_text('{"vertices": 4, "edg')
+    code = main(["gc", "cocycle", "-", "--in", str(bad)])
+    assert code == EXIT_IO
+    assert "cannot read a graph" in capsys.readouterr().err
+    bad.write_text(json.dumps({"vertices": 3, "edges": [[1, 2], [2, 9]]}))
+    code = main(["gc", "cocycle", "-", "--in", str(bad)])
+    assert code == EXIT_IO
+    assert "edges between vertices 1..3" in capsys.readouterr().err
+
+    def broken():
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(cli, "etingof_coefficients", broken)
+    code = main(["etingof"])
+    assert code == EXIT_INTERNAL
+    assert capsys.readouterr().err.startswith("internal error: ZeroDivisionError: boom")
+
+
+def test_truncated_cache_is_recomputed(tmp_path, capsys):
+    cache = str(tmp_path)
+    code, first = run(capsys, "mzv", "2,1", "--cache-dir", cache)
+    assert code == EXIT_OK
+    code, first_kz = run(capsys, "kz", "--order", "3", "--series-order", "48",
+                         "--tol", "1e-8", "--cache-dir", cache)
+    assert code == EXIT_OK
+    files = sorted(p.name for p in tmp_path.iterdir())
+    assert len(files) == 2 and not any(n.endswith(".tmp") for n in files)
+    assert all(f"-v{__version__}-" in n for n in files)
+    for p in tmp_path.iterdir():
+        text = p.read_text()
+        p.write_text(text[: len(text) // 2])
+    code, again = run(capsys, "mzv", "2,1", "--cache-dir", cache)
+    assert code == EXIT_OK and again == first
+    code, again_kz = run(capsys, "kz", "--order", "3", "--series-order", "48",
+                         "--tol", "1e-8", "--cache-dir", cache)
+    assert code == EXIT_OK
+    first_kz.pop("seconds")
+    again_kz.pop("seconds")
+    assert again_kz == first_kz
+    # the repaired files are whole again
+    for p in tmp_path.iterdir():
+        json.loads(p.read_text())

@@ -1,9 +1,11 @@
+import heapq
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
+from assoclab import confint
 from assoclab.confint import (QuadratureError, QuadratureSpec, ZETA3,
                               adaptive_quad_2d, at_one_vertex_closed_form,
                               at_one_vertex_coefficient, beta_tilde_pointwise,
@@ -182,3 +184,109 @@ def test_quadrature_deterministic():
     a = tetra_type1_integral(spec)
     b = tetra_type1_integral(spec)
     assert a.value == b.value and a.error == b.error and a.cells == b.cells
+
+
+# -- the batched engine against the cell-by-cell loop it replaces -------------------
+
+def _reference_cell_integral(f, ax, bx, ay, by, order):
+    x, wx = np.polynomial.legendre.leggauss(order)
+    mx, hx = 0.5 * (ax + bx), 0.5 * (bx - ax)
+    my, hy = 0.5 * (ay + by), 0.5 * (by - ay)
+    xs = mx + hx * x
+    ys = my + hy * x
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    vals = f(gx, gy)
+    return hx * hy * np.einsum("i,j,ij->", wx, wx, vals)
+
+
+def _reference_quad_2d(f, ax, bx, ay, by, spec):
+    """One integrand call per cell and rule, fresh nodes each time."""
+    counter = 0
+
+    def make_cell(a, b, c, d):
+        nonlocal counter
+        coarse = _reference_cell_integral(f, a, b, c, d, spec.order)
+        fine = _reference_cell_integral(f, a, b, c, d, spec.order_fine)
+        err = abs(fine - coarse)
+        counter += 1
+        return (-err, counter, a, b, c, d, fine, err)
+
+    heap = [make_cell(ax, bx, ay, by)]
+    total_err = heap[0][7]
+    cells = 1
+    while total_err > spec.tol and cells < spec.max_cells:
+        _, _, a, b, c, d, _, err = heapq.heappop(heap)
+        mx, my = 0.5 * (a + b), 0.5 * (c + d)
+        total_err -= err
+        for (a2, b2, c2, d2) in ((a, mx, c, my), (mx, b, c, my),
+                                 (a, mx, my, d), (mx, b, my, d)):
+            cell = make_cell(a2, b2, c2, d2)
+            total_err += cell[7]
+            heapq.heappush(heap, cell)
+            cells += 1
+    return sum(item[6] for item in heap), total_err, cells
+
+
+def _same_bits(x, y):
+    return x == y and repr(x) == repr(y)
+
+
+def test_batched_engine_matches_cell_loop_one_vertex(monkeypatch):
+    spec = QuadratureSpec(tol=1e-6, max_cells=40000)
+    for z in (0.3 + 0.4j, 1.5 + 0.5j, 0.86 + 0.62j, -0.7 + 0.2j):
+        new = confint._cauchy_weighted_integral(z, spec)
+        with monkeypatch.context() as m:
+            m.setattr(confint, "adaptive_quad_2d", _reference_quad_2d)
+            ref = confint._cauchy_weighted_integral(z, spec)
+        assert new[2] > 100
+        assert all(_same_bits(u, v) for u, v in zip(new, ref)), (z, new, ref)
+
+
+def test_batched_engine_matches_cell_loop_type1(monkeypatch):
+    for spec in (QuadratureSpec(tol=1e-8, max_cells=200000),
+                 QuadratureSpec(tol=1e-12, max_cells=8),
+                 QuadratureSpec(tol=1e-5, max_cells=1000, order=5, order_fine=7)):
+        new = tetra_type1_integral(spec)
+        with monkeypatch.context() as m:
+            m.setattr(confint, "adaptive_quad_2d", _reference_quad_2d)
+            ref = tetra_type1_integral(spec)
+        assert _same_bits(new.value, ref.value)
+        assert _same_bits(new.error, ref.error)
+        assert new.cells == ref.cells
+    # a real-valued integrand on a rectangle with integer corners
+    f = lambda x, y: np.exp(-x * y)  # noqa: E731
+    spec = QuadratureSpec(tol=1e-10, max_cells=4000)
+    assert _reference_quad_2d(f, 0, 1, 0, 2, spec) == adaptive_quad_2d(f, 0, 1, 0, 2, spec)
+
+
+def test_nodes_computed_once_per_order(monkeypatch):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(order):
+        calls.append(order)
+        return leggauss(order)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    confint._gl_nodes.cache_clear()
+    try:
+        f = lambda x, y: np.exp(-x * y)  # noqa: E731
+        for tol in (1e-6, 1e-8, 1e-10):
+            adaptive_quad_2d(f, 0.0, 1.0, 0.0, 2.0, QuadratureSpec(tol=tol))
+        adaptive_quad_2d(f, 0.0, 1.0, 0.0, 2.0, QuadratureSpec(order=5, order_fine=12))
+        propagator_diagonal_expansion(0.5)
+        propagator_diagonal_expansion(0.25)
+        assert sorted(calls) == [5, 8, 12, 24]
+        x, w = confint._gl_nodes(8)
+        assert not x.flags.writeable and not w.flags.writeable
+    finally:
+        confint._gl_nodes.cache_clear()
+
+
+def test_type1_converged_flag():
+    ok = tetra_type1_integral(QuadratureSpec(tol=1e-6))
+    assert ok.converged and ok.error <= 1e-6
+    short = tetra_type1_integral(QuadratureSpec(tol=1e-12, max_cells=8))
+    assert not short.converged and short.error > 1e-12
+    assert tetra_weight(0.5, QuadratureSpec(tol=1e-12, max_cells=8)).converged is False
+    assert short.to_json()["converged"] is False
