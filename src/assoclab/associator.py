@@ -317,7 +317,9 @@ def pin_lambda(phi_kz: Associator, psi3: LieSeries) -> tuple[complex, float]:
     residual measures its consistency across all degree-3 words.
     """
     order = phi_kz.order
-    d3 = unit_tangent(psi3, max(3, min(order, 4))).degree_part(3).truncate(order)
+    unit_order = max(3, min(order, 4))
+    psi3 = LieSeries(2, unit_order, psi3.coords)
+    d3 = unit_tangent(psi3, unit_order).degree_part(3).truncate(order)
     base = s_one_minus_s_power(2).integral(Fraction(0), Fraction(1))  # 1/30
     target = (phi_kz.flip_signs().series - phi_kz.series).degree_part(3)
     best_w, best_mag = None, 0.0

@@ -11,10 +11,12 @@ by their action on the generators.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .ncalg import (LieSeries, NCSeries, SeriesError, add_scaled, bracketing_of,
-                    lie_coords_from_nc, lie_to_nc, lyndon_words)
+                    lie_coords_from_nc, lie_to_nc, lyndon_words,
+                    standard_factorization)
 from .scalars import coeff_abs, is_zero
 
 
@@ -393,22 +395,13 @@ def _compositions_upto(total: int):
     return out
 
 
-def exp_tder(u: TDerElem) -> TAutElem:
-    """Exponential of a tangential derivation.
-
-    The component tuple solves g_i'(s) = g_i(s) * exp(s u)(u_i), g_i(0) = 1;
-    its value at s = 1 has the closed form
-
-        g_i = sum over compositions (p_1..p_m) of  prod_j 1/(p_1+..+p_j)
-              * A_{p_1-1} ... A_{p_m-1},     A_a := u^a(u_i)/a!,
-
-    which is exact whenever u is.
-    """
+def _exp_components(u: TDerElem) -> tuple[NCSeries, ...]:
+    """Component tuple of exp(u), in the closed form documented on exp_tder."""
     k, order = u.k, u.order
 
-    # derivation powers: powers[a][i] = u^a(u_i)/a!
+    # derivation powers: powers[a][i] = u^a(u_i)/a! for a < order (part p reads powers[p-1])
     powers = [list(u.comps)]
-    for a in range(1, order + 1):
+    for a in range(1, order):
         prev = powers[-1]
         powers.append([u.apply_nc(c).scale(Fraction(1, a)) for c in prev])
 
@@ -438,9 +431,23 @@ def exp_tder(u: TDerElem) -> TAutElem:
                 continue
             add_scaled(g, term.terms.items(), coeff)
         comps.append(NCSeries._nonzero(k, order, g))
+    return tuple(comps)
 
-    out = TAutElem(k, order, tuple(comps))
-    # the action has a direct exact formula: sum_m u^m(X_i)/m!
+
+def exp_tder(u: TDerElem) -> TAutElem:
+    """Exponential of a tangential derivation.
+
+    The component tuple solves g_i'(s) = g_i(s) * exp(s u)(u_i), g_i(0) = 1;
+    its value at s = 1 has the closed form
+
+        g_i = sum over compositions (p_1..p_m) of  prod_j 1/(p_1+..+p_j)
+              * A_{p_1-1} ... A_{p_m-1},     A_a := u^a(u_i)/a!,
+
+    which is exact whenever u is.  Only A_0..A_{N-1} enter at order N.  The
+    action is stored as well, from its direct formula sum_m u^m(X_i)/m!.
+    """
+    k, order = u.k, u.order
+    out = TAutElem(k, order, _exp_components(u))
     imgs = []
     for i in range(1, k + 1):
         term = NCSeries.generator(k, order, i)
@@ -486,7 +493,11 @@ def log_taut(g: TAutElem) -> TDerElem:
 
     Works on the gauge-normalized component tuple, where the closed-form
     exponential tuple is reproduced exactly; the components of the logarithm
-    are then read off degree by degree.
+    are then read off degree by degree.  The degree-d part of exp(u) depends
+    only on the words of length <= d, so step d evaluates the closed-form
+    components of the partial logarithm truncated at order d, with no action
+    and no terms above d; every word of length <= d gets the same
+    contributions in the same order as at the full order.
     """
     for c in g.comps:
         if not is_zero(c.constant_term() - 1):
@@ -495,8 +506,9 @@ def log_taut(g: TAutElem) -> TDerElem:
     gn = normalize_tuple_gauge(g)
     u = TDerElem.zero(k, order)
     for d in range(1, order + 1):
-        e = exp_tder(u)
-        corr = [(gn.comps[i] - e.comps[i]).degree_part(d) for i in range(k)]
+        e = _exp_components(TDerElem(k, d, [c.truncate(d) for c in u.comps], gauge=False))
+        corr = [NCSeries._nonzero(k, order, (gn.comps[i].truncate(d) - e[i]).degree_part(d).terms)
+                for i in range(k)]
         delta = TDerElem(k, order, corr, gauge=(d == 1))
         if not delta.is_zero():
             u = u + delta
@@ -596,14 +608,20 @@ def _gauss_solve_rational(columns: list[dict], rhs: dict, tol: float):
     return [b[piv_rows[j]] for j in range(n)], residual
 
 
+@lru_cache(maxsize=None)
+def _t3_word_image(w: tuple[int, ...], order: int) -> TDerElem:
+    """Image in tder3 of the Lyndon bracketing of w on (t12, t23), exact.
+
+    Cached and shared between callers, so the result must never be mutated.
+    """
+    if len(w) == 1:  # letter 1 is t12, letter 2 is t23
+        return tk_generator(w[0], w[0] + 1, 3, order)
+    left, right = standard_factorization(w)
+    return tder_bracket(_t3_word_image(left, order), _t3_word_image(right, order))
+
+
 def _t3_basis_elements(d: int, order: int) -> list[tuple[tuple, TDerElem]]:
-    t12 = tk_generator(1, 2, 3, order)
-    t23 = tk_generator(2, 3, 3, order)
-    out = []
-    for w in lyndon_words(2, d):
-        img = evaluate_lie_in_tder(LieSeries(2, order, {w: Fraction(1)}), {1: t12, 2: t23})
-        out.append((w, img))
-    return out
+    return [(w, _t3_word_image(w, order)) for w in lyndon_words(2, d)]
 
 
 def center_decompose_t3(u: TDerElem, tol: float = 0.0) -> CenterSplit:
@@ -657,7 +675,7 @@ def center_decompose_t3(u: TDerElem, tol: float = 0.0) -> CenterSplit:
 def t3_embed(ell: LieSeries, order: int | None = None) -> TDerElem:
     """Evaluate a two-letter Lie series on (t12, t23) inside tder3."""
     order = ell.order if order is None else order
-    t12 = tk_generator(1, 2, 3, order)
-    t23 = tk_generator(2, 3, 3, order)
-    ell2 = LieSeries(2, order, ell.coords)
-    return evaluate_lie_in_tder(ell2, {1: t12, 2: t23})
+    out = TDerElem.zero(3, order)
+    for w, c in LieSeries(2, order, ell.coords).coords.items():
+        out = out + _t3_word_image(w, order).scale(c)
+    return out

@@ -168,6 +168,11 @@ def test_pin_lambda_and_degree4_prediction():
     target = anti_kz(phi)
     assert phi1.series.degree_part(3).distance(target.series.degree_part(3)) < 1e-12
     assert phi1.series.degree_part(4).distance(target.series.degree_part(4)) < 1e-12
+    # above order 4 the unit tangent stays at order 4; psi3 is truncated to it
+    phi5, _ = build_phi_kz(order=5, m_order=64)
+    lam5, resid5 = pin_lambda(phi5, psi3_normalized(5))
+    assert resid5 < 1e-15
+    assert abs(lam5 - lam) < 1e-15
 
 
 def test_twisted_kz_still_passes_equations():
