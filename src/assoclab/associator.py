@@ -14,12 +14,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .ncalg import (LieSeries, NCSeries, is_grouplike, lie_to_nc,
-                    lie_coords_from_nc, nc_project_lie)
+                    lie_coords_from_nc, nc_project_lie, relabel)
 from .scalars import (Dual, PolyInT, coeff_abs, is_zero, iterated_word_integral,
                       s_one_minus_s_power)
 from .tangent import (TAutElem, TDerElem, center_decompose_t3, duplicate_slot,
-                      duplicate_slot_aut, exp_tder, log_taut, pad_left,
-                      pad_left_aut, pad_right, pad_right_aut, sym_action_aut,
+                      exp_tder, log_taut, pad_left, pad_right, sym_action,
                       t3_embed, taut_compose, taut_distance, taut_inverse,
                       tk_generator)
 
@@ -48,26 +47,26 @@ class Associator:
     def grouplike_residual(self) -> float:
         return is_grouplike(self.series)
 
-    def lie_log_residual(self) -> float:
-        """Distance of log(series) from the free Lie algebra."""
+    def _lie_log(self) -> tuple[LieSeries, float]:
+        """Lie projection of log(series) and the distance of the log from it."""
         lg = self.series.log()
         ell = nc_project_lie(lg)
-        return lie_to_nc(ell, self.order).distance(lg)
+        return ell, lie_to_nc(ell, self.order).distance(lg)
+
+    def lie_log_residual(self) -> float:
+        """Distance of log(series) from the free Lie algebra."""
+        return self._lie_log()[1]
 
     def log_lie(self) -> LieSeries:
-        return nc_project_lie(self.series.log())
+        return self._lie_log()[0]
 
     def flip_signs(self) -> "Associator":
         terms = {w: (c if len(w) % 2 == 0 else -c) for w, c in self.series.terms.items()}
-        return Associator(self.series.copy_with(terms), origin=f"sign-flip({self.origin})")
+        return Associator(NCSeries._nonzero(2, self.order, terms),
+                          origin=f"sign-flip({self.origin})")
 
     def swap_arguments(self) -> NCSeries:
-        swap = {1: 2, 2: 1}
-        terms = {}
-        for w, c in self.series.terms.items():
-            w2 = tuple(swap[a] for a in w)
-            terms[w2] = terms.get(w2, 0) + c
-        return self.series.copy_with(terms)
+        return relabel(self.series, 2, {1: (2,), 2: (1,)})
 
     def duality_residual(self) -> float:
         prod = self.series * self.swap_arguments()
@@ -90,19 +89,18 @@ class Associator:
 
 def to_taut3(phi: Associator, tol: float = 1e-9) -> TAutElem:
     """Realize Phi inside the arity-3 tangential automorphism group."""
-    res = phi.lie_log_residual()
+    ell, res = phi._lie_log()
     if res > tol:
         raise AssociatorError(f"log is not Lie within tolerance ({res:.3e} > {tol:.1e})")
-    ell = phi.log_lie()
     return exp_tder(t3_embed(ell, phi.order))
 
 
 def check_pentagon(phi: Associator, tol: float = 1e-9) -> float:
     """Extensional residual of the five-term equation in arity 4."""
     g = to_taut3(phi, tol)
-    lhs = taut_compose(duplicate_slot_aut(g, 3), duplicate_slot_aut(g, 1))
-    rhs = taut_compose(pad_left_aut(g),
-                       taut_compose(duplicate_slot_aut(g, 2), pad_right_aut(g)))
+    lhs = taut_compose(duplicate_slot(g, 3), duplicate_slot(g, 1))
+    rhs = taut_compose(pad_left(g),
+                       taut_compose(duplicate_slot(g, 2), pad_right(g)))
     return taut_distance(lhs, rhs)
 
 
@@ -116,7 +114,7 @@ def strand_permute_aut(g: TAutElem, strands: Sequence[int]) -> TAutElem:
     inv = [0] * len(strands)
     for pos, s in enumerate(strands, start=1):
         inv[s - 1] = pos
-    return sym_action_aut(inv, g)
+    return sym_action(inv, g)
 
 
 def check_hexagon(phi: Associator, tol: float = 1e-9) -> float:

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 an internal error, 2 a requested check or
 tolerance was not met (a failed check, an unconverged quadrature, an MZV or
-KZ expansion that cannot reach its tolerance, a degree outside t_3), 3 an
+KZ expansion that cannot reach its tolerance, a degree outside t_3, an
+associator check such as a log that is not Lie within tolerance), 3 an
 input/output or environment problem.
 """
 
@@ -18,8 +19,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .associator import (Associator, TauFamily, check_hexagon, check_pentagon,
-                         etingof_coefficients, interpolate, pin_lambda)
+from .associator import (Associator, AssociatorError, TauFamily, check_hexagon,
+                         check_pentagon, etingof_coefficients, interpolate, pin_lambda)
 from .graphcx import (NAMED_GRAPHS, GraphLinComb, differential, divergence,
                       gc_bracket, grt_check, phi_map, psi3_normalized)
 from .kz import KZError, MzvError, anti_kz, build_phi_kz, mzv
@@ -376,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (MzvError, KZError, NotInT3Error, QuadratureError) as e:
+    except (MzvError, KZError, NotInT3Error, QuadratureError, AssociatorError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_CHECK
     except OSError as e:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .ncalg import LieSeries, NCSeries, lie_coords_from_nc, lie_to_nc
-from .scalars import is_zero
+from .ncalg import LieSeries, NCSeries, fold_bracketing, lie_coords_from_nc, lie_to_nc
+from .scalars import is_zero, row_reduce
 from .tangent import TDerElem, evaluate_lie_in_tder, tk_generator
 
 Edge = tuple[int, int]
@@ -609,9 +609,10 @@ def _monomial_from_tree(g: ExtGraph, root_edge_idx: int, ext_vertex: int,
     visited_internal: set[int] = set()
 
     def walk(vertex: int, via_idx: int):
+        """The tree below ``vertex`` as a bracketing of external vertices."""
         dfs_edges.append(via_idx)
         if vertex <= g.ext:
-            return NCSeries.generator(2, order, vertex, Fraction(1))
+            return vertex
         if vertex in visited_internal:
             raise GraphError("internal cycle")
         visited_internal.add(vertex)
@@ -620,17 +621,18 @@ def _monomial_from_tree(g: ExtGraph, root_edge_idx: int, ext_vertex: int,
             raise GraphError("not trivalent")
         left = walk(children[0][1], children[0][0])
         right = walk(children[1][1], children[1][0])
-        return left.bracket(right)
+        return (left, right)
 
-    other = None
     u, v = g.edges[root_edge_idx]
     other = v if u == ext_vertex else u
     try:
-        mono = walk(other, root_edge_idx)
+        tree = walk(other, root_edge_idx)
     except GraphError:
         return None
     if len(dfs_edges) != len(g.edges):
         return None
+    mono = fold_bracketing(tree, lambda a: NCSeries.generator(2, order, a, Fraction(1)),
+                           NCSeries.bracket)
     # parity of (graph edge order -> DFS order)
     perm = {e: pos for pos, e in enumerate(dfs_edges)}
     sign = 1
@@ -765,26 +767,8 @@ def grt_solution_space(word_length: int, order: int | None = None) -> list[LieSe
     from .ncalg import lyndon_words
     order = word_length if order is None else order
     basis = [LieSeries(2, order, {w: Fraction(1)}) for w in lyndon_words(2, word_length)]
-    residuals = [_grt_residual_vector(b) for b in basis]
-    rows = sorted(set().union(*residuals)) if residuals else []
-    mat = [[Fraction(r.get(key, 0)) for r in residuals] for key in rows]
+    mat, _, pivots = row_reduce([_grt_residual_vector(b) for b in basis])
     ncols = len(basis)
-    # rational row reduction
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        sel = next((r for r in range(row, len(mat)) if mat[r][col] != 0), None)
-        if sel is None:
-            continue
-        mat[row], mat[sel] = mat[sel], mat[row]
-        inv = Fraction(1, 1) / mat[row][col]
-        mat[row] = [v * inv for v in mat[row]]
-        for r in range(len(mat)):
-            if r != row and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [v - f * p for v, p in zip(mat[r], mat[row])]
-        pivots.append(col)
-        row += 1
     free = [c for c in range(ncols) if c not in pivots]
     out = []
     for fc in free:

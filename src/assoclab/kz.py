@@ -240,7 +240,7 @@ def build_phi_kz(order: int = 5, m_order: int = 64, tol: float = 1e-10):
     # clean the tiny imaginary dust on the constant term
     terms = dict(phi_half.terms)
     terms[()] = 1
-    phi = Associator(phi_half.copy_with(terms), origin="kz")
+    phi = Associator(NCSeries._nonzero(2, phi_half.order, terms), origin="kz")
     report = {
         "constancy": constancy,
         "ode-residual-at-0.3": ode_residual(f0, 0.3 + 0.0j),

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping
+from itertools import product
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .scalars import coeff_abs, is_zero
 
@@ -94,18 +95,32 @@ def _is_lyndon(w: Word) -> bool:
 
 
 def lyndon_basis(k: int, d: int) -> tuple[tuple[Word, object], ...]:
-    """Lyndon words of length d with their standard bracketings.
+    """Lyndon words of length d with their standard bracketings."""
+    return tuple((w, bracketing_of(w)) for w in lyndon_words(k, d))
 
-    The bracketing is a nested tuple: a bare letter for length 1, otherwise
-    ``(left, right)`` following the standard factorization.
+
+@lru_cache(maxsize=None)
+def bracketing_of(w: Word):
+    """Standard-factorization bracketing of a Lyndon word, as nested tuples.
+
+    A bare letter for length 1, otherwise ``(left, right)`` following the
+    standard factorization.
     """
-    def bracketing(w: Word):
-        if len(w) == 1:
-            return w[0]
-        u, v = standard_factorization(w)
-        return (bracketing(u), bracketing(v))
+    if len(w) == 1:
+        return w[0]
+    u, v = standard_factorization(w)
+    return (bracketing_of(u), bracketing_of(v))
 
-    return tuple((w, bracketing(w)) for w in lyndon_words(k, d))
+
+def fold_bracketing(b, leaf: Callable, bracket: Callable):
+    """Evaluate a nested-tuple bracketing: ``leaf`` on letters, ``bracket`` on pairs.
+
+    The left operand is evaluated before the right one.
+    """
+    if isinstance(b, int):
+        return leaf(b)
+    left, right = b
+    return bracket(fold_bracketing(left, leaf, bracket), fold_bracketing(right, leaf, bracket))
 
 
 # -- NC series ----------------------------------------------------------------
@@ -150,13 +165,6 @@ class NCSeries:
         s.terms = {w: c for w, c in terms.items() if not is_zero(c)}
         return s
 
-    def copy_with(self, terms: dict) -> "NCSeries":
-        """Series on the same alphabet and order; drops zeros and over-long words."""
-        s = NCSeries.__new__(NCSeries)
-        s.k, s.order = self.k, self.order
-        s.terms = {w: c for w, c in terms.items() if len(w) <= self.order and not is_zero(c)}
-        return s
-
     def coefficient(self, w: Word):
         return self.terms.get(tuple(w), 0)
 
@@ -172,10 +180,6 @@ class NCSeries:
     def degree_part(self, d: int) -> "NCSeries":
         return NCSeries._nonzero(self.k, self.order,
                                  {w: c for w, c in self.terms.items() if len(w) == d})
-
-    def degree_range(self, lo: int, hi: int) -> "NCSeries":
-        return NCSeries._nonzero(self.k, self.order,
-                                 {w: c for w, c in self.terms.items() if lo <= len(w) <= hi})
 
     def truncate(self, order: int) -> "NCSeries":
         s = NCSeries.__new__(NCSeries)
@@ -292,28 +296,7 @@ class NCSeries:
 
     def substitute(self, images: Mapping[int, "NCSeries"]) -> "NCSeries":
         """Algebra homomorphism sending generator i to images[i], truncated."""
-        if not self.terms:
-            if images:
-                any_img = next(iter(images.values()))
-                return NCSeries.zero(any_img.k, any_img.order)
-            return NCSeries.zero(self.k, self.order)
-        any_img = next(iter(images.values()))
-        target_k, order = any_img.k, min(self.order, any_img.order)
-        out: dict[Word, object] = {}
-        # shared-prefix evaluation over the trie of words
-        words = sorted(self.terms)
-        prefix_cache: dict[Word, NCSeries] = {(): NCSeries.unit(target_k, order)}
-
-        def product_for(w: Word) -> NCSeries:
-            if w in prefix_cache:
-                return prefix_cache[w]
-            p = product_for(w[:-1]) * images[w[-1]]
-            prefix_cache[w] = p
-            return p
-
-        for w in words:
-            add_scaled(out, product_for(w).terms.items(), self.terms[w])
-        return NCSeries._nonzero(target_k, order, out)
+        return substitute_many([images[i] for i in range(1, self.k + 1)], [self])[0]
 
     def distance(self, other: "NCSeries") -> float:
         self._check_compatible(other)
@@ -372,6 +355,48 @@ def add_scaled(acc: dict, terms: Iterable[tuple[Word, object]], c) -> None:
             del acc[w]
         else:
             acc[w] = new
+
+
+def substitute_many(images: Sequence[NCSeries], series_list: Sequence[NCSeries]) -> list[NCSeries]:
+    """Apply the algebra endomorphism X_i -> images[i-1] to several series.
+
+    Prefix products are shared across all inputs through one walk over the
+    trie of their words, taken in sorted order, which is what makes group
+    computations at desk scale affordable.
+    """
+    if not images:
+        return [s for s in series_list]
+    k, order = images[0].k, images[0].order
+    prefix_cache: dict[Word, NCSeries] = {(): NCSeries.unit(k, order)}
+
+    def product_for(w):
+        got = prefix_cache.get(w)
+        if got is not None:
+            return got
+        p = product_for(w[:-1]) * images[w[-1] - 1]
+        prefix_cache[w] = p
+        return p
+
+    out = []
+    for s in series_list:
+        acc: dict[Word, object] = {}
+        for w, c in sorted(s.terms.items()):
+            add_scaled(acc, product_for(w).terms.items(), c)
+        out.append(NCSeries._nonzero(k, order, acc))
+    return out
+
+
+def relabel(s: NCSeries, k: int, letters: Mapping[int, Sequence[int]]) -> NCSeries:
+    """Send X_a to the sum of X_b over b in letters[a], on k letters.
+
+    With one letter per entry this renames letters; ``(i, i + 1)`` for a
+    splits X_i into X_i + X_{i+1}.  Words keep their length.
+    """
+    terms: dict[Word, object] = {}
+    for w, c in s.terms.items():
+        for w2 in product(*(letters[a] for a in w)):
+            terms[w2] = terms.get(w2, 0) + c
+    return NCSeries(k, s.order, terms)
 
 
 # -- Lie elements -------------------------------------------------------------
@@ -539,34 +564,10 @@ def lie_substitute(ell: LieSeries, images: Mapping[int, "LieSeries"]) -> LieSeri
     nc_images = {i: lie_to_nc(s) for i, s in images.items()}
     any_img = nc_images[next(iter(nc_images))]
     out = NCSeries.zero(any_img.k, min(ell.order, any_img.order))
-
-    def eval_bracketing(b) -> NCSeries:
-        if isinstance(b, int):
-            return nc_images[b]
-        l, r = b
-        return eval_bracketing(l).bracket(eval_bracketing(r))
-
     for w, c in ell.coords.items():
-        if len(w) == 1:
-            out = out + nc_images[w[0]].scale(c)
-        else:
-            u, v = standard_factorization(w)
-            bl = _bracketing_tuple(u), _bracketing_tuple(v)
-            out = out + eval_bracketing(bl).scale(c)
+        out = out + fold_bracketing(bracketing_of(w), nc_images.__getitem__,
+                                    NCSeries.bracket).scale(c)
     return lie_coords_from_nc(out)
-
-
-@lru_cache(maxsize=None)
-def _bracketing_tuple(w: Word):
-    if len(w) == 1:
-        return w[0]
-    u, v = standard_factorization(w)
-    return (_bracketing_tuple(u), _bracketing_tuple(v))
-
-
-def bracketing_of(w: Word):
-    """Standard-factorization bracketing of a Lyndon word, as nested tuples."""
-    return _bracketing_tuple(tuple(w))
 
 
 # -- shuffles and group-likeness ----------------------------------------------

@@ -17,7 +17,7 @@ rings.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 
 class ScalarError(ValueError):
@@ -299,6 +299,43 @@ def iterated_word_integral(polys: Sequence[PolyInT], a, b):
         running = (p * running).antiderivative()
         running = running - PolyInT.constant(running(a))
     return running(b)
+
+
+# -- exact linear algebra -------------------------------------------------------
+
+def row_reduce(columns: Sequence[Mapping], rhs: Mapping | None = None):
+    """Exact Gauss-Jordan reduction of the matrix with these sparse columns.
+
+    Rows are the sorted union of the keys of the columns and of ``rhs``, and
+    the matrix entries are made Fractions.  A column's pivot is its first
+    nonzero entry at or below the current row; a column without one is
+    skipped.  Row operations use only rational multipliers, so ``rhs`` may
+    have entries in any commutative ring containing the rationals.  Returns
+    the reduced matrix (a list of rows), the reduced right-hand side and the
+    pivot column of each leading row.
+    """
+    rhs = {} if rhs is None else rhs
+    rows = sorted(set().union(*columns, rhs))
+    A = [[Fraction(col.get(r, 0)) for col in columns] for r in rows]
+    b = [rhs.get(r, 0) for r in rows]
+    pivots: list[int] = []
+    for col in range(len(columns)):
+        row = len(pivots)
+        sel = next((r for r in range(row, len(A)) if A[r][col] != 0), None)
+        if sel is None:
+            continue
+        A[row], A[sel] = A[sel], A[row]
+        b[row], b[sel] = b[sel], b[row]
+        inv = Fraction(1, 1) / A[row][col]
+        A[row] = [a * inv for a in A[row]]
+        b[row] = b[row] * inv
+        for r in range(len(A)):
+            if r != row and A[r][col] != 0:
+                f = A[r][col]
+                A[r] = [a - f * p for a, p in zip(A[r], A[row])]
+                b[r] = b[r] - f * b[row]
+        pivots.append(col)
+    return A, b, pivots
 
 
 # -- JSON encoding ------------------------------------------------------------

@@ -15,9 +15,9 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .ncalg import (LieSeries, NCSeries, SeriesError, add_scaled, bracketing_of,
-                    lie_coords_from_nc, lie_to_nc, lyndon_words,
-                    standard_factorization)
-from .scalars import coeff_abs, is_zero
+                    fold_bracketing, lie_coords_from_nc, lie_to_nc, lyndon_words,
+                    relabel, standard_factorization, substitute_many)
+from .scalars import coeff_abs, is_zero, row_reduce
 
 
 class ArityError(ValueError):
@@ -37,6 +37,7 @@ class TDerElem:
     """Tangential derivation, components as NC series that are Lie elements."""
 
     __slots__ = ("k", "order", "comps")
+    _fill = staticmethod(NCSeries.zero)  # the component of an untouched slot
 
     def __init__(self, k: int, order: int, comps: Sequence[NCSeries], gauge: bool = True):
         if len(comps) != k:
@@ -171,103 +172,13 @@ def is_sder(u: TDerElem, tol: float = 0.0) -> bool:
     return acc.max_abs() <= tol
 
 
-# -- substitution helpers ------------------------------------------------------
-
-def _relabel_series(s: NCSeries, k_new: int, order: int, letter_map: Mapping[int, int]) -> NCSeries:
-    terms = {}
-    for w, c in s.terms.items():
-        w2 = tuple(letter_map[a] for a in w)
-        terms[w2] = terms.get(w2, 0) + c
-    return NCSeries(k_new, order, terms)
-
-
-def _split_letter_series(s: NCSeries, k_new: int, order: int, i: int) -> NCSeries:
-    """Substitute X_i -> X_i + X_{i+1} and shift letters above i up by one."""
-    terms: dict[tuple[int, ...], object] = {}
-    for w, c in s.terms.items():
-        expansions = [()]
-        for a in w:
-            if a < i:
-                expansions = [e + (a,) for e in expansions]
-            elif a == i:
-                expansions = [e + (b,) for e in expansions for b in (i, i + 1)]
-            else:
-                expansions = [e + (a + 1,) for e in expansions]
-        for w2 in expansions:
-            terms[w2] = terms.get(w2, 0) + c
-    return NCSeries(k_new, order, terms)
-
-
-def pad_right(u: TDerElem) -> TDerElem:
-    """Simplicial map keeping slots 1..k and appending an untouched slot."""
-    k2 = u.k + 1
-    ident = {a: a for a in range(1, u.k + 1)}
-    comps = [_relabel_series(c, k2, u.order, ident) for c in u.comps]
-    comps.append(NCSeries.zero(k2, u.order))
-    return TDerElem(k2, u.order, comps)
-
-
-def pad_left(u: TDerElem) -> TDerElem:
-    """Simplicial map shifting everything to slots 2..k+1."""
-    k2 = u.k + 1
-    shift = {a: a + 1 for a in range(1, u.k + 1)}
-    comps = [NCSeries.zero(k2, u.order)]
-    comps.extend(_relabel_series(c, k2, u.order, shift) for c in u.comps)
-    return TDerElem(k2, u.order, comps)
-
-
-def duplicate_slot(u: TDerElem, i: int) -> TDerElem:
-    """Coproduct map doubling slot i (components get X_i -> X_i + X_{i+1})."""
-    if not (1 <= i <= u.k):
-        raise ArityError(f"slot {i} out of range for arity {u.k}")
-    k2 = u.k + 1
-    subs = [_split_letter_series(c, k2, u.order, i) for c in u.comps]
-    comps = subs[:i] + [subs[i - 1]] + subs[i:]
-    return TDerElem(k2, u.order, comps)
-
-
-def sym_action(sigma: Sequence[int], u: TDerElem) -> TDerElem:
-    """Right action of a permutation sigma (1-based image list) on tder."""
-    inv = {sigma[j - 1]: j for j in range(1, u.k + 1)}
-    comps = [_relabel_series(u.comps[sigma[i - 1] - 1], u.k, u.order, inv)
-             for i in range(1, u.k + 1)]
-    return TDerElem(u.k, u.order, comps)
-
-
 # -- tangential automorphisms --------------------------------------------------
-
-def substitute_many(images: Sequence[NCSeries], series_list: Sequence[NCSeries]) -> list[NCSeries]:
-    """Apply the algebra endomorphism X_i -> images[i-1] to several series.
-
-    Prefix products are shared across all inputs through one trie walk,
-    which is what makes group computations at desk scale affordable.
-    """
-    if not images:
-        return [s for s in series_list]
-    k, order = images[0].k, images[0].order
-    prefix_cache: dict[tuple[int, ...], NCSeries] = {(): NCSeries.unit(k, order)}
-
-    def product_for(w):
-        got = prefix_cache.get(w)
-        if got is not None:
-            return got
-        p = product_for(w[:-1]) * images[w[-1] - 1]
-        prefix_cache[w] = p
-        return p
-
-    out = []
-    for s in series_list:
-        acc: dict[tuple[int, ...], object] = {}
-        for w, c in sorted(s.terms.items()):
-            add_scaled(acc, product_for(w).terms.items(), c)
-        out.append(NCSeries._nonzero(k, order, acc))
-    return out
-
 
 class TAutElem:
     """Tangential automorphism as a tuple of group-like series."""
 
     __slots__ = ("k", "order", "comps", "_action")
+    _fill = staticmethod(NCSeries.unit)  # the component of an untouched slot
 
     def __init__(self, k: int, order: int, comps: Sequence[NCSeries]):
         if len(comps) != k:
@@ -348,36 +259,47 @@ def taut_equal(g: TAutElem, h: TAutElem, tol: float = 0.0) -> bool:
     return taut_distance(g, h) <= tol
 
 
-def pad_right_aut(g: TAutElem) -> TAutElem:
-    k2 = g.k + 1
-    ident = {a: a for a in range(1, g.k + 1)}
-    comps = [_relabel_series(c, k2, g.order, ident) for c in g.comps]
-    comps.append(NCSeries.unit(k2, g.order))
-    return TAutElem(k2, g.order, comps)
+# -- simplicial and permutation maps ------------------------------------------
+#
+# One set of maps for derivations and automorphisms: the components are
+# relabelled alike, and a new slot gets the class's ``_fill`` component
+# (zero for a derivation, the unit for an automorphism).
+
+def pad_right(u: TDerElem | TAutElem) -> TDerElem | TAutElem:
+    """Simplicial map keeping slots 1..k and appending an untouched slot."""
+    k2 = u.k + 1
+    ident = {a: (a,) for a in range(1, u.k + 1)}
+    comps = [relabel(c, k2, ident) for c in u.comps]
+    comps.append(u._fill(k2, u.order))
+    return type(u)(k2, u.order, comps)
 
 
-def pad_left_aut(g: TAutElem) -> TAutElem:
-    k2 = g.k + 1
-    shift = {a: a + 1 for a in range(1, g.k + 1)}
-    comps = [NCSeries.unit(k2, g.order)]
-    comps.extend(_relabel_series(c, k2, g.order, shift) for c in g.comps)
-    return TAutElem(k2, g.order, comps)
+def pad_left(u: TDerElem | TAutElem) -> TDerElem | TAutElem:
+    """Simplicial map shifting everything to slots 2..k+1."""
+    k2 = u.k + 1
+    shift = {a: (a + 1,) for a in range(1, u.k + 1)}
+    comps = [u._fill(k2, u.order)]
+    comps.extend(relabel(c, k2, shift) for c in u.comps)
+    return type(u)(k2, u.order, comps)
 
 
-def duplicate_slot_aut(g: TAutElem, i: int) -> TAutElem:
-    if not (1 <= i <= g.k):
-        raise ArityError(f"slot {i} out of range for arity {g.k}")
-    k2 = g.k + 1
-    subs = [_split_letter_series(c, k2, g.order, i) for c in g.comps]
+def duplicate_slot(u: TDerElem | TAutElem, i: int) -> TDerElem | TAutElem:
+    """Coproduct map doubling slot i (components get X_i -> X_i + X_{i+1})."""
+    if not (1 <= i <= u.k):
+        raise ArityError(f"slot {i} out of range for arity {u.k}")
+    k2 = u.k + 1
+    split = {a: (a,) if a < i else (i, i + 1) if a == i else (a + 1,)
+             for a in range(1, u.k + 1)}
+    subs = [relabel(c, k2, split) for c in u.comps]
     comps = subs[:i] + [subs[i - 1]] + subs[i:]
-    return TAutElem(k2, g.order, comps)
+    return type(u)(k2, u.order, comps)
 
 
-def sym_action_aut(sigma: Sequence[int], g: TAutElem) -> TAutElem:
-    inv = {sigma[j - 1]: j for j in range(1, g.k + 1)}
-    comps = [_relabel_series(g.comps[sigma[i - 1] - 1], g.k, g.order, inv)
-             for i in range(1, g.k + 1)]
-    return TAutElem(g.k, g.order, comps)
+def sym_action(sigma: Sequence[int], u: TDerElem | TAutElem) -> TDerElem | TAutElem:
+    """Right action of a permutation sigma (1-based image list)."""
+    inv = {sigma[j - 1]: (j,) for j in range(1, u.k + 1)}
+    comps = [relabel(u.comps[sigma[i - 1] - 1], u.k, inv) for i in range(1, u.k + 1)]
+    return type(u)(u.k, u.order, comps)
 
 
 # -- exp and log ---------------------------------------------------------------
@@ -535,15 +457,8 @@ def evaluate_lie_in_tder(ell: LieSeries, images: Mapping[int, TDerElem]) -> TDer
     """Evaluate a Lie series on tder images of its generators."""
     any_img = images[next(iter(images))]
     out = TDerElem.zero(any_img.k, any_img.order)
-
-    def eval_bracketing(b) -> TDerElem:
-        if isinstance(b, int):
-            return images[b]
-        l, r = b
-        return tder_bracket(eval_bracketing(l), eval_bracketing(r))
-
     for w, c in ell.coords.items():
-        out = out + eval_bracketing(bracketing_of(w)).scale(c)
+        out = out + fold_bracketing(bracketing_of(w), images.__getitem__, tder_bracket).scale(c)
     return out
 
 
@@ -567,47 +482,6 @@ class CenterSplit:
         self.order = order
 
 
-def _gauss_solve_rational(columns: list[dict], rhs: dict, tol: float):
-    """Solve sum_j x_j col_j = rhs where columns are exact rational.
-
-    Row operations use only rational multipliers, so the rhs entries may
-    live in any commutative ring containing the rationals.  Returns
-    (solution list, residual float).
-    """
-    rows = sorted(set().union(*columns) | set(rhs)) if columns else sorted(rhs)
-    m, n = len(rows), len(columns)
-    A = [[columns[j].get(r, Fraction(0)) for j in range(n)] for r in rows]
-    b = [rhs.get(r, 0) for r in rows]
-    piv_rows = []
-    row = 0
-    for col in range(n):
-        sel = None
-        for r in range(row, m):
-            if A[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            raise NotInT3Error(-1, float("inf"))
-        A[row], A[sel] = A[sel], A[row]
-        b[row], b[sel] = b[sel], b[row]
-        inv = Fraction(1, 1) / A[row][col]
-        A[row] = [a * inv for a in A[row]]
-        b[row] = b[row] * inv
-        for r in range(m):
-            if r != row and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [a - f * p for a, p in zip(A[r], A[row])]
-                b[r] = b[r] - f * b[row]
-        piv_rows.append(row)
-        row += 1
-    residual = 0.0
-    for r in range(row, m):
-        residual = max(residual, coeff_abs(b[r]))
-    if residual > tol:
-        raise NotInT3Error(-1, residual)
-    return [b[piv_rows[j]] for j in range(n)], residual
-
-
 @lru_cache(maxsize=None)
 def _t3_word_image(w: tuple[int, ...], order: int) -> TDerElem:
     """Image in tder3 of the Lyndon bracketing of w on (t12, t23), exact.
@@ -620,8 +494,10 @@ def _t3_word_image(w: tuple[int, ...], order: int) -> TDerElem:
     return tder_bracket(_t3_word_image(left, order), _t3_word_image(right, order))
 
 
-def _t3_basis_elements(d: int, order: int) -> list[tuple[tuple, TDerElem]]:
-    return [(w, _t3_word_image(w, order)) for w in lyndon_words(2, d)]
+def _flatten(u: TDerElem, d: int) -> dict:
+    """The degree-d part of u as one vector, keyed by (component index,) + word."""
+    return {(i,) + w: c for i, comp in enumerate(u.comps)
+            for w, c in comp.terms.items() if len(w) == d}
 
 
 def center_decompose_t3(u: TDerElem, tol: float = 0.0) -> CenterSplit:
@@ -629,6 +505,8 @@ def center_decompose_t3(u: TDerElem, tol: float = 0.0) -> CenterSplit:
 
     Raises NotInT3Error (with the offending degree) when u is not in the
     image of the pair-generator Lie algebra at the requested tolerance.
+    The columns are exact rational, so the degree-d part of u may have
+    coefficients in any ring containing the rationals.
     """
     if u.k != 3:
         raise ArityError("center decomposition is defined in arity 3")
@@ -636,34 +514,15 @@ def center_decompose_t3(u: TDerElem, tol: float = 0.0) -> CenterSplit:
     alpha = 0
     coords: dict[tuple[int, ...], object] = {}
     for d in range(1, order + 1):
-        rhs: dict = {}
-        for i in range(3):
-            for w, c in u.comps[i].degree_part(d).terms.items():
-                rhs[(i,) + w] = c
-        basis = _t3_basis_elements(d, order)
-        columns = []
-        labels = []
-        if d == 1:
-            cen = center_element(3, order)
-            col = {}
-            for i in range(3):
-                for w, c in cen.comps[i].degree_part(1).terms.items():
-                    col[(i,) + w] = Fraction(c)
-            columns.append(col)
-            labels.append(None)
-        for w, img in basis:
-            col = {}
-            for i in range(3):
-                for ww, c in img.comps[i].degree_part(d).terms.items():
-                    col[(i,) + ww] = Fraction(c)
-            columns.append(col)
-            labels.append(w)
-        if not rhs and not columns:
-            continue
-        try:
-            sol, _ = _gauss_solve_rational(columns, rhs, tol)
-        except NotInT3Error as e:
-            raise NotInT3Error(d, e.residual) from None
+        labels = ([None] if d == 1 else []) + list(lyndon_words(2, d))
+        images = [center_element(3, order) if w is None else _t3_word_image(w, order)
+                  for w in labels]
+        _, sol, pivots = row_reduce([_flatten(img, d) for img in images], _flatten(u, d))
+        if len(pivots) < len(labels):
+            raise NotInT3Error(d, float("inf"))
+        residual = max((coeff_abs(x) for x in sol[len(pivots):]), default=0.0)
+        if residual > tol:
+            raise NotInT3Error(d, residual)
         for lab, x in zip(labels, sol):
             if lab is None:
                 alpha = x

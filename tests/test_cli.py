@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from assoclab import __version__, cli, confint
+from assoclab.associator import Associator
+from assoclab.ncalg import NCSeries
 from assoclab.cli import EXIT_CHECK, EXIT_INTERNAL, EXIT_IO, EXIT_OK, main
 
 
@@ -169,6 +171,14 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     code = main(["gc", "cocycle", "-", "--in", str(bad)])
     assert code == EXIT_IO
     assert "edges between vertices 1..3" in capsys.readouterr().err
+
+    # an associator whose log is not Lie fails to_taut3's tolerance inside the flow
+    not_lie = Associator(NCSeries(2, 3, {(): Fraction(1), (1, 2): Fraction(1)}))
+    monkeypatch.setattr(cli, "_phi_kz_cached", lambda *args: (not_lie, {}))
+    code = main(["interp", "--order", "3", "--t", "1", "--cache-dir", str(tmp_path)])
+    assert code == EXIT_CHECK
+    assert capsys.readouterr().err.startswith(
+        "error: AssociatorError: log is not Lie within tolerance")
 
     def broken():
         raise ZeroDivisionError("boom")

@@ -152,6 +152,17 @@ def test_sym_action():
     assert lhs.distance(rhs) == 0
 
 
+def test_slot_maps_commute_with_exp():
+    """The maps act on automorphisms as on derivations: m(exp u) = exp(m u)."""
+    o = 4
+    rng = random.Random(41)
+    u = random_tder(3, o, rng, 0.3)
+    maps = [pad_left, pad_right] + [lambda x, i=i: duplicate_slot(x, i) for i in (1, 2, 3)]
+    maps += [lambda x, s=s: sym_action(s, x) for s in itertools.permutations([1, 2, 3])]
+    for m in maps:
+        assert taut_distance(m(exp_tder(u)), exp_tder(m(u))) == 0
+
+
 def test_exp_log():
     o = 4
     assert taut_equal(exp_tder(TDerElem.zero(3, o)), TAutElem.identity(3, o))
