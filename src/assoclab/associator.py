@@ -151,9 +151,6 @@ class GrtElem:
         if self.psi.k != 2:
             raise AssociatorError("grt elements live in two generators")
 
-    def min_word_length(self) -> int:
-        return min((len(w) for w in self.psi.coords), default=0)
-
     def avatar(self) -> TDerElem:
         return self.pair if self.pair is not None else nu_embedding(self.psi)
 
@@ -192,15 +189,19 @@ def _twisted_group_element(avatar: TDerElem, g3: TAutElem) -> TAutElem:
     return w
 
 
+def _exp_of_reduced_log(w: TAutElem, order: int, tol: float, what: str) -> NCSeries:
+    """exp of the non-central part of log w, which must have no central part."""
+    split = center_decompose_t3(log_taut(w), tol)
+    if coeff_abs(split.alpha) > tol:
+        raise AssociatorError(f"central anomaly {coeff_abs(split.alpha):.3e} in {what}")
+    return lie_to_nc(split.reduced, order).exp()
+
+
 def twist_by_avatar(avatar: TDerElem, phi: Associator,
                     tol: float = 1e-9) -> Associator:
     """Twist action computed entirely inside the arity-3 automorphism group."""
     w = _twisted_group_element(avatar, to_taut3(phi, tol))
-    logw = log_taut(w)
-    split = center_decompose_t3(logw, tol)
-    if coeff_abs(split.alpha) > tol:
-        raise AssociatorError(f"central anomaly {coeff_abs(split.alpha):.3e} in twist result")
-    out = lie_to_nc(split.reduced, phi.order).exp()
+    out = _exp_of_reduced_log(w, phi.order, tol, "twist result")
     return Associator(out, origin=f"twisted({phi.origin})")
 
 
@@ -236,11 +237,7 @@ def grt_infinitesimal_act(psi: LieSeries, phi: Associator,
     psi_eps = psi.scale(eps)
     g3 = _lift_dual_aut(to_taut3(phi, tol))
     w = _twisted_group_element(nu_embedding(psi_eps), g3)
-    logw = log_taut(w)
-    split = center_decompose_t3(logw, tol)
-    if coeff_abs(split.alpha) > tol:
-        raise AssociatorError(f"central anomaly {coeff_abs(split.alpha):.3e} in tangent")
-    out = lie_to_nc(split.reduced, phi.order).exp()
+    out = _exp_of_reduced_log(w, phi.order, tol, "tangent")
     return out.map_coefficients(lambda c: c.tangent if isinstance(c, Dual) else 0)
 
 
@@ -287,7 +284,7 @@ def interpolate(phi_init: Associator, t0: Fraction, t1: Fraction,
 
     lowest = fam.lowest_degree()
     for n in range(lowest, order + 1):
-        current = Associator(poly_phi + NCSeries.zero(2, order), origin="flow")
+        current = Associator(poly_phi, origin="flow")
         rhs = NCSeries.zero(2, order)
         for deg, ell in fam.generators:
             if deg > n:
@@ -298,8 +295,7 @@ def interpolate(phi_init: Associator, t0: Fraction, t1: Fraction,
             lambda p: (lambda q: q - PolyInT.constant(q(t0)))(p.antiderivative()))
         poly_phi = poly_phi + increment
     value = poly_phi.map_coefficients(lambda p: p(t1) if isinstance(p, PolyInT) else p)
-    return Associator(value + NCSeries.zero(2, order),
-                      origin=f"interpolated(t={t1})")
+    return Associator(value, origin=f"interpolated(t={t1})")
 
 
 def unit_tangent(psi: LieSeries, order: int) -> NCSeries:

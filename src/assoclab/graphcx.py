@@ -5,7 +5,9 @@ relabeling contributes the parity of the induced edge permutation and a
 graph admitting an automorphism with odd edge permutation is zero.  Double
 edges vanish for the same reason.  The differential is the bracket with the
 one-edge graph; the divergence is the bracket with the one-vertex one-loop
-graph computed in the ambient complex that admits loops.
+graph computed in the ambient complex that admits loops.  Graphs with
+external legs are the same types with ``ext`` > 0: vertices 1..ext are the
+legs and are never relabeled.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .ncalg import LieSeries, NCSeries, fold_bracketing, lie_coords_from_nc, lie_to_nc
-from .scalars import is_zero, row_reduce
+from .scalars import coeff_abs, is_zero, row_reduce
 from .tangent import TDerElem, evaluate_lie_in_tder, tk_generator
 
 Edge = tuple[int, int]
@@ -28,16 +30,26 @@ class GraphError(ValueError):
 
 # -- canonical forms ------------------------------------------------------------
 
+def _perm_sign(perm: list[int]) -> int:
+    """Sign of a permutation of 0..m-1, from its number of cycles."""
+    cycles = 0
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        if not seen[start]:
+            cycles += 1
+            x = start
+            while not seen[x]:
+                seen[x] = True
+                x = perm[x]
+    return -1 if (len(perm) - cycles) % 2 else 1
+
+
 def _sort_with_parity(edges: list[Edge]) -> tuple[tuple[Edge, ...], int]:
-    """Stable selection sort, returning the sorted tuple and the swap parity."""
-    arr = list(edges)
-    sign = 1
-    for i in range(len(arr)):
-        m = min(range(i, len(arr)), key=lambda j: arr[j])
-        if m != i:
-            arr[i], arr[m] = arr[m], arr[i]
-            sign = -sign
-    return tuple(arr), sign
+    """The sorted tuple and the sign of the sorting permutation."""
+    order = sorted(range(len(edges)), key=edges.__getitem__)
+    # from a list, not a generator: tuple() then allocates the exact size once
+    # instead of growing, which held about 1 MB more peak memory
+    return tuple([edges[i] for i in order]), _perm_sign(order)
 
 
 def _colors(n: int, edges: list[Edge], fixed: int) -> list:
@@ -110,10 +122,14 @@ def canonical_form(n: int, edges: list[Edge], fixed: int = 0):
 
 @dataclass(frozen=True)
 class GCGraph:
-    """Canonically labeled graph; instances are made through ``canonicalize``."""
+    """Canonically labeled graph whose first ``ext`` vertices are external legs.
 
-    n: int
+    Instances are made through ``canonicalize``.
+    """
+
+    n: int  # total vertex count
     edges: tuple[Edge, ...]
+    ext: int = 0
 
     def valences(self) -> list[int]:
         val = [0] * (self.n + 1)
@@ -128,70 +144,55 @@ class GCGraph:
     def has_tadpole(self) -> bool:
         return any(u == v for u, v in self.edges)
 
-    def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        seen = {1}
-        frontier = [1]
+    def _connected_without(self, removed: int = 0) -> bool:
+        """Whether the edges avoiding vertex ``removed`` join all other vertices."""
         adj: dict[int, list[int]] = {}
         for u, v in self.edges:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
+            if removed not in (u, v):
+                adj.setdefault(u, []).append(v)
+                adj.setdefault(v, []).append(u)
+        start = 2 if removed == 1 else 1
+        seen = {start}
+        frontier = [start]
         while frontier:
             v = frontier.pop()
             for w in adj.get(v, ()):
                 if w not in seen:
                     seen.add(w)
                     frontier.append(w)
-        return len(seen) == self.n
+        return len(seen) == self.n - (removed > 0)
+
+    def is_connected(self) -> bool:
+        return self.n <= 1 or self._connected_without()
 
     def is_gc(self) -> bool:
         return (self.is_connected() and not self.has_tadpole()
                 and all(d >= 3 for d in self.valences()))
 
     def one_vertex_irreducible(self) -> bool:
-        if self.n <= 2:
-            return True
-        for v in range(1, self.n + 1):
-            rest = [e for e in self.edges if v not in e]
-            verts = [w for w in range(1, self.n + 1) if w != v]
-            if not verts:
-                continue
-            seen = {verts[0]}
-            frontier = [verts[0]]
-            adj: dict[int, list[int]] = {}
-            for a, b in rest:
-                adj.setdefault(a, []).append(b)
-                adj.setdefault(b, []).append(a)
-            while frontier:
-                x = frontier.pop()
-                for w in adj.get(x, ()):
-                    if w not in seen:
-                        seen.add(w)
-                        frontier.append(w)
-            if len(seen) != len(verts):
-                return False
-        return True
+        return self.n <= 2 or all(self._connected_without(v) for v in range(1, self.n + 1))
 
     def to_json(self) -> dict:
-        return {"vertices": self.n, "edges": [list(e) for e in self.edges]}
+        out = {"vertices": self.n, "edges": [list(e) for e in self.edges]}
+        return {"external": self.ext, **out} if self.ext else out
 
 
-def canonicalize(n: int, edges: list[Edge]):
+def canonicalize(n: int, edges: list[Edge], ext: int = 0):
     """(canonical GCGraph, sign) or None when the graph is zero."""
-    res = canonical_form(n, edges, fixed=0)
+    res = canonical_form(n, edges, fixed=ext)
     if res is None:
         return None
     key, sign = res
-    return GCGraph(n, key), sign
+    return GCGraph(n, key, ext), sign
 
 
 class GraphLinComb:
-    """Rational linear combination of canonical graphs."""
+    """Rational linear combination of canonical graphs with ``ext`` external legs."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("ext", "terms")
 
-    def __init__(self, terms: dict | None = None):
+    def __init__(self, terms: dict | None = None, ext: int = 0):
+        self.ext = ext
         self.terms: dict[GCGraph, Fraction] = {}
         if terms:
             for g, c in terms.items():
@@ -199,34 +200,37 @@ class GraphLinComb:
                     self.terms[g] = c
 
     @staticmethod
-    def from_raw(items: list[tuple[int, list[Edge], Fraction]]) -> "GraphLinComb":
+    def from_raw(items: list[tuple[int, list[Edge], Fraction]],
+                 ext: int = 0) -> "GraphLinComb":
         acc: dict[GCGraph, Fraction] = {}
         for n, edges, c in items:
-            res = canonicalize(n, edges)
+            res = canonicalize(n, edges, ext)
             if res is None:
                 continue
             g, s = res
             acc[g] = acc.get(g, Fraction(0)) + s * c
-        return GraphLinComb(acc)
+        return GraphLinComb(acc, ext)
 
     @staticmethod
     def single(n: int, edges: list[Edge], c=Fraction(1)) -> "GraphLinComb":
         return GraphLinComb.from_raw([(n, edges, Fraction(c))])
 
     def __add__(self, other: "GraphLinComb") -> "GraphLinComb":
+        if self.ext != other.ext:
+            raise GraphError("external arity mismatch")
         out = dict(self.terms)
         for g, c in other.terms.items():
             out[g] = out.get(g, Fraction(0)) + c
-        return GraphLinComb(out)
+        return GraphLinComb(out, self.ext)
 
     def __neg__(self):
-        return GraphLinComb({g: -c for g, c in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c) -> "GraphLinComb":
-        return GraphLinComb({g: c * x for g, x in self.terms.items()})
+        return GraphLinComb({g: c * x for g, x in self.terms.items()}, self.ext)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -234,7 +238,7 @@ class GraphLinComb:
     def __eq__(self, other):
         if not isinstance(other, GraphLinComb):
             return NotImplemented
-        return (self - other).is_zero()
+        return self.ext == other.ext and (self - other).is_zero()
 
     def __hash__(self):  # pragma: no cover
         return hash(frozenset(self.terms.items()))
@@ -253,50 +257,34 @@ class GraphLinComb:
 
 # -- insertion, bracket, differential, divergence --------------------------------
 
-def _insert_graph(n1: int, e1: tuple[Edge, ...], i: int,
-                  n2: int, e2: tuple[Edge, ...]):
-    """All reconnections of inserting the second graph into vertex i."""
-    def relabel(v: int) -> int:
-        if v < i:
-            return v
-        if v > i:
-            return v + n2 - 1
-        raise AssertionError
+def _reassign_ends(edges: tuple[Edge, ...], v: int, choices, relabel=lambda w: w):
+    """Every way of moving the edge ends at vertex ``v``, as edge lists.
 
-    ends_at_i: list[tuple[int, int]] = []  # (edge index, endpoint slot)
-    for idx, (u, v) in enumerate(e1):
-        if u == i:
-            ends_at_i.append((idx, 0))
-        if v == i:
-            ends_at_i.append((idx, 1))
-
-    base = []
-    for u, v in e1:
-        base.append([u if u != i else None, v if v != i else None])
-
-    n = n1 + n2 - 1
-    out = []
-    for targets in itertools.product(range(1, n2 + 1), repeat=len(ends_at_i)):
-        edges = []
-        assigned = {(idx, slot): t for ((idx, slot), t) in zip(ends_at_i, targets)}
-        for idx, (u, v) in enumerate(e1):
-            uu = relabel(u) if u != i else i - 1 + assigned[(idx, 0)]
-            vv = relabel(v) if v != i else i - 1 + assigned[(idx, 1)]
-            edges.append((uu, vv))
-        for u, v in e2:
-            edges.append((i - 1 + u, i - 1 + v))
-        out.append((n, edges))
-    return out
+    The ends at ``v`` are taken in edge order, an edge's first end before its
+    second; ``choices(m)`` gives the possible new endpoints of each of the
+    ``m`` ends, and the lists come in the order of their product.  All other
+    endpoints are mapped through ``relabel``.
+    """
+    ends = [(idx, slot) for idx, e in enumerate(edges) for slot in (0, 1) if e[slot] == v]
+    base = [[x if x == v else relabel(x) for x in e] for e in edges]
+    for targets in itertools.product(*choices(len(ends))):
+        for (idx, slot), t in zip(ends, targets):
+            base[idx][slot] = t
+        yield [(x, y) for x, y in base]
 
 
 def _pre_lie(a: GraphLinComb, b: GraphLinComb) -> GraphLinComb:
+    """Sum over the vertices i of g1 of inserting g2 at i, in all reconnections."""
     raw: list[tuple[int, list[Edge], Fraction]] = []
     for g1, c1 in a.terms.items():
         for g2, c2 in b.terms.items():
             c = c1 * c2
+            n = g1.n + g2.n - 1
             for i in range(1, g1.n + 1):
-                for n, edges in _insert_graph(g1.n, g1.edges, i, g2.n, g2.edges):
-                    raw.append((n, edges, c))
+                inner = [(i - 1 + u, i - 1 + v) for u, v in g2.edges]
+                for edges in _reassign_ends(g1.edges, i, lambda m: [range(i, i + g2.n)] * m,
+                                            lambda w: w if w < i else w + g2.n - 1):
+                    raw.append((n, edges + inner, c))
     return GraphLinComb.from_raw(raw)
 
 
@@ -369,8 +357,7 @@ def enumerate_gc_graphs(max_vertices: int) -> list[GCGraph]:
         pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
         for r in range((3 * n + 1) // 2, len(pairs) + 1):
             for subset in itertools.combinations(pairs, r):
-                g = GCGraph(n, subset)
-                if not (g.is_connected() and all(d >= 3 for d in g.valences())):
+                if not GCGraph(n, subset).is_gc():
                     continue
                 res = canonicalize(n, list(subset))
                 if res is None:
@@ -383,90 +370,14 @@ def enumerate_gc_graphs(max_vertices: int) -> list[GCGraph]:
 
 # -- graphs with external legs ---------------------------------------------------
 
-@dataclass(frozen=True)
-class ExtGraph:
-    """Graph with ``ext`` external vertices labeled 1..ext, internals after."""
-
-    ext: int
-    n: int  # total vertex count
-    edges: tuple[Edge, ...]
-
-    def internal_valences(self) -> dict[int, int]:
-        val = {v: 0 for v in range(self.ext + 1, self.n + 1)}
-        for u, v in self.edges:
-            if u > self.ext:
-                val[u] += 1
-            if v > self.ext:
-                val[v] += 1
-        return val
-
-    def to_json(self) -> dict:
-        return {"external": self.ext, "vertices": self.n,
-                "edges": [list(e) for e in self.edges]}
+def _moved_to_front(edges, n: int, first: tuple[int, ...]) -> list[Edge]:
+    """The edges relabeled: the vertices ``first`` become 1, 2, ..., the rest follow in order."""
+    rest = [w for w in range(1, n + 1) if w not in first]
+    label = {w: i for i, w in enumerate((*first, *rest), start=1)}
+    return [(label[x], label[y]) for x, y in edges]
 
 
-def canonicalize_ext(ext: int, n: int, edges: list[Edge]):
-    res = canonical_form(n, edges, fixed=ext)
-    if res is None:
-        return None
-    key, sign = res
-    return ExtGraph(ext, n, key), sign
-
-
-class ExtLinComb:
-    """Linear combination of canonical external-legged graphs."""
-
-    __slots__ = ("ext", "terms")
-
-    def __init__(self, ext: int, terms: dict | None = None):
-        self.ext = ext
-        self.terms: dict[ExtGraph, Fraction] = {}
-        if terms:
-            for g, c in terms.items():
-                if not is_zero(c):
-                    self.terms[g] = c
-
-    @staticmethod
-    def from_raw(ext: int, items: list[tuple[int, list[Edge], Fraction]]) -> "ExtLinComb":
-        acc: dict[ExtGraph, Fraction] = {}
-        for n, edges, c in items:
-            res = canonicalize_ext(ext, n, edges)
-            if res is None:
-                continue
-            g, s = res
-            acc[g] = acc.get(g, Fraction(0)) + s * c
-        return ExtLinComb(ext, acc)
-
-    def __add__(self, other: "ExtLinComb") -> "ExtLinComb":
-        if self.ext != other.ext:
-            raise GraphError("external arity mismatch")
-        out = dict(self.terms)
-        for g, c in other.terms.items():
-            out[g] = out.get(g, Fraction(0)) + c
-        return ExtLinComb(self.ext, out)
-
-    def __neg__(self):
-        return ExtLinComb(self.ext, {g: -c for g, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "ExtLinComb":
-        return ExtLinComb(self.ext, {g: c * x for g, x in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, ExtLinComb):
-            return NotImplemented
-        return self.ext == other.ext and (self - other).is_zero()
-
-    def __repr__(self):
-        return f"ExtLinComb(ext={self.ext}, {len(self.terms)} graphs)"
-
-
-def psi_map(a: GraphLinComb) -> ExtLinComb:
+def psi_map(a: GraphLinComb) -> GraphLinComb:
     """Mark an adjacent ordered vertex pair external and delete their edge.
 
     The deleted edge is moved to the front of the edge order first, which
@@ -479,77 +390,38 @@ def psi_map(a: GraphLinComb) -> ExtLinComb:
                 continue
             sign = Fraction((-1) ** idx)  # move edge idx to the front
             rest = [e for j, e in enumerate(g.edges) if j != idx]
-            for (a1, a2) in ((u, v), (v, u)):
-                mapping = {a1: 1, a2: 2}
-                nxt = 3
-                for w in range(1, g.n + 1):
-                    if w not in mapping:
-                        mapping[w] = nxt
-                        nxt += 1
-                edges = [(mapping[x], mapping[y]) for (x, y) in rest]
-                raw.append((g.n, edges, sign * c))
-    return ExtLinComb.from_raw(2, raw)
+            for pair in ((u, v), (v, u)):
+                raw.append((g.n, _moved_to_front(rest, g.n, pair), sign * c))
+    return GraphLinComb.from_raw(raw, ext=2)
 
 
-def mark_one_external(a: GraphLinComb) -> ExtLinComb:
+def mark_one_external(a: GraphLinComb) -> GraphLinComb:
     """Sum over the choices of one vertex to expose as the external leg."""
-    raw: list[tuple[int, list[Edge], Fraction]] = []
-    for g, c in a.terms.items():
-        for v in range(1, g.n + 1):
-            mapping = {v: 1}
-            nxt = 2
-            for w in range(1, g.n + 1):
-                if w != v:
-                    mapping[w] = nxt
-                    nxt += 1
-            edges = [(mapping[x], mapping[y]) for (x, y) in g.edges]
-            raw.append((g.n, edges, c))
-    return ExtLinComb.from_raw(1, raw)
+    raw = [(g.n, _moved_to_front(g.edges, g.n, (v,)), c)
+           for g, c in a.terms.items() for v in range(1, g.n + 1)]
+    return GraphLinComb.from_raw(raw, ext=1)
 
 
-def duplicate_external(a: ExtLinComb) -> ExtLinComb:
+def duplicate_external(a: GraphLinComb) -> GraphLinComb:
     """Split the single external vertex into externals 1, 2 in all ways."""
     if a.ext != 1:
         raise GraphError("duplicate_external expects one external vertex")
-    raw: list[tuple[int, list[Edge], Fraction]] = []
-    for g, c in a.terms.items():
-        ends = []
-        for idx, (u, v) in enumerate(g.edges):
-            if u == 1:
-                ends.append((idx, 0))
-            if v == 1:
-                ends.append((idx, 1))
-        for targets in itertools.product((1, 2), repeat=len(ends)):
-            assigned = {key: t for key, t in zip(ends, targets)}
-            edges = []
-            for idx, (u, v) in enumerate(g.edges):
-                uu = assigned.get((idx, 0), None)
-                vv = assigned.get((idx, 1), None)
-                nu = uu if u == 1 else u + 1
-                nv = vv if v == 1 else v + 1
-                edges.append((nu, nv))
-            raw.append((g.n + 1, edges, c))
-    return ExtLinComb.from_raw(2, raw)
+    raw = [(g.n + 1, edges, c) for g, c in a.terms.items()
+           for edges in _reassign_ends(g.edges, 1, lambda m: [(1, 2)] * m, lambda w: w + 1)]
+    return GraphLinComb.from_raw(raw, ext=2)
 
 
-def pad_external(a: ExtLinComb, side: str) -> ExtLinComb:
+def pad_external(a: GraphLinComb, side: str) -> GraphLinComb:
     """Append an isolated external vertex on the left or right."""
     if a.ext != 1:
         raise GraphError("pad_external expects one external vertex")
-    raw: list[tuple[int, list[Edge], Fraction]] = []
-    for g, c in a.terms.items():
-        if side == "right":
-            shift = {1: 1}
-        else:
-            shift = {1: 2}
-        for w in range(2, g.n + 1):
-            shift[w] = w + 1
-        edges = [(shift[x], shift[y]) for (x, y) in g.edges]
-        raw.append((g.n + 1, edges, c))
-    return ExtLinComb.from_raw(2, raw)
+    new = 2 if side == "right" else 1  # the label of the isolated leg
+    raw = [(g.n + 1, [(x + (x >= new), y + (y >= new)) for x, y in g.edges], c)
+           for g, c in a.terms.items()]
+    return GraphLinComb.from_raw(raw, ext=2)
 
 
-def delta_ext(a: ExtLinComb) -> ExtLinComb:
+def delta_ext(a: GraphLinComb) -> GraphLinComb:
     """Differential on external-legged graphs (vertex splitting).
 
     Internal vertices split into an unordered pair of internals; an
@@ -565,35 +437,22 @@ def delta_ext(a: ExtLinComb) -> ExtLinComb:
     for g, c in a.terms.items():
         new_vertex = g.n + 1
         for v in range(1, g.n + 1):
-            ends = []
-            for idx, (x, y) in enumerate(g.edges):
-                if x == v:
-                    ends.append((idx, 0))
-                if y == v:
-                    ends.append((idx, 1))
-            internal = v > g.ext
-            if internal and ends:
+            if v > g.ext:
                 # fix the first end to stay at v: unordered splitting
-                choice_sets = [(v,)] + [(v, new_vertex)] * (len(ends) - 1)
+                choices = lambda m: [(v,)] + [(v, new_vertex)] * (m - 1)
             else:
-                choice_sets = [(v, new_vertex)] * len(ends)
-            for targets in itertools.product(*choice_sets):
-                assigned = {key: t for key, t in zip(ends, targets)}
-                edges = [(v, new_vertex)]
-                for idx, (x, y) in enumerate(g.edges):
-                    xx = assigned.get((idx, 0), x)
-                    yy = assigned.get((idx, 1), y)
-                    edges.append((xx, yy))
-                out_raw.append((g.n + 1, edges, c))
+                choices = lambda m: [(v, new_vertex)] * m
+            for edges in _reassign_ends(g.edges, v, choices):
+                out_raw.append((new_vertex, [(v, new_vertex)] + edges, c))
         for u in range(1, g.n + 1):
             edges = [(u, new_vertex)] + list(g.edges)
-            out_raw.append((g.n + 1, edges, -c))
-    return ExtLinComb.from_raw(a.ext, out_raw)
+            out_raw.append((new_vertex, edges, -c))
+    return GraphLinComb.from_raw(out_raw, a.ext)
 
 
 # -- the projection to sder_2 ----------------------------------------------------
 
-def _monomial_from_tree(g: ExtGraph, root_edge_idx: int, ext_vertex: int,
+def _monomial_from_tree(g: GCGraph, root_edge_idx: int, ext_vertex: int,
                         order: int):
     """Lie monomial read off the internally trivalent tree hanging at an edge.
 
@@ -634,24 +493,10 @@ def _monomial_from_tree(g: ExtGraph, root_edge_idx: int, ext_vertex: int,
     mono = fold_bracketing(tree, lambda a: NCSeries.generator(2, order, a, Fraction(1)),
                            NCSeries.bracket)
     # parity of (graph edge order -> DFS order)
-    perm = {e: pos for pos, e in enumerate(dfs_edges)}
-    sign = 1
-    seen = [False] * len(g.edges)
-    for start in range(len(g.edges)):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = perm[x]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return mono, sign
+    return mono, _perm_sign(dfs_edges)
 
 
-def pi_project(a: ExtLinComb, order: int) -> TDerElem:
+def pi_project(a: GraphLinComb, order: int) -> TDerElem:
     """Project onto internally trivalent trees, read as an sder_2 element.
 
     Graphs with a non-trivalent internal vertex, an internal cycle, or a
@@ -661,7 +506,7 @@ def pi_project(a: ExtLinComb, order: int) -> TDerElem:
         raise GraphError("pi_project expects two external vertices")
     comps = [NCSeries.zero(2, order), NCSeries.zero(2, order)]
     for g, c in a.terms.items():
-        if any(val != 3 for val in g.internal_valences().values()):
+        if any(val != 3 for val in g.valences()[g.ext:]):
             continue
         n_int = g.n - 2
         if len(g.edges) != 2 * n_int + 1:
@@ -708,22 +553,10 @@ def phi_map(a: GraphLinComb, order: int):
 
 def grt_check(psi: LieSeries) -> tuple[float, float, float]:
     """Residuals of the antisymmetry, hexagon and pentagon conditions."""
-    order = psi.order
-    nc = lie_to_nc(psi)
-    x = NCSeries.generator(2, order, 1)
-    y = NCSeries.generator(2, order, 2)
-    z = -(x + y)
-    r_anti = (nc + nc.substitute({1: y, 2: x})).max_abs()
-    r_hexa = (nc + nc.substitute({1: y, 2: z}) + nc.substitute({1: z, 2: x})).max_abs()
-
-    t = {(i, j): tk_generator(i, j, 4, order) for i in range(1, 5) for j in range(i + 1, 5)}
-    def ev(aa: TDerElem, bb: TDerElem) -> TDerElem:
-        return evaluate_lie_in_tder(psi, {1: aa, 2: bb})
-    lhs = ev(t[(1, 2)], t[(2, 3)] + t[(2, 4)]) + ev(t[(1, 3)] + t[(2, 3)], t[(3, 4)])
-    rhs = (ev(t[(2, 3)], t[(3, 4)]) + ev(t[(1, 2)] + t[(1, 3)], t[(2, 4)] + t[(3, 4)])
-           + ev(t[(1, 2)], t[(2, 3)]))
-    r_penta = (lhs - rhs).max_abs()
-    return r_anti, r_hexa, r_penta
+    worst = {"a": 0.0, "h": 0.0, "p": 0.0}
+    for key, c in _grt_residual_vector(psi).items():
+        worst[key[0]] = max(worst[key[0]], coeff_abs(c))
+    return worst["a"], worst["h"], worst["p"]
 
 
 def ihara_bracket(psi1: LieSeries, psi2: LieSeries) -> LieSeries:

@@ -595,7 +595,7 @@ def is_grouplike(g: NCSeries) -> float:
         raise SeriesError("group-like test needs constant term 1")
     worst = 0.0
     words_by_len: dict[int, list[Word]] = {}
-    for w in _all_words(g.k, g.order):
+    for w in all_words(g.k, g.order):
         words_by_len.setdefault(len(w), []).append(w)
     for lu in range(1, g.order):
         for lv in range(1, g.order - lu + 1):
@@ -615,14 +615,10 @@ def is_grouplike(g: NCSeries) -> float:
 
 
 @lru_cache(maxsize=None)
-def _all_words(k: int, order: int) -> tuple[Word, ...]:
+def all_words(k: int, order: int) -> tuple[Word, ...]:
     out: list[Word] = [()]
     layer: list[Word] = [()]
     for _ in range(order):
         layer = [w + (a,) for w in layer for a in range(1, k + 1)]
         out.extend(layer)
     return tuple(out)
-
-
-def all_words(k: int, order: int) -> tuple[Word, ...]:
-    return _all_words(k, order)

@@ -165,9 +165,6 @@ class PolyInT:
         anti = self.antiderivative()
         return anti(b) - anti(a)
 
-    def shift_mul_t(self, power: int = 1) -> "PolyInT":
-        return PolyInT((0,) * power + self.coeffs)
-
     def __repr__(self):
         if not self.coeffs:
             return "PolyInT(0)"

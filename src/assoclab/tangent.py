@@ -206,9 +206,6 @@ class TAutElem:
             self._action = tuple(imgs)
         return self._action
 
-    def apply(self, s: NCSeries) -> NCSeries:
-        return substitute_many(self.action(), [s])[0]
-
     def apply_many(self, series: Sequence[NCSeries]) -> list[NCSeries]:
         return substitute_many(self.action(), series)
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from assoclab.associator import nu_embedding, nu_extract
-from assoclab.graphcx import (ExtLinComb, GraphError, GraphLinComb, canonicalize,
+from assoclab.graphcx import (GCGraph, GraphError, GraphLinComb, canonicalize,
                               delta_ext, differential, divergence,
                               duplicate_external, edge_graph, enumerate_gc_graphs,
                               gc_bracket, grt_check, grt_solution_space,
@@ -81,9 +81,9 @@ def test_psi_map():
     # pair still produces the external pair joined through a bivalent vertex
     tri = GraphLinComb.single(3, [(1, 2), (1, 3), (2, 3)])
     assert tri.is_zero() and psi_map(tri).is_zero()
-    marked = ExtLinComb.from_raw(2, [(3, [(1, 3), (2, 3)], Fraction(1))])
+    marked = GraphLinComb.from_raw([(3, [(1, 3), (2, 3)], Fraction(1))], ext=2)
     g, _ = next(iter(marked.terms.items()))
-    assert sorted(g.internal_valences().values()) == [2]
+    assert g.valences()[g.ext:] == [2]
 
 
 def test_psiprop_identity():
@@ -102,18 +102,18 @@ def test_delta_ext_squares_to_zero():
 
 def test_pi_project():
     order = 4
-    single = ExtLinComb.from_raw(2, [(2, [(1, 2)], Fraction(1))])
+    single = GraphLinComb.from_raw([(2, [(1, 2)], Fraction(1))], ext=2)
     u = pi_project(single, order)
     assert u.comps[0].coefficient((2,)) == 1
     assert u.comps[1].coefficient((1,)) == 1
     # a bivalent internal chain dies
-    chain = ExtLinComb.from_raw(2, [(3, [(1, 3), (2, 3)], Fraction(1))])
+    chain = GraphLinComb.from_raw([(3, [(1, 3), (2, 3)], Fraction(1))], ext=2)
     assert pi_project(chain, order).is_zero()
     # edge-order antisymmetry passes through the tree reading
     tree = [(1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
     swapped = [tree[2], tree[1], tree[0], tree[3], tree[4]]
-    a = pi_project(ExtLinComb.from_raw(2, [(4, tree, Fraction(1))]), order)
-    b = pi_project(ExtLinComb.from_raw(2, [(4, swapped, Fraction(1))]), order)
+    a = pi_project(GraphLinComb.from_raw([(4, tree, Fraction(1))], ext=2), order)
+    b = pi_project(GraphLinComb.from_raw([(4, swapped, Fraction(1))], ext=2), order)
     assert not a.is_zero()
     assert (a + b).is_zero()
 
@@ -137,12 +137,30 @@ def test_phi_map_tetrahedron():
 def test_phi_map_rejects_bad_inputs():
     with pytest.raises(GraphError):
         phi_map(edge_graph(), 4)  # degree 1, not 0
+    # two tetrahedra joined by an edge: 13 edges on 8 vertices is degree 1,
+    # so the degree check rejects it (irreducibility is tested on GCGraph)
     two_tets = GraphLinComb.single(
         8, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
             (5, 6), (5, 7), (5, 8), (6, 7), (6, 8), (7, 8), (4, 5)])
-    if not two_tets.is_zero():
-        with pytest.raises(GraphError):
-            phi_map(two_tets, 4)  # fails one-vertex irreducibility (if nonzero)
+    assert not two_tets.is_zero()
+    with pytest.raises(GraphError, match="degree-0"):
+        phi_map(two_tets, 4)
+
+
+def test_connectivity():
+    tet, w5 = next(iter(tetrahedron().terms)), next(iter(wheel(5).terms))
+    assert tet.is_connected() and tet.one_vertex_irreducible()
+    assert w5.is_connected() and w5.one_vertex_irreducible()
+    # two tetrahedra sharing vertex 4: removing it disconnects the rest
+    shared = GCGraph(7, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
+                         (4, 5), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7)))
+    assert shared.is_gc() and not shared.one_vertex_irreducible()
+    # two disjoint triangles
+    triangles = GCGraph(6, ((1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)))
+    assert not triangles.is_connected() and not triangles.one_vertex_irreducible()
+    # a cut vertex labelled 1, so the walk starts from vertex 2
+    bowtie = GCGraph(5, ((1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5)))
+    assert bowtie.is_connected() and not bowtie.one_vertex_irreducible()
 
 
 def test_grt_check():

@@ -7,13 +7,19 @@ accumulator at every step; a logarithm of tangential automorphisms that
 takes a full-order exponential at every degree, and an embedding into tder3
 that evaluates every bracketing afresh.  The kernels must give equal values
 in the same term order, including when coefficients cancel to exact zeros.
+The graph complex is checked against its earlier routines: a selection sort
+counting swaps for the orientation sign, one loop over edge ends per
+operation, and grt conditions evaluated apart from their coordinates.
 """
 
+import itertools
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from assoclab import tangent
+from assoclab import graphcx, tangent
+from assoclab.graphcx import GraphLinComb
 from assoclab.ncalg import (LieSeries, NCSeries, add_scaled, lie_to_nc,
                             lyndon_bracket_nc, lyndon_words, substitute_many)
 from assoclab.scalars import Dual, PolyInT, is_zero
@@ -317,3 +323,204 @@ def test_t3_images_are_built_once_per_order(monkeypatch):
     t3_embed(ell, order)
     center_decompose_t3(u)
     assert len(brackets) == 0
+
+
+# -- graph complex ---------------------------------------------------------------
+
+def ref_sort_with_parity(edges):
+    """Stable selection sort, returning the sorted tuple and the swap parity."""
+    arr = list(edges)
+    sign = 1
+    for i in range(len(arr)):
+        m = min(range(i, len(arr)), key=lambda j: arr[j])
+        if m != i:
+            arr[i], arr[m] = arr[m], arr[i]
+            sign = -sign
+    return tuple(arr), sign
+
+
+def ref_grt_check(psi):
+    order = psi.order
+    nc = lie_to_nc(psi)
+    x = NCSeries.generator(2, order, 1)
+    y = NCSeries.generator(2, order, 2)
+    z = -(x + y)
+    r_anti = (nc + nc.substitute({1: y, 2: x})).max_abs()
+    r_hexa = (nc + nc.substitute({1: y, 2: z}) + nc.substitute({1: z, 2: x})).max_abs()
+    t = {(i, j): tk_generator(i, j, 4, order) for i in range(1, 5) for j in range(i + 1, 5)}
+    def ev(aa, bb):
+        return evaluate_lie_in_tder(psi, {1: aa, 2: bb})
+    lhs = ev(t[(1, 2)], t[(2, 3)] + t[(2, 4)]) + ev(t[(1, 3)] + t[(2, 3)], t[(3, 4)])
+    rhs = (ev(t[(2, 3)], t[(3, 4)]) + ev(t[(1, 2)] + t[(1, 3)], t[(2, 4)] + t[(3, 4)])
+           + ev(t[(1, 2)], t[(2, 3)]))
+    r_penta = (lhs - rhs).max_abs()
+    return r_anti, r_hexa, r_penta
+
+
+def ref_insert_graph(n1, e1, i, n2, e2):
+    def relabel(v):
+        return v if v < i else v + n2 - 1
+
+    ends_at_i = []
+    for idx, (u, v) in enumerate(e1):
+        if u == i:
+            ends_at_i.append((idx, 0))
+        if v == i:
+            ends_at_i.append((idx, 1))
+    out = []
+    for targets in itertools.product(range(1, n2 + 1), repeat=len(ends_at_i)):
+        assigned = {(idx, slot): t for ((idx, slot), t) in zip(ends_at_i, targets)}
+        edges = []
+        for idx, (u, v) in enumerate(e1):
+            uu = relabel(u) if u != i else i - 1 + assigned[(idx, 0)]
+            vv = relabel(v) if v != i else i - 1 + assigned[(idx, 1)]
+            edges.append((uu, vv))
+        for u, v in e2:
+            edges.append((i - 1 + u, i - 1 + v))
+        out.append((n1 + n2 - 1, edges))
+    return out
+
+
+def ref_pre_lie(a, b):
+    raw = []
+    for g1, c1 in a.terms.items():
+        for g2, c2 in b.terms.items():
+            for i in range(1, g1.n + 1):
+                for n, edges in ref_insert_graph(g1.n, g1.edges, i, g2.n, g2.edges):
+                    raw.append((n, edges, c1 * c2))
+    return GraphLinComb.from_raw(raw)
+
+
+def ref_duplicate_external(a):
+    raw = []
+    for g, c in a.terms.items():
+        ends = []
+        for idx, (u, v) in enumerate(g.edges):
+            if u == 1:
+                ends.append((idx, 0))
+            if v == 1:
+                ends.append((idx, 1))
+        for targets in itertools.product((1, 2), repeat=len(ends)):
+            assigned = dict(zip(ends, targets))
+            edges = []
+            for idx, (u, v) in enumerate(g.edges):
+                nu = assigned.get((idx, 0)) if u == 1 else u + 1
+                nv = assigned.get((idx, 1)) if v == 1 else v + 1
+                edges.append((nu, nv))
+            raw.append((g.n + 1, edges, c))
+    return GraphLinComb.from_raw(raw, ext=2)
+
+
+def ref_delta_ext(a):
+    raw = []
+    for g, c in a.terms.items():
+        new_vertex = g.n + 1
+        for v in range(1, g.n + 1):
+            ends = []
+            for idx, (x, y) in enumerate(g.edges):
+                if x == v:
+                    ends.append((idx, 0))
+                if y == v:
+                    ends.append((idx, 1))
+            if v > g.ext and ends:
+                choice_sets = [(v,)] + [(v, new_vertex)] * (len(ends) - 1)
+            else:
+                choice_sets = [(v, new_vertex)] * len(ends)
+            for targets in itertools.product(*choice_sets):
+                assigned = dict(zip(ends, targets))
+                edges = [(v, new_vertex)]
+                for idx, (x, y) in enumerate(g.edges):
+                    edges.append((assigned.get((idx, 0), x), assigned.get((idx, 1), y)))
+                raw.append((g.n + 1, edges, c))
+        for u in range(1, g.n + 1):
+            raw.append((g.n + 1, [(u, new_vertex)] + list(g.edges), -c))
+    return GraphLinComb.from_raw(raw, a.ext)
+
+
+def ref_psi_map(a):
+    raw = []
+    for g, c in a.terms.items():
+        for idx, (u, v) in enumerate(g.edges):
+            rest = [e for j, e in enumerate(g.edges) if j != idx]
+            for a1, a2 in ((u, v), (v, u)):
+                mapping = {a1: 1, a2: 2}
+                for w in range(1, g.n + 1):
+                    if w not in mapping:
+                        mapping[w] = len(mapping) + 1
+                edges = [(mapping[x], mapping[y]) for x, y in rest]
+                raw.append((g.n, edges, Fraction((-1) ** idx) * c))
+    return GraphLinComb.from_raw(raw, ext=2)
+
+
+def ref_mark_one_external(a):
+    raw = []
+    for g, c in a.terms.items():
+        for v in range(1, g.n + 1):
+            mapping = {v: 1}
+            for w in range(1, g.n + 1):
+                if w != v:
+                    mapping[w] = len(mapping) + 1
+            raw.append((g.n, [(mapping[x], mapping[y]) for x, y in g.edges], c))
+    return GraphLinComb.from_raw(raw, ext=1)
+
+
+def same_graphs(got: GraphLinComb, want: GraphLinComb):
+    assert got.ext == want.ext
+    assert list(got.terms.items()) == list(want.terms.items())
+
+
+@st.composite
+def distinct_edges(draw):
+    """A vertex count, a list of distinct edges (loops allowed) in random
+    orientation, and a number of fixed vertices."""
+    n = draw(st.integers(1, 6))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u, n + 1)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=9))
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in chosen]
+    return n, edges, draw(st.integers(0, min(2, n)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(distinct_edges())
+def test_canonical_form_matches_selection_sort(case):
+    n, edges, fixed = case
+    norm = [(min(u, v), max(u, v)) for u, v in edges]
+    assert graphcx._sort_with_parity(norm) == ref_sort_with_parity(norm)
+    with mock.patch.object(graphcx, "_sort_with_parity", ref_sort_with_parity):
+        want = graphcx.canonical_form(n, edges, fixed)
+    assert graphcx.canonical_form(n, edges, fixed) == want
+
+
+@st.composite
+def grt_candidate(draw):
+    order = draw(st.integers(2, 5))
+    words = [w for d in range(1, order + 1) for w in lyndon_words(2, d)]
+    coords = draw(st.dictionaries(st.sampled_from(words), fractions, max_size=6))
+    return LieSeries(2, order, coords)
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(grt_candidate())
+def test_grt_check_matches_separate_conditions(psi):
+    assert graphcx.grt_check(psi) == ref_grt_check(psi)
+
+
+def test_grt_check_on_solution_spaces():
+    for word_length in (3, 5):
+        for psi in graphcx.grt_solution_space(word_length):
+            assert graphcx.grt_check(psi) == ref_grt_check(psi) == (0, 0, 0)
+
+
+def test_graph_maps_keep_term_order():
+    graphs = [GraphLinComb({g: Fraction(1)}) for g in graphcx.enumerate_gc_graphs(5)]
+    for gamma in graphs + [graphcx.wheel(5)]:
+        with mock.patch.object(graphcx, "_pre_lie", ref_pre_lie):
+            want = graphcx.differential(gamma)
+        same_graphs(graphcx.differential(gamma), want)
+        marked = graphcx.psi_map(gamma)
+        same_graphs(marked, ref_psi_map(gamma))
+        same_graphs(graphcx.delta_ext(marked), ref_delta_ext(marked))
+        one = graphcx.mark_one_external(gamma)
+        same_graphs(one, ref_mark_one_external(gamma))
+        same_graphs(graphcx.delta_ext(one), ref_delta_ext(one))
+        same_graphs(graphcx.duplicate_external(one), ref_duplicate_external(one))
