@@ -87,12 +87,17 @@ class Associator:
         return Associator(NCSeries.unit(2, order), origin="identity")
 
 
-def to_taut3(phi: Associator, tol: float = 1e-9) -> TAutElem:
-    """Realize Phi inside the arity-3 tangential automorphism group."""
+def _checked_lie_log(phi: Associator, tol: float) -> LieSeries:
+    """Lie projection of log Phi; raises if log Phi is further than ``tol`` from it."""
     ell, res = phi._lie_log()
     if res > tol:
         raise AssociatorError(f"log is not Lie within tolerance ({res:.3e} > {tol:.1e})")
-    return exp_tder(t3_embed(ell, phi.order))
+    return ell
+
+
+def to_taut3(phi: Associator, tol: float = 1e-9) -> TAutElem:
+    """Realize Phi inside the arity-3 tangential automorphism group."""
+    return exp_tder(t3_embed(_checked_lie_log(phi, tol), phi.order))
 
 
 def check_pentagon(phi: Associator, tol: float = 1e-9) -> float:
@@ -257,40 +262,39 @@ class TauFamily:
                 if len(w) != deg:
                     raise AssociatorError(f"generator tagged {deg} has a word of length {len(w)}")
 
-    def lowest_degree(self) -> int:
-        return min((d for d, _ in self.generators), default=0)
-
 
 def interpolate(phi_init: Associator, t0: Fraction, t1: Fraction,
-                fam: TauFamily, order: int | None = None,
-                tol: float = 1e-9) -> Associator:
+                fam: TauFamily, tol: float = 1e-9) -> Associator:
     """Solve d/dt Phi^t = tau^t . Phi^t exactly and evaluate at t1.
 
     Word coefficients of Phi^t are polynomials in t.  The family starts in
     degree 3, so the system is triangular in the word length: the degree-n
-    right side only uses lower parts of Phi^t, and one exact polynomial
-    integration per degree produces the flow.  The tangent at each degree
-    comes from the dual-number twist on the polynomial-coefficient ring.
+    right side only reads degrees < n of Phi^t, and one exact polynomial
+    integration per degree produces the flow.  Step n works at truncation n:
+    it takes the tangent (the dual-number twist on the polynomial-coefficient
+    ring) on the group-like completion of the degrees < n, and integrates
+    the tangent's degree-n part.
     """
-    order = phi_init.order if order is None else order
+    order = phi_init.order
     if fam.generators and max(d for d, _ in fam.generators) > order:
         raise AssociatorError("truncation too small for the family degrees")
     if not fam.generators or t0 == t1:
-        return Associator(phi_init.series.truncate(order), origin=phi_init.origin)
+        return Associator(phi_init.series, origin=phi_init.origin)
 
     tpolys = {deg: s_one_minus_s_power(deg - 1) for deg, _ in fam.generators}
-    poly_phi = phi_init.series.truncate(order).map_coefficients(
-        lambda c: PolyInT((c,)))
+    poly_phi = phi_init.series.map_coefficients(lambda c: PolyInT((c,)))
 
-    lowest = fam.lowest_degree()
-    for n in range(lowest, order + 1):
-        current = Associator(poly_phi, origin="flow")
+    for n in range(min(d for d, _ in fam.generators), order + 1):
+        # the group-like completion: exp of the Lie part of log Phi in degrees < n
+        low = _checked_lie_log(Associator(poly_phi.truncate(n - 1)), tol)
+        current = Associator(lie_to_nc(low, n).exp(), origin="flow")
         rhs = NCSeries.zero(2, order)
         for deg, ell in fam.generators:
             if deg > n:
                 continue
-            tangent = grt_infinitesimal_act(ell, current, tol).degree_part(n)
-            rhs = rhs + tangent.map_coefficients(lambda c, tp=tpolys[deg]: tp * c)
+            tangent = grt_infinitesimal_act(LieSeries(2, n, ell.coords), current, tol)
+            rhs = rhs + NCSeries._nonzero(2, order, {
+                w: tpolys[deg] * c for w, c in tangent.degree_part(n).terms.items()})
         increment = rhs.map_coefficients(
             lambda p: (lambda q: q - PolyInT.constant(q(t0)))(p.antiderivative()))
         poly_phi = poly_phi + increment
@@ -299,27 +303,22 @@ def interpolate(phi_init: Associator, t0: Fraction, t1: Fraction,
 
 
 def unit_tangent(psi: LieSeries, order: int) -> NCSeries:
-    """Tangent of the twist action at the trivial associator (exact)."""
-    return grt_infinitesimal_act(psi, Associator.one(order), tol=0.0)
+    """Tangent of the twist action at the trivial associator (exact), at ``order``."""
+    return grt_infinitesimal_act(LieSeries(2, order, psi.coords), Associator.one(order), tol=0.0)
 
 
 def pin_lambda(phi_kz: Associator, psi3: LieSeries) -> tuple[complex, float]:
     """Normalize tau_3 = lambda * psi3 by matching Phi^1 to the sign flip at degree 3.
 
-    The degree-3 tangent of the flow is independent of the associator, so
-    lambda solves a one-dimensional exact linear equation; the returned
-    residual measures its consistency across all degree-3 words.
+    The degree-3 tangent of the flow is independent of the associator, so it
+    is the unit tangent at truncation 3, and lambda solves a one-dimensional
+    exact linear equation on its largest coefficient (the first, on ties);
+    the returned residual measures its consistency across all degree-3 words.
     """
-    order = phi_kz.order
-    unit_order = max(3, min(order, 4))
-    psi3 = LieSeries(2, unit_order, psi3.coords)
-    d3 = unit_tangent(psi3, unit_order).degree_part(3).truncate(order)
+    d3 = unit_tangent(psi3, 3).degree_part(3)
     base = s_one_minus_s_power(2).integral(Fraction(0), Fraction(1))  # 1/30
-    target = (phi_kz.flip_signs().series - phi_kz.series).degree_part(3)
-    best_w, best_mag = None, 0.0
-    for w, c in d3.terms.items():
-        if coeff_abs(c) > best_mag:
-            best_w, best_mag = w, coeff_abs(c)
+    target = (phi_kz.flip_signs().series - phi_kz.series).degree_part(3).truncate(3)
+    best_w = max(d3.terms, key=lambda w: coeff_abs(d3.terms[w]), default=None)
     if best_w is None:
         raise AssociatorError("degree-3 action vanishes; cannot pin the normalization")
     lam = complex(target.coefficient(best_w)) / (complex(base) * complex(d3.coefficient(best_w)))

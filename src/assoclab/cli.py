@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -149,8 +150,9 @@ def cmd_interp(args) -> int:
     checks = {"pin-degree3-residual": pin_resid}
     if t_target == 1:
         target = anti_kz(phi)
-        checks["anti-kz-degree4"] = phi_t.series.degree_part(4).distance(
-            target.series.degree_part(4))
+        for d in range(4, args.order + 1):
+            checks[f"anti-kz-degree{d}"] = phi_t.series.degree_part(d).distance(
+                target.series.degree_part(d))
     ok = all(v <= max(args.tol, 1e-8) for v in checks.values())
     payload = {
         "command": "interp",
@@ -219,8 +221,9 @@ def cmd_gc(args) -> int:
         d = differential(g)
         payload["differential"] = d.to_json()
     elif args.action == "divergence":
-        payload["divergence"] = divergence(g).to_json()
-        payload["divergence_free"] = divergence(g).is_zero()
+        div = divergence(g)
+        payload["divergence"] = div.to_json()
+        payload["divergence_free"] = div.is_zero()
     elif args.action == "bracket-self":
         payload["bracket"] = gc_bracket(g, g).to_json()
     elif args.action == "phi":
@@ -312,6 +315,13 @@ def _int_at_least(lo: int):
     return integer
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="assoclab",
                                 description="associator, graph-complex and "
@@ -335,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("interp", help="integrate the interpolation flow to t")
     # the flow starts in degree 3: a lower truncation has nothing to pin
     common(sp, order_type=_int_at_least(3))
-    sp.add_argument("--t", type=float, default=0.5)
+    sp.add_argument("--t", type=_finite_float, default=0.5)
     sp.set_defaults(func=cmd_interp)
 
     sp = sub.add_parser("etingof", help="exact flow product coefficients")
@@ -353,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("weights", help="configuration-space weight quadrature")
     sp.add_argument("--graph", default="tetrahedron")
-    sp.add_argument("--t", type=float, default=0.5)
+    sp.add_argument("--t", type=_finite_float, default=0.5)
     sp.add_argument("--tol", type=float, default=1e-6)
     sp.add_argument("--budget", type=int, default=60000)
     sp.add_argument("--out", default=None)

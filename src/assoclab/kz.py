@@ -188,10 +188,7 @@ def kz_regularized_solution(point: int, m_order: int, order: int) -> FuchsSeries
             if term.is_zero():
                 break
             c = c + term
-        if c.max_abs() == 0.0:
-            coeffs.append(NCSeries.zero(2, order))
-        else:
-            coeffs.append(c)
+        coeffs.append(c)
         running = running + c
     return FuchsSeries(point, m_order, order, coeffs)
 

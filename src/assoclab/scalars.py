@@ -261,11 +261,6 @@ class Dual:
 
 # -- exact polynomial integrals (the iterated-integral workhorses) ----------
 
-def poly_definite_integral(p: PolyInT, a, b):
-    """Integral of ``p`` over [a, b]; exact when the data is exact."""
-    return p.integral(a, b)
-
-
 def poly_multiply_integrate_nested(outer: PolyInT, inner: PolyInT, a, b):
     """The nested iterated integral of ``outer(s1) * int_a^{s1} inner(s2) ds2``.
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -168,11 +169,20 @@ def test_pin_lambda_and_degree4_prediction():
     target = anti_kz(phi)
     assert phi1.series.degree_part(3).distance(target.series.degree_part(3)) < 1e-12
     assert phi1.series.degree_part(4).distance(target.series.degree_part(4)) < 1e-12
-    # above order 4 the unit tangent stays at order 4; psi3 is truncated to it
+    # the pin reads the unit tangent at truncation 3, whatever the order of Phi
     phi5, _ = build_phi_kz(order=5, m_order=64)
     lam5, resid5 = pin_lambda(phi5, psi3_normalized(5))
     assert resid5 < 1e-15
     assert abs(lam5 - lam) < 1e-15
+
+
+def test_pin_lambda_is_the_zeta3_closed_form():
+    # lambda * int_0^1 (t(1-t))^2 dt = -i zeta(3) / (4 pi^3), and the integral is 1/30
+    from assoclab.kz import build_phi_kz, mzv
+    phi, _ = build_phi_kz(order=3, m_order=64)
+    lam, _ = pin_lambda(phi, psi3_normalized(3))
+    expected = -30j * mzv((3,)) / (4 * math.pi ** 3)
+    assert abs(lam - expected) <= 1e-14 * abs(expected)
 
 
 def test_twisted_kz_still_passes_equations():
@@ -190,4 +200,4 @@ def test_interpolate_rejects_small_truncation():
     psi5 = LieSeries(2, 5, {(1, 1, 1, 1, 2): Fraction(1)})
     fam = TauFamily([(5, psi5)])
     with pytest.raises(AssociatorError):
-        interpolate(phi, Fraction(0), Fraction(1), fam, order=4)
+        interpolate(phi, Fraction(0), Fraction(1), fam)

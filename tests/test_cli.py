@@ -45,6 +45,20 @@ def test_gc_cocycle_and_phi(capsys):
     assert code == EXIT_CHECK
 
 
+def test_gc_divergence_computes_it_once(capsys, monkeypatch):
+    calls = []
+    orig = cli.divergence
+
+    def counted(g):
+        calls.append(g)
+        return orig(g)
+
+    monkeypatch.setattr(cli, "divergence", counted)
+    code, payload = run(capsys, "gc", "divergence", "wheel5")
+    assert code == EXIT_OK and payload["divergence_free"] is False
+    assert len(calls) == 1
+
+
 def test_gc_file_input(tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"vertices": 4,
@@ -142,6 +156,31 @@ def test_interp_rejects_low_order(tmp_path, capsys):
     assert exc.value.code == 2
     assert "--order" in capsys.readouterr().err
     assert not cache.exists()  # rejected before any computation
+
+
+@pytest.mark.parametrize("command", ["interp", "weights"])
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+def test_non_finite_t_is_rejected(tmp_path, capsys, command, t):
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        main([command, f"--t={t}", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --t: must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_interp_order5_reports_the_degree5_miss(tmp_path, capsys):
+    # tau_3 alone carries Phi^1 to anti-KZ through degree 4 only; the report
+    # still arrives, with a group-like associator
+    code, payload = run(capsys, "interp", "--order", "5", "--t", "1",
+                        "--cache-dir", str(tmp_path))
+    assert code == EXIT_CHECK
+    checks = payload["checks"]
+    assert list(checks) == ["pin-degree3-residual", "anti-kz-degree4", "anti-kz-degree5"]
+    assert checks["anti-kz-degree4"] < 1e-12
+    assert checks["anti-kz-degree5"] > 1e-4
+    assert payload["passed"] is False
+    assert Associator.from_json(payload["associator"]).grouplike_residual() < 1e-15
 
 
 def test_weights_not_converged_exits_check(capsys):

@@ -7,22 +7,30 @@ accumulator at every step; a logarithm of tangential automorphisms that
 takes a full-order exponential at every degree, and an embedding into tder3
 that evaluates every bracketing afresh.  The kernels must give equal values
 in the same term order, including when coefficients cancel to exact zeros.
+The interpolation flow and the pin of its normalization are checked
+against their full-order forms, which computed every degree's tangent at
+the truncation of the input and on the mid-flow associator itself.
 The graph complex is checked against its earlier routines: a selection sort
 counting swaps for the orientation sign, one loop over edge ends per
 operation, and grt conditions evaluated apart from their coordinates.
 """
 
 import itertools
+import random
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from assoclab import graphcx, tangent
-from assoclab.graphcx import GraphLinComb
+from assoclab import associator, graphcx, tangent
+from assoclab.associator import (Associator, AssociatorError, TauFamily,
+                                 grt_infinitesimal_act, interpolate, pin_lambda)
+from assoclab.graphcx import GraphLinComb, psi3_normalized
+from assoclab.kz import build_phi_kz
 from assoclab.ncalg import (LieSeries, NCSeries, add_scaled, lie_to_nc,
                             lyndon_bracket_nc, lyndon_words, substitute_many)
-from assoclab.scalars import Dual, PolyInT, is_zero
+from assoclab.scalars import Dual, PolyInT, coeff_abs, is_zero, s_one_minus_s_power
 from assoclab.tangent import (TAutElem, TDerElem, center_decompose_t3,
                               evaluate_lie_in_tder, exp_tder, log_taut,
                               normalize_tuple_gauge, t3_embed,
@@ -524,3 +532,132 @@ def test_graph_maps_keep_term_order():
         same_graphs(one, ref_mark_one_external(gamma))
         same_graphs(graphcx.delta_ext(one), ref_delta_ext(one))
         same_graphs(graphcx.duplicate_external(one), ref_duplicate_external(one))
+
+
+# -- the interpolation flow ------------------------------------------------------
+
+def ref_interpolate(phi_init, t0, t1, fam, order=None, tol=1e-9):
+    """The flow with every tangent at the full order, on the mid-flow Phi itself."""
+    order = phi_init.order if order is None else order
+    if fam.generators and max(d for d, _ in fam.generators) > order:
+        raise AssociatorError("truncation too small for the family degrees")
+    if not fam.generators or t0 == t1:
+        return Associator(phi_init.series.truncate(order), origin=phi_init.origin)
+
+    tpolys = {deg: s_one_minus_s_power(deg - 1) for deg, _ in fam.generators}
+    poly_phi = phi_init.series.truncate(order).map_coefficients(
+        lambda c: PolyInT((c,)))
+
+    lowest = min((d for d, _ in fam.generators), default=0)
+    for n in range(lowest, order + 1):
+        current = Associator(poly_phi, origin="flow")
+        rhs = NCSeries.zero(2, order)
+        for deg, ell in fam.generators:
+            if deg > n:
+                continue
+            tangent = grt_infinitesimal_act(ell, current, tol).degree_part(n)
+            rhs = rhs + tangent.map_coefficients(lambda c, tp=tpolys[deg]: tp * c)
+        increment = rhs.map_coefficients(
+            lambda p: (lambda q: q - PolyInT.constant(q(t0)))(p.antiderivative()))
+        poly_phi = poly_phi + increment
+    value = poly_phi.map_coefficients(lambda p: p(t1) if isinstance(p, PolyInT) else p)
+    return Associator(value, origin=f"interpolated(t={t1})")
+
+
+def ref_pin_lambda(phi_kz, psi3):
+    """The pin with the unit tangent at truncation min(N, 4)."""
+    order = phi_kz.order
+    unit_order = max(3, min(order, 4))
+    psi3 = LieSeries(2, unit_order, psi3.coords)
+    d3 = grt_infinitesimal_act(psi3, Associator.one(unit_order), tol=0.0)
+    d3 = d3.degree_part(3).truncate(order)
+    base = s_one_minus_s_power(2).integral(Fraction(0), Fraction(1))  # 1/30
+    target = (phi_kz.flip_signs().series - phi_kz.series).degree_part(3)
+    best_w, best_mag = None, 0.0
+    for w, c in d3.terms.items():
+        if coeff_abs(c) > best_mag:
+            best_w, best_mag = w, coeff_abs(c)
+    if best_w is None:
+        raise AssociatorError("degree-3 action vanishes; cannot pin the normalization")
+    lam = complex(target.coefficient(best_w)) / (complex(base) * complex(d3.coefficient(best_w)))
+    resid = d3.map_coefficients(lambda c: lam * complex(base) * c).distance(
+        target.map_coefficients(complex))
+    return lam, resid
+
+
+def same_associator(got: Associator, want: Associator):
+    assert got.to_json() == want.to_json()
+    assert repr(got) == repr(want)
+    # every value, in the same term order, with its signed zeros
+    assert repr(list(got.series.terms.items())) == repr(list(want.series.terms.items()))
+
+
+def rational_associator(order, seed):
+    """exp of a random rational Lie series from degree 2 (group-like, not an associator)."""
+    rng = random.Random(seed)
+    coords = {w: Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+              for d in range(2, order + 1) for w in lyndon_words(2, d) if rng.random() < 0.6}
+    return Associator(lie_to_nc(LieSeries(2, order, coords)).exp(), origin="synthetic")
+
+
+# the t at which the benchmark runs the order-4 flow
+FLOW_TIMES = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
+              Fraction(3, 4), Fraction(1))
+
+
+@pytest.fixture(scope="module")
+def kz5():
+    return build_phi_kz(order=5, m_order=64)[0]
+
+
+@pytest.mark.parametrize("order", [3, 4])
+@pytest.mark.parametrize("seed", [1, 7, 19])
+def test_flow_matches_full_order_reference_exact(order, seed):
+    fam = TauFamily([(3, psi3_normalized(order).scale(Fraction(-1, 5)))])
+    phi = rational_associator(order, seed)
+    for t0, t1 in ((Fraction(0), Fraction(1)), (Fraction(1, 4), Fraction(2, 3))):
+        same_associator(interpolate(phi, t0, t1, fam, tol=0),
+                        ref_interpolate(phi, t0, t1, fam, tol=0))
+
+
+@pytest.mark.parametrize("t", FLOW_TIMES, ids=str)
+def test_flow_matches_full_order_reference_on_kz(kz5, t):
+    phi = Associator(kz5.series.truncate(4), origin="kz")
+    psi3 = psi3_normalized(4)
+    lam, _ = pin_lambda(phi, psi3)
+    fam = TauFamily([(3, psi3.scale(lam))])
+    same_associator(interpolate(phi, Fraction(0), t, fam),
+                    ref_interpolate(phi, Fraction(0), t, fam))
+
+
+def test_flow_sums_generators_in_family_order(kz5):
+    # (0.1 + 0.2) + 0.3 and (0.3 + 0.2) + 0.1 differ in the last bit
+    phi = Associator(kz5.series.truncate(3), origin="kz")
+    psi3 = psi3_normalized(3)
+    fam = TauFamily([(3, psi3.scale(c)) for c in (0.1, 0.2, 0.3)])
+    same_associator(interpolate(phi, Fraction(0), Fraction(1), fam),
+                    ref_interpolate(phi, Fraction(0), Fraction(1), fam))
+
+
+def test_pin_matches_reference(kz5):
+    for order in (3, 4, 5):
+        phi = Associator(kz5.series.truncate(order), origin="kz")
+        psi3 = psi3_normalized(order)
+        assert repr(pin_lambda(phi, psi3)) == repr(ref_pin_lambda(phi, psi3))
+
+
+def test_flow_tangents_at_their_own_truncation(monkeypatch, kz5):
+    orders = []
+    orig = associator.grt_infinitesimal_act
+
+    def recorded(psi, phi, *args, **kwargs):
+        orders.append(phi.order)
+        return orig(psi, phi, *args, **kwargs)
+
+    monkeypatch.setattr(associator, "grt_infinitesimal_act", recorded)
+    phi = Associator(kz5.series.truncate(4), origin="kz")
+    psi3 = psi3_normalized(4)
+    lam, _ = pin_lambda(phi, psi3)
+    interpolate(phi, Fraction(0), Fraction(1), TauFamily([(3, psi3.scale(lam))]))
+    # the pin's degree-3 tangent, then one tangent per flow degree at its own order
+    assert orders == [3, 3, 4]

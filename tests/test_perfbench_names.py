@@ -4,12 +4,14 @@
 the workloads and the warm-up import ``assoclab`` names or call through
 module attributes.  A refactor that renames one of them breaks the
 benchmark without failing any other test, so these are checked here by
-reading the files, without running any workload.
+reading the files, without running any workload.  So are the command
+lines the workloads pass to the CLI: each must still parse.
 """
 
 import ast
 import importlib
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -74,3 +76,49 @@ def test_benchmark_imports_resolve(filename):
     assert names
     for dotted in names:
         _resolve(dotted)  # raises if the name is gone
+
+
+# -- the benchmark's command lines ----------------------------------------------------
+
+def _module_constant(path: Path, name: str):
+    """Value of a module-level constant, evaluated from its source with only Fraction in scope."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            expr = compile(ast.Expression(node.value), str(path), "eval")
+            return eval(expr, {"__builtins__": {}, "Fraction": Fraction})
+    raise LookupError(f"{name} not found in {path.name}")
+
+
+def _mzv_indices() -> list[tuple]:
+    """The keys of the closed-form table that ``refs.MZV_INDICES`` sorts."""
+    tree = ast.parse((PERFBENCH / "refs.py").read_text())
+    fn = next(n for n in tree.body
+              if isinstance(n, ast.FunctionDef) and n.name == "_mzv_closed_forms")
+    table = next(n.value for n in ast.walk(fn) if isinstance(n, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "forms" for t in n.targets))
+    return [ast.literal_eval(k) for k in table.keys]
+
+
+def _benchmark_command_lines() -> list[list[str]]:
+    """What ``workloads.py`` passes to ``Context.cli``, with the options that adds."""
+    workloads = PERFBENCH / "workloads.py"
+    cached = [["kz", "--order", "4"], ["kz", "--order", "5"], ["interp", "--order", "5", "--t", "1"]]
+    cached += [["interp", "--order", "4", "--t", repr(float(t))]
+               for t in _module_constant(workloads, "FLOW_TIMES")]
+    cached += [["mzv", ",".join(map(str, index))] for index in _mzv_indices()]
+    tol = _module_constant(workloads, "WEIGHT_TOL")
+    uncached = [["weights", "--t", repr(t), "--tol", repr(tol), "--budget", "200000"]
+                for t in _module_constant(workloads, "WEIGHT_TIMES")]
+    uncached.append(["gc", "phi", "tetrahedron", "--order", "5"])
+    out = ["--out", "report.json"]
+    return [a + out + ["--cache-dir", "cache"] for a in cached] + [a + out for a in uncached]
+
+
+@pytest.mark.parametrize("argv", _benchmark_command_lines(), ids=" ".join)
+def test_benchmark_command_lines_parse(argv):
+    from assoclab.cli import build_parser
+    args = build_parser().parse_args(argv)
+    assert args.command == argv[0] and args.out == "report.json"
+    if "--t" in argv:
+        assert args.t == float(argv[argv.index("--t") + 1])

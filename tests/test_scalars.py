@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from assoclab.scalars import (Dual, PolyInT, ScalarError, coeff_abs, is_zero,
-                              iterated_word_integral, poly_definite_integral,
-                              poly_multiply_integrate_nested, scalar_from_json,
-                              scalar_to_json, s_one_minus_s_power)
+                              iterated_word_integral, poly_multiply_integrate_nested,
+                              scalar_from_json, scalar_to_json, s_one_minus_s_power)
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=7)
 polys = st.lists(rationals, max_size=5).map(PolyInT)
@@ -46,16 +45,16 @@ def test_dual_arithmetic():
 
 def test_definite_integral_examples():
     p = s_one_minus_s_power(2)
-    assert poly_definite_integral(p, Fraction(0), Fraction(1, 2)) == Fraction(1, 60)
-    assert poly_definite_integral(p, Fraction(0), Fraction(1)) == Fraction(1, 30)
-    assert poly_definite_integral(PolyInT(()), Fraction(0), Fraction(1)) == 0
+    assert p.integral(Fraction(0), Fraction(1, 2)) == Fraction(1, 60)
+    assert p.integral(Fraction(0), Fraction(1)) == Fraction(1, 30)
+    assert PolyInT(()).integral(Fraction(0), Fraction(1)) == 0
 
 
 @settings(max_examples=40, derandomize=True)
 @given(polys, rationals, rationals, rationals)
 def test_integral_additivity(p, a, b, c):
-    left = poly_definite_integral(p, a, b) + poly_definite_integral(p, b, c)
-    assert left == poly_definite_integral(p, a, c)
+    left = p.integral(a, b) + p.integral(b, c)
+    assert left == p.integral(a, c)
 
 
 def test_nested_integral_product_coefficients():
