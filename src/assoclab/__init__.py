@@ -1,6 +1,6 @@
 """Truncated free Lie algebra, associator, graph complex and weight-integral toolkit."""
 
-__version__ = "0.1.0"
+__version__ = "0.1.1"
 
 from .ncalg import LieSeries, NCSeries, Word, lyndon_basis, is_grouplike  # noqa: F401
 from .tangent import TAutElem, TDerElem, CenterSplit  # noqa: F401

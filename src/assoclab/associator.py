@@ -221,14 +221,6 @@ def grt_twist_act(f: NCSeries, phi: Associator, tol: float = 1e-9) -> Associator
     return twist_by_avatar(nu_embedding(psi), phi, tol)
 
 
-def _lift_dual_aut(g: TAutElem) -> TAutElem:
-    lift = lambda c: Dual(c, 0)
-    out = TAutElem(g.k, g.order, tuple(c.map_coefficients(lift) for c in g.comps))
-    if g._action is not None:
-        out._action = tuple(c.map_coefficients(lift) for c in g.action())
-    return out
-
-
 def grt_infinitesimal_act(psi: LieSeries, phi: Associator,
                           tol: float = 1e-9) -> NCSeries:
     """Tangent of the twist action, extracted with dual numbers.
@@ -240,7 +232,8 @@ def grt_infinitesimal_act(psi: LieSeries, phi: Associator,
     """
     eps = Dual(Fraction(0), Fraction(1))
     psi_eps = psi.scale(eps)
-    g3 = _lift_dual_aut(to_taut3(phi, tol))
+    g = to_taut3(phi, tol)
+    g3 = TAutElem(3, g.order, tuple(c.map_coefficients(lambda x: Dual(x, 0)) for c in g.comps))
     w = _twisted_group_element(nu_embedding(psi_eps), g3)
     out = _exp_of_reduced_log(w, phi.order, tol, "tangent")
     return out.map_coefficients(lambda c: c.tangent if isinstance(c, Dual) else 0)

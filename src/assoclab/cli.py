@@ -153,6 +153,9 @@ def cmd_interp(args) -> int:
         for d in range(4, args.order + 1):
             checks[f"anti-kz-degree{d}"] = phi_t.series.degree_part(d).distance(
                 target.series.degree_part(d))
+    elif t_target == Fraction(1, 2):
+        # the midpoint of the family (Alekseev-Torossian) is even: Phi(-X, -Y) = Phi(X, Y)
+        checks["flip-symmetry"] = phi_t.series.distance(phi_t.flip_signs().series)
     ok = all(v <= max(args.tol, 1e-8) for v in checks.values())
     payload = {
         "command": "interp",

@@ -274,25 +274,17 @@ class NCSeries:
         return NCSeries._nonzero(self.k, self.order, out)
 
     def inverse(self) -> "NCSeries":
-        """Inverse of a series with invertible (unit-like) constant term."""
-        c0 = self.constant_term()
-        if is_zero(c0):
-            raise SeriesError("series with zero constant term is not invertible")
-        if isinstance(c0, (int, Fraction)):
-            c0inv = Fraction(1, 1) / Fraction(c0)
-        elif hasattr(c0, "inverse"):
-            c0inv = c0.inverse()
-        else:
-            c0inv = 1 / c0
-        x = (self.scale(c0inv) - 1).scale(-1)  # self*c0inv = 1 - x
-        out = NCSeries.unit(self.k, self.order)
-        power = NCSeries.unit(self.k, self.order)
-        for _ in range(self.order):
-            power = power * x
-            if power.is_zero():
-                break
-            out = out + power
-        return out.scale(c0inv)
+        """Inverse of a group-like series: the antipode S(g)_w = (-1)^|w| g_{reversed w}.
+
+        A word map with no products.  It serves group-like series only (the
+        exponential of a Lie series, and products of those), where it is the
+        exact inverse; on any other series it is not.  Raises SeriesError
+        unless the constant term is 1.
+        """
+        if not is_zero(self.constant_term() - 1):
+            raise SeriesError("the antipode inverts group-like series, whose constant term is 1")
+        return NCSeries._nonzero(self.k, self.order, {
+            w[::-1]: -c if len(w) % 2 else c for w, c in self.terms.items()})
 
     def substitute(self, images: Mapping[int, "NCSeries"]) -> "NCSeries":
         """Algebra homomorphism sending generator i to images[i], truncated."""

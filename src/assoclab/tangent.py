@@ -5,7 +5,9 @@ A tangential derivation of the free Lie algebra on X_1..X_k acts by
 (normalized so that u_i has no X_i term).  The pro-unipotent group
 integrating them is realized by tuples of group-like series ``g_i`` acting
 as ``X_i -> g_i^{-1} X_i g_i``; group elements are compared extensionally,
-by their action on the generators.
+by their action on the generators.  Every component is group-like, so its
+inverse is the antipode (``NCSeries.inverse``, a word map with no products),
+and ``TAutElem.action`` is the one formula for the action.
 """
 
 from __future__ import annotations
@@ -197,7 +199,7 @@ class TAutElem:
             raise ArityError("arity/truncation mismatch")
 
     def action(self) -> tuple[NCSeries, ...]:
-        """Images of the generators, X_i -> g_i^{-1} X_i g_i."""
+        """Images of the generators, X_i -> g_i^{-1} X_i g_i, with g_i^{-1} the antipode."""
         if self._action is None:
             imgs = []
             for i, g in enumerate(self.comps, start=1):
@@ -221,9 +223,7 @@ def taut_compose(g: TAutElem, h: TAutElem) -> TAutElem:
     """Composition g then h read as automorphisms: (g o h)(x) = g(h(x))."""
     g._check(h)
     gh = g.apply_many(list(h.comps))
-    comps = tuple(g.comps[i] * gh[i] for i in range(g.k))
-    out = TAutElem(g.k, g.order, comps)
-    return out
+    return TAutElem(g.k, g.order, tuple(g.comps[i] * gh[i] for i in range(g.k)))
 
 
 def inverse_action(g: TAutElem) -> tuple[NCSeries, ...]:
@@ -301,85 +301,39 @@ def sym_action(sigma: Sequence[int], u: TDerElem | TAutElem) -> TDerElem | TAutE
 
 # -- exp and log ---------------------------------------------------------------
 
-def _compositions_upto(total: int):
-    """All tuples of parts >= 1 with sum <= total (including the empty one)."""
-    out = [()]
-    stack = [((), 0)]
-    while stack:
-        prefix, s = stack.pop()
-        for p in range(1, total - s + 1):
-            item = prefix + (p,)
-            out.append(item)
-            stack.append((item, s + p))
-    return out
-
-
 def _exp_components(u: TDerElem) -> tuple[NCSeries, ...]:
-    """Component tuple of exp(u), in the closed form documented on exp_tder."""
+    """Component tuple of exp(u), by the recurrence documented on exp_tder."""
     k, order = u.k, u.order
-
-    # derivation powers: powers[a][i] = u^a(u_i)/a! for a < order (part p reads powers[p-1])
+    # derivation powers: powers[a][i] = u^a(u_i)/a! = A_a for a < order
     powers = [list(u.comps)]
     for a in range(1, order):
-        prev = powers[-1]
-        powers.append([u.apply_nc(c).scale(Fraction(1, a)) for c in prev])
-
+        powers.append([u.apply_nc(c).scale(Fraction(1, a)) for c in powers[-1]])
     comps = []
     for i in range(k):
-        g: dict[tuple[int, ...], object] = {(): 1}
-        for parts in _compositions_upto(order):
-            if not parts:
-                continue
-            coeff = Fraction(1)
-            b = 0
-            for p in parts:
-                b += p
-                coeff /= b
-            term = None
-            dead = False
-            for p in parts:
-                factor = powers[p - 1][i]
-                if factor.is_zero():
-                    dead = True
-                    break
-                term = factor if term is None else term * factor
-                if term.is_zero():
-                    dead = True
-                    break
-            if dead or term is None:
-                continue
-            add_scaled(g, term.terms.items(), coeff)
-        comps.append(NCSeries._nonzero(k, order, g))
+        parts = [NCSeries.unit(k, order)]  # parts[n] = G_n
+        for n in range(1, order + 1):
+            gn = powers[n - 1][i]  # G_0 A_{n-1}, then G_m A_{n-1-m} for 0 < m < n
+            for m in range(1, n):
+                gn = gn + parts[m] * powers[n - 1 - m][i]
+            parts.append(gn.scale(Fraction(1, n)))
+        comps.append(sum(parts[1:], parts[0]))
     return tuple(comps)
 
 
 def exp_tder(u: TDerElem) -> TAutElem:
     """Exponential of a tangential derivation.
 
-    The component tuple solves g_i'(s) = g_i(s) * exp(s u)(u_i), g_i(0) = 1;
-    its value at s = 1 has the closed form
+    The component tuple solves g_i'(s) = g_i(s) * exp(s u)(u_i), g_i(0) = 1.
+    Writing g_i(s) = sum_n s^n G_n and exp(s u)(u_i) = sum_a s^a A_a with
+    A_a := u^a(u_i)/a!, its value g_i = sum_n G_n at s = 1 follows from
 
-        g_i = sum over compositions (p_1..p_m) of  prod_j 1/(p_1+..+p_j)
-              * A_{p_1-1} ... A_{p_m-1},     A_a := u^a(u_i)/a!,
+        G_0 = 1,    n G_n = sum_{p=1..n} G_{n-p} A_{p-1},
 
-    which is exact whenever u is.  Only A_0..A_{N-1} enter at order N.  The
-    action is stored as well, from its direct formula sum_m u^m(X_i)/m!.
+    which is exact whenever u is.  G_n starts in degree n, so only
+    A_0..A_{N-1} and G_0..G_N enter at order N.  The action is not stored:
+    ``TAutElem.action`` computes it from the components.
     """
-    k, order = u.k, u.order
-    out = TAutElem(k, order, _exp_components(u))
-    imgs = []
-    for i in range(1, k + 1):
-        term = NCSeries.generator(k, order, i)
-        acc, fact = dict(term.terms), 1
-        for m in range(1, order + 1):
-            term = u.apply_nc(term)
-            if term.is_zero():
-                break
-            fact *= m
-            add_scaled(acc, term.terms.items(), Fraction(1, fact))
-        imgs.append(NCSeries._nonzero(k, order, acc))
-    out._action = tuple(imgs)
-    return out
+    return TAutElem(u.k, u.order, _exp_components(u))
 
 
 def normalize_tuple_gauge(g: TAutElem) -> TAutElem:
@@ -387,24 +341,13 @@ def normalize_tuple_gauge(g: TAutElem) -> TAutElem:
 
     Components of the same automorphism differ by group-like left factors
     commuting with their generator; requiring log(g_i) to have no X_i term
-    makes the tuple unique and equal to the exp_tder closed form.
+    makes the tuple unique and equal to exp_tder's components.
     """
     comps = []
-    changed = False
     for i, gi in enumerate(g.comps, start=1):
-        li = gi.log()
-        c = li.coefficient((i,))
-        if is_zero(c):
-            comps.append(gi)
-            continue
-        changed = True
-        corr = NCSeries.generator(g.k, g.order, i, -c).exp()
-        comps.append(corr * gi)
-    if not changed:
-        return g
-    out = TAutElem(g.k, g.order, tuple(comps))
-    out._action = g._action
-    return out
+        c = gi.log().coefficient((i,))
+        comps.append(gi if is_zero(c) else NCSeries.generator(g.k, g.order, i, -c).exp() * gi)
+    return TAutElem(g.k, g.order, tuple(comps))
 
 
 def log_taut(g: TAutElem) -> TDerElem:

@@ -183,6 +183,17 @@ def test_interp_order5_reports_the_degree5_miss(tmp_path, capsys):
     assert Associator.from_json(payload["associator"]).grouplike_residual() < 1e-15
 
 
+def test_interp_half_reports_flip_symmetry(tmp_path, capsys):
+    # Phi^{1/2} is even through degree 4: Phi(-X, -Y) = Phi(X, Y)
+    code, payload = run(capsys, "interp", "--order", "4", "--t", "0.5",
+                        "--cache-dir", str(tmp_path))
+    assert code == EXIT_OK
+    checks = payload["checks"]
+    assert list(checks) == ["pin-degree3-residual", "flip-symmetry"]
+    assert checks["flip-symmetry"] < 1e-15
+    assert payload["passed"] is True
+
+
 def test_weights_not_converged_exits_check(capsys):
     code = main(["weights", "--tol", "1e-12", "--budget", "8"])
     captured = capsys.readouterr()

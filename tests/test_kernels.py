@@ -7,6 +7,10 @@ accumulator at every step; a logarithm of tangential automorphisms that
 takes a full-order exponential at every degree, and an embedding into tder3
 that evaluates every bracketing afresh.  The kernels must give equal values
 in the same term order, including when coefficients cancel to exact zeros.
+The antipode and the recurrence for the exponential's components are
+checked on group-like series against a Neumann-series inverse and a sum over
+compositions: equal values over the rationals, agreement to rounding over
+the float rings.
 The interpolation flow and the pin of its normalization are checked
 against their full-order forms, which computed every degree's tangent at
 the truncation of the input and on the mid-flow associator itself.
@@ -28,7 +32,7 @@ from assoclab.associator import (Associator, AssociatorError, TauFamily,
                                  grt_infinitesimal_act, interpolate, pin_lambda)
 from assoclab.graphcx import GraphLinComb, psi3_normalized
 from assoclab.kz import build_phi_kz
-from assoclab.ncalg import (LieSeries, NCSeries, add_scaled, lie_to_nc,
+from assoclab.ncalg import (LieSeries, NCSeries, SeriesError, add_scaled, lie_to_nc,
                             lyndon_bracket_nc, lyndon_words, substitute_many)
 from assoclab.scalars import Dual, PolyInT, coeff_abs, is_zero, s_one_minus_s_power
 from assoclab.tangent import (TAutElem, TDerElem, center_decompose_t3,
@@ -49,6 +53,8 @@ RINGS = st.sampled_from([fractions, complexes, polys, duals])
 flow_ring = st.builds(Dual, st.lists(complexes, min_size=1, max_size=2).map(PolyInT),
                       st.lists(complexes, min_size=1, max_size=2).map(PolyInT))
 TANGENT_RINGS = st.sampled_from([fractions, complexes, flow_ring])
+# (arity, order) of the tangential derivations and automorphisms drawn
+TANGENT_SHAPES = st.sampled_from([(2, 1), (2, 3), (2, 5), (3, 2), (3, 3), (3, 4)])
 
 
 # -- references ------------------------------------------------------------------
@@ -119,6 +125,51 @@ def ref_log_taut(g):
         if not delta.is_zero():
             u = u + delta
     return u
+
+
+def ref_inverse(s):
+    """The Neumann series: with s = 1 - x, the sum of the powers x^m for m <= N."""
+    x = (s - 1).scale(-1)
+    out = power = NCSeries.unit(s.k, s.order)
+    for _ in range(s.order):
+        power = power * x
+        if power.is_zero():
+            break
+        out = out + power
+    return out
+
+
+def ref_compositions_upto(total):
+    """All tuples of parts >= 1 with sum <= total (including the empty one)."""
+    out = [()]
+    stack = [((), 0)]
+    while stack:
+        prefix, s = stack.pop()
+        for p in range(1, total - s + 1):
+            item = prefix + (p,)
+            out.append(item)
+            stack.append((item, s + p))
+    return out
+
+
+def ref_exp_components(u):
+    """g_i = sum over compositions (p_1..p_m) of prod_j 1/(p_1+..+p_j) A_{p_1-1}..A_{p_m-1}."""
+    k, order = u.k, u.order
+    powers = [list(u.comps)]
+    for a in range(1, order):
+        powers.append([u.apply_nc(c).scale(Fraction(1, a)) for c in powers[-1]])
+    comps = []
+    for i in range(k):
+        g = {(): 1}
+        for parts in ref_compositions_upto(order)[1:]:
+            coeff, b, term = Fraction(1), 0, NCSeries.unit(k, order)
+            for p in parts:
+                b += p
+                coeff /= b
+                term = term * powers[p - 1][i]
+            add_scaled(g, term.terms.items(), coeff)
+        comps.append(NCSeries(k, order, g))
+    return tuple(comps)
 
 
 def ref_t3_embed(ell, order):
@@ -192,7 +243,7 @@ def lie_derivation(draw, k, order, ring):
 @st.composite
 def automorphism(draw):
     """exp(u), possibly composed with exp(v), possibly off the normalized gauge."""
-    k, order = draw(st.sampled_from([(2, 1), (2, 3), (2, 5), (3, 2), (3, 3), (3, 4)]))
+    k, order = draw(TANGENT_SHAPES)
     ring = draw(TANGENT_RINGS)
     g = exp_tder(draw(lie_derivation(k, order, ring)))
     if draw(st.booleans()):
@@ -203,6 +254,39 @@ def automorphism(draw):
         comps[i - 1] = NCSeries.generator(k, order, i, draw(ring)).exp() * comps[i - 1]
         g = TAutElem(k, order, comps)
     return g
+
+
+# (kind, ring): rationals are compared exactly, the float rings to rounding
+KINDED_RINGS = st.sampled_from([("exact", fractions), ("complex", complexes),
+                                ("flow", flow_ring)])
+
+
+@st.composite
+def tangent_derivation(draw):
+    kind, ring = draw(KINDED_RINGS)
+    k, order = draw(TANGENT_SHAPES)
+    return kind, draw(lie_derivation(k, order, ring))
+
+
+@st.composite
+def grouplike(draw):
+    """exp of a Lie series, or a component of exp_tder of a derivation."""
+    if draw(st.booleans()):
+        kind, u = draw(tangent_derivation())
+        return kind, draw(st.sampled_from(exp_tder(u).comps))
+    kind, ring = draw(KINDED_RINGS)
+    k, order = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    coords = draw(st.dictionaries(st.sampled_from(lie_words(k, order)), ring, max_size=6))
+    return kind, lie_to_nc(LieSeries(k, order, coords), order).exp()
+
+
+def agree(kind, got: NCSeries, want: NCSeries):
+    """Equal values over the rationals; within 1e-15 of the largest coefficient otherwise."""
+    assert (got.k, got.order) == (want.k, want.order)
+    if kind == "exact":
+        assert got.terms == want.terms
+    else:
+        assert got.distance(want) <= 1e-15 * want.max_abs()
 
 
 @st.composite
@@ -278,6 +362,31 @@ def test_log_taut_matches_full_order_exponentials(g):
     same_tder(log_taut(g), ref_log_taut(g))
 
 
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(grouplike())
+def test_antipode_matches_neumann_inverse(case):
+    kind, g = case
+    inv = g.inverse()
+    agree(kind, inv, ref_inverse(g))
+    if kind == "exact":
+        unit = NCSeries.unit(g.k, g.order).terms
+        assert (g * inv).terms == unit and (inv * g).terms == unit
+
+
+def test_antipode_needs_constant_term_one():
+    for const in (Fraction(0), Fraction(2), 1 + 1e-12j):
+        with pytest.raises(SeriesError):
+            NCSeries(2, 3, {(): const, (1,): Fraction(1)}).inverse()
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(tangent_derivation())
+def test_exp_components_match_composition_sum(case):
+    kind, u = case
+    for got, want in zip(exp_tder(u).comps, ref_exp_components(u)):
+        agree(kind, got, want)
+
+
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(two_letter_lie())
 def test_t3_embed_matches_fresh_bracketings(case):
@@ -320,6 +429,23 @@ def test_log_taut_builds_no_exponential(monkeypatch):
     # (d - 1) derivation powers of 3 components at each degree d <= 4;
     # a full-order exp_tder per degree made 82
     assert len(applies) <= 18
+
+
+def test_exp_tder_builds_each_derivation_power_once(monkeypatch):
+    t12, t23 = tk_generator(1, 2, 3, 4), tk_generator(2, 3, 3, 4)
+    u = t12 + tder_bracket(t12, t23).scale(Fraction(1, 3))
+    applies = counter(monkeypatch, TDerElem, "apply_nc")
+    g = exp_tder(u)
+    # u^a(u_i) for a = 1..3 in each of the 3 components, and none for the action
+    assert len(applies) == 9
+    assert g._action is None
+
+
+def test_antipode_forms_no_product(monkeypatch):
+    g = lie_to_nc(LieSeries(2, 5, {(1,): Fraction(1), (1, 2): Fraction(1, 2)})).exp()
+    products = counter(monkeypatch, NCSeries, "__mul__")
+    g.inverse()
+    assert len(products) == 0
 
 
 def test_t3_images_are_built_once_per_order(monkeypatch):
