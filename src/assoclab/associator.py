@@ -4,7 +4,15 @@ An associator is a group-like series Phi(X, Y); the pentagon and hexagon
 equations are decided inside the tangential automorphism groups of arity 4
 and 3, never through a PBW normal form.  The one-parameter family of
 associators is produced by integrating d/dt Phi^t = tau^t . Phi^t exactly in
-polynomial-in-t arithmetic, degree by degree.
+polynomial-in-t arithmetic, degree by degree, with Drinfeld's infinitesimal
+action of grt on associators (Drinfeld, Leningrad Math. J. 2, 1991, section 5)
+
+    delta_psi Phi = D_psi(Phi) - Phi . psi,   D_psi(x) = [x, psi(x, y)], D_psi(y) = 0,
+
+as the tangent.  The twist action in the arity-3 automorphism group, and its
+dual-number tangent ``grt_infinitesimal_act``, share no code with it and are
+its independent check (Alekseev-Torossian, Ann. Math. 2012, show that the two
+actions agree).
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .ncalg import (LieSeries, NCSeries, is_grouplike, lie_to_nc,
+from .ncalg import (LieSeries, NCSeries, SeriesError, is_grouplike, lie_to_nc,
                     lie_coords_from_nc, nc_project_lie, relabel)
 from .scalars import (Dual, PolyInT, coeff_abs, is_zero, iterated_word_integral,
                       s_one_minus_s_power)
@@ -47,10 +55,13 @@ class Associator:
     def grouplike_residual(self) -> float:
         return is_grouplike(self.series)
 
-    def _lie_log(self) -> tuple[LieSeries, float]:
-        """Lie projection of log(series) and the distance of the log from it."""
+    def _lie_log(self, tol: float = 1e-6) -> tuple[LieSeries, float]:
+        """Lie projection of log(series) and the distance of the log from it.
+
+        ``tol`` bounds the rounding left by the Dynkin projection itself.
+        """
         lg = self.series.log()
-        ell = nc_project_lie(lg)
+        ell = nc_project_lie(lg, tol)
         return ell, lie_to_nc(ell, self.order).distance(lg)
 
     def lie_log_residual(self) -> float:
@@ -89,7 +100,10 @@ class Associator:
 
 def _checked_lie_log(phi: Associator, tol: float) -> LieSeries:
     """Lie projection of log Phi; raises if log Phi is further than ``tol`` from it."""
-    ell, res = phi._lie_log()
+    try:
+        ell, res = phi._lie_log(tol)
+    except SeriesError as e:
+        raise AssociatorError(f"log is not Lie within tolerance ({e})") from e
     if res > tol:
         raise AssociatorError(f"log is not Lie within tolerance ({res:.3e} > {tol:.1e})")
     return ell
@@ -214,7 +228,7 @@ def grt_twist_act(f: NCSeries, phi: Associator, tol: float = 1e-9) -> Associator
     """Act on an associator by a group-like series exp(psi), psi in grt."""
     if not is_zero(f.constant_term() - 1):
         raise AssociatorError("twists need constant term 1")
-    psi = nc_project_lie(f.log())
+    psi = nc_project_lie(f.log(), tol)
     lowest = min((len(w) for w in psi.coords), default=3)
     if lowest < 2:
         raise AssociatorError("twist log must start in degree >= 2")
@@ -225,10 +239,12 @@ def grt_infinitesimal_act(psi: LieSeries, phi: Associator,
                           tol: float = 1e-9) -> NCSeries:
     """Tangent of the twist action, extracted with dual numbers.
 
-    The group element of the associator is computed over the plain scalar
-    ring and only then lifted; the twist factors are exponentials of the
-    eps-scaled avatar images, so the whole first-order computation stays
-    exact over the dual ring.
+    The paper's twist in the arity-3 automorphism group, taken to first
+    order: the group element of the associator is computed over the plain
+    scalar ring and only then lifted; the twist factors are exponentials of
+    the eps-scaled avatar images, so the whole first-order computation stays
+    exact over the dual ring.  It shares no code with ``drinfeld_tangent``,
+    which the flow uses, and is its independent check.
     """
     eps = Dual(Fraction(0), Fraction(1))
     psi_eps = psi.scale(eps)
@@ -256,38 +272,49 @@ class TauFamily:
                     raise AssociatorError(f"generator tagged {deg} has a word of length {len(w)}")
 
 
+def drinfeld_tangent(psi: NCSeries, phi: NCSeries) -> NCSeries:
+    """Drinfeld's infinitesimal action of psi in grt on Phi: D_psi(Phi) - Phi . psi.
+
+    D_psi is the derivation x -> [x, psi(x, y)], y -> 0 (Drinfeld, Leningrad
+    Math. J. 2, 1991, section 5); ``psi`` is the Lie element as a series at
+    the order of ``phi``.  The formula is linear in Phi, and for psi of
+    degree d it sends the degree-m part of Phi to degree m + d, so a
+    homogeneous Phi gives a homogeneous tangent with no term to discard.
+    """
+    d = TDerElem(2, phi.order, (psi, NCSeries.zero(2, phi.order)))
+    return d.apply_nc(phi) - phi * psi
+
+
 def interpolate(phi_init: Associator, t0: Fraction, t1: Fraction,
                 fam: TauFamily, tol: float = 1e-9) -> Associator:
     """Solve d/dt Phi^t = tau^t . Phi^t exactly and evaluate at t1.
 
-    Word coefficients of Phi^t are polynomials in t.  The family starts in
-    degree 3, so the system is triangular in the word length: the degree-n
-    right side only reads degrees < n of Phi^t, and one exact polynomial
-    integration per degree produces the flow.  Step n works at truncation n:
-    it takes the tangent (the dual-number twist on the polynomial-coefficient
-    ring) on the group-like completion of the degrees < n, and integrates
-    the tangent's degree-n part.
+    Word coefficients of Phi^t are polynomials in t.  The tangent is
+    Drinfeld's formula ``drinfeld_tangent``, delta_psi Phi = D_psi(Phi) -
+    Phi . psi, which is linear in Phi: a generator of degree d sends the
+    degree-(n - d) part of Phi^t to degree n.  The family starts in degree 3,
+    so the system is triangular in the word length, and one exact polynomial
+    integration per degree produces the flow.  The input is checked once to
+    have a Lie logarithm within ``tol``.
     """
     order = phi_init.order
     if fam.generators and max(d for d, _ in fam.generators) > order:
         raise AssociatorError("truncation too small for the family degrees")
+    _checked_lie_log(phi_init, tol)
     if not fam.generators or t0 == t1:
         return Associator(phi_init.series, origin=phi_init.origin)
 
-    tpolys = {deg: s_one_minus_s_power(deg - 1) for deg, _ in fam.generators}
+    gens = [(deg, s_one_minus_s_power(deg - 1), lie_to_nc(ell, order))
+            for deg, ell in fam.generators]
     poly_phi = phi_init.series.map_coefficients(lambda c: PolyInT((c,)))
 
     for n in range(min(d for d, _ in fam.generators), order + 1):
-        # the group-like completion: exp of the Lie part of log Phi in degrees < n
-        low = _checked_lie_log(Associator(poly_phi.truncate(n - 1)), tol)
-        current = Associator(lie_to_nc(low, n).exp(), origin="flow")
         rhs = NCSeries.zero(2, order)
-        for deg, ell in fam.generators:
+        for deg, tpoly, psi in gens:
             if deg > n:
                 continue
-            tangent = grt_infinitesimal_act(LieSeries(2, n, ell.coords), current, tol)
-            rhs = rhs + NCSeries._nonzero(2, order, {
-                w: tpolys[deg] * c for w, c in tangent.degree_part(n).terms.items()})
+            tangent = drinfeld_tangent(psi, poly_phi.degree_part(n - deg))
+            rhs = rhs + tangent.map_coefficients(lambda c: tpoly * c)
         increment = rhs.map_coefficients(
             lambda p: (lambda q: q - PolyInT.constant(q(t0)))(p.antiderivative()))
         poly_phi = poly_phi + increment
@@ -295,20 +322,15 @@ def interpolate(phi_init: Associator, t0: Fraction, t1: Fraction,
     return Associator(value, origin=f"interpolated(t={t1})")
 
 
-def unit_tangent(psi: LieSeries, order: int) -> NCSeries:
-    """Tangent of the twist action at the trivial associator (exact), at ``order``."""
-    return grt_infinitesimal_act(LieSeries(2, order, psi.coords), Associator.one(order), tol=0.0)
-
-
 def pin_lambda(phi_kz: Associator, psi3: LieSeries) -> tuple[complex, float]:
     """Normalize tau_3 = lambda * psi3 by matching Phi^1 to the sign flip at degree 3.
 
-    The degree-3 tangent of the flow is independent of the associator, so it
-    is the unit tangent at truncation 3, and lambda solves a one-dimensional
-    exact linear equation on its largest coefficient (the first, on ties);
-    the returned residual measures its consistency across all degree-3 words.
+    The degree-3 tangent of the flow reads only the constant term 1 of the
+    associator, where Drinfeld's formula gives -psi3, so lambda is one
+    division on its largest coefficient (the first, on ties); the returned
+    residual measures its consistency across all degree-3 words.
     """
-    d3 = unit_tangent(psi3, 3).degree_part(3)
+    d3 = -lie_to_nc(psi3, 3).degree_part(3)
     base = s_one_minus_s_power(2).integral(Fraction(0), Fraction(1))  # 1/30
     target = (phi_kz.flip_signs().series - phi_kz.series).degree_part(3).truncate(3)
     best_w = max(d3.terms, key=lambda w: coeff_abs(d3.terms[w]), default=None)

@@ -486,12 +486,13 @@ def lie_to_nc(ell: LieSeries, order: int | None = None) -> NCSeries:
     return NCSeries._nonzero(ell.k, order, out)
 
 
-def nc_project_lie(a: NCSeries) -> LieSeries:
+def nc_project_lie(a: NCSeries, tol: float = 1e-6) -> LieSeries:
     """Dynkin-Specht-Wever projection, expressed in the Lyndon basis.
 
     A word of length d maps to 1/d times its left-iterated bracketing;
     Lie elements are fixed, so the projection residual measures failure
-    to be Lie.
+    to be Lie.  The projected series is Lie by construction, and the
+    rounding it may carry in the Lyndon basis must stay within ``tol``.
     """
     if not is_zero(a.constant_term()):
         raise SeriesError("nonzero constant term")
@@ -501,9 +502,8 @@ def nc_project_lie(a: NCSeries) -> LieSeries:
         br = _left_bracketing_nc(a.k, a.order, w)
         add_scaled(projected, br.terms.items(),
                    c * Fraction(1, d) if isinstance(c, (int, Fraction)) else c / d)
-    # the projected series is Lie by construction; only float dust can remain
     coords, residual = _lyndon_extract(NCSeries._nonzero(a.k, a.order, projected))
-    if residual > 1e-6:
+    if residual > tol:
         raise SeriesError(f"Dynkin projection produced a non-Lie series ({residual:.3e})")
     return LieSeries(a.k, a.order, coords)
 

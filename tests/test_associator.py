@@ -4,14 +4,17 @@ from fractions import Fraction
 
 import pytest
 
+from assoclab import ncalg
 from assoclab.associator import (Associator, AssociatorError, TauFamily,
-                                 check_hexagon, check_pentagon,
-                                 etingof_coefficients, grt_infinitesimal_act,
-                                 grt_twist_act, interpolate, nu_embedding,
-                                 pexp_word_coefficient, pin_lambda, to_taut3,
-                                 twist_by_avatar, unit_tangent)
-from assoclab.graphcx import psi3_normalized
-from assoclab.ncalg import LieSeries, NCSeries, lie_to_nc, lyndon_words
+                                 _checked_lie_log, check_hexagon, check_pentagon,
+                                 drinfeld_tangent, etingof_coefficients,
+                                 grt_infinitesimal_act, grt_twist_act, interpolate,
+                                 nu_embedding, pexp_word_coefficient, pin_lambda,
+                                 to_taut3, twist_by_avatar)
+from assoclab.graphcx import grt_solution_space, psi3_normalized
+from assoclab.kz import anti_kz, build_phi_kz
+from assoclab.ncalg import (LieSeries, NCSeries, SeriesError, lie_to_nc, lyndon_words,
+                            nc_project_lie)
 from assoclab.tangent import center_decompose_t3, log_taut
 
 
@@ -121,8 +124,8 @@ def test_infinitesimal_zero_and_finite_difference():
 
 def test_unit_tangent_lowest_degree():
     psi3 = psi3_normalized(4)
-    tangent = unit_tangent(psi3, 4)
-    # at the trivial associator the lowest degree is the reduced image sum
+    tangent = grt_infinitesimal_act(psi3, Associator.one(4), tol=0.0)
+    # at the trivial associator the twist's tangent is -psi, the pin's tangent
     assert tangent.degree_part(3) == lie_to_nc(psi3, 4).scale(Fraction(-1))
     assert tangent.degree_part(4).is_zero()
 
@@ -201,3 +204,53 @@ def test_interpolate_rejects_small_truncation():
     fam = TauFamily([(5, psi5)])
     with pytest.raises(AssociatorError):
         interpolate(phi, Fraction(0), Fraction(1), fam)
+
+
+def test_drinfeld_formula_matches_the_twist_tangent():
+    # the flow's tangent D_psi(Phi) - Phi . psi against the dual-number twist,
+    # which shares no code with it, on and off the family of associators
+    kz6, _ = build_phi_kz(order=6, m_order=64)
+    kz5 = Associator(kz6.series.truncate(5), origin="kz")
+    psi3 = psi3_normalized(5)
+    sigma5 = grt_solution_space(5, 5)[0]
+    lam, _ = pin_lambda(kz5, psi3)
+    mid = interpolate(kz5, Fraction(0), Fraction(1, 3), TauFamily([(3, psi3.scale(lam))]))
+    off = grt_twist_act(lie_to_nc(sigma5).scale(0.3).exp(), kz5)
+    cases = [("kz4", Associator(kz6.series.truncate(4)), [psi3]),
+             ("kz5", kz5, [psi3, sigma5]),
+             ("kz6", kz6, [psi3]),
+             ("anti-kz", anti_kz(kz5), [psi3, sigma5]),
+             ("mid-flow", mid, [psi3, sigma5]),
+             ("off-family", off, [psi3, sigma5])]
+    for name, phi, psis in cases:
+        for psi in psis:
+            psi = LieSeries(2, phi.order, psi.coords)
+            formula = drinfeld_tangent(lie_to_nc(psi), phi.series)
+            twist = grt_infinitesimal_act(psi, phi)
+            scale = max(formula.max_abs(), twist.max_abs())
+            assert formula.distance(twist) <= 1e-15 * scale, (name, psi)
+
+
+def test_dynkin_tolerance_comes_from_the_caller(monkeypatch):
+    orig = ncalg._lyndon_extract
+
+    def dusty(a):
+        coords, residual = orig(a)
+        return coords, max(residual, 1e-7)
+
+    phi, _ = rational_associator(4, seed=3)
+    lg = phi.series.log()
+    f = lie_to_nc(psi3_normalized(4)).exp()
+    monkeypatch.setattr(ncalg, "_lyndon_extract", dusty)
+    # a Dynkin residual of 1e-7 is refused at tol 1e-9 and accepted at the default 1e-6
+    with pytest.raises(SeriesError):
+        nc_project_lie(lg, tol=1e-9)
+    nc_project_lie(lg)
+    phi.log_lie()
+    with pytest.raises(AssociatorError, match="log is not Lie within tolerance"):
+        _checked_lie_log(phi, 1e-9)
+    _checked_lie_log(phi, 1e-6)
+    with pytest.raises(AssociatorError, match="log is not Lie within tolerance"):
+        interpolate(phi, Fraction(0), Fraction(1), TauFamily([(3, psi3_normalized(4))]), tol=1e-9)
+    with pytest.raises(SeriesError):
+        grt_twist_act(f, phi, tol=1e-9)

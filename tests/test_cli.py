@@ -183,6 +183,18 @@ def test_interp_order5_reports_the_degree5_miss(tmp_path, capsys):
     assert Associator.from_json(payload["associator"]).grouplike_residual() < 1e-15
 
 
+def test_interp_order6_reaches_degree6(tmp_path, capsys):
+    # tau_3 alone meets anti-KZ in degrees 4 and 6 (grt has no degree-6
+    # element) and misses degree 5, where sigma_5 is not pinned yet
+    code, payload = run(capsys, "interp", "--order", "6", "--t", "1",
+                        "--cache-dir", str(tmp_path))
+    assert code == EXIT_CHECK
+    checks = payload["checks"]
+    assert checks["anti-kz-degree4"] < 1e-15
+    assert checks["anti-kz-degree6"] < 1e-15
+    assert checks["anti-kz-degree5"] > 1e-4
+
+
 def test_interp_half_reports_flip_symmetry(tmp_path, capsys):
     # Phi^{1/2} is even through degree 4: Phi(-X, -Y) = Phi(X, Y)
     code, payload = run(capsys, "interp", "--order", "4", "--t", "0.5",

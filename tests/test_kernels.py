@@ -12,8 +12,8 @@ checked on group-like series against a Neumann-series inverse and a sum over
 compositions: equal values over the rationals, agreement to rounding over
 the float rings.
 The interpolation flow and the pin of its normalization are checked
-against their full-order forms, which computed every degree's tangent at
-the truncation of the input and on the mid-flow associator itself.
+against their forms with the dual-number twist as the tangent, taken at the
+truncation of the input and on the mid-flow associator itself.
 The graph complex is checked against its earlier routines: a selection sort
 counting swaps for the orientation sign, one loop over edge ends per
 operation, and grt conditions evaluated apart from their coordinates.
@@ -663,7 +663,7 @@ def test_graph_maps_keep_term_order():
 # -- the interpolation flow ------------------------------------------------------
 
 def ref_interpolate(phi_init, t0, t1, fam, order=None, tol=1e-9):
-    """The flow with every tangent at the full order, on the mid-flow Phi itself."""
+    """The flow with every tangent the dual-number twist at the full order, on the mid-flow Phi."""
     order = phi_init.order if order is None else order
     if fam.generators and max(d for d, _ in fam.generators) > order:
         raise AssociatorError("truncation too small for the family degrees")
@@ -772,18 +772,16 @@ def test_pin_matches_reference(kz5):
         assert repr(pin_lambda(phi, psi3)) == repr(ref_pin_lambda(phi, psi3))
 
 
-def test_flow_tangents_at_their_own_truncation(monkeypatch, kz5):
-    orders = []
-    orig = associator.grt_infinitesimal_act
-
-    def recorded(psi, phi, *args, **kwargs):
-        orders.append(phi.order)
-        return orig(psi, phi, *args, **kwargs)
-
-    monkeypatch.setattr(associator, "grt_infinitesimal_act", recorded)
-    phi = Associator(kz5.series.truncate(4), origin="kz")
-    psi3 = psi3_normalized(4)
-    lam, _ = pin_lambda(phi, psi3)
-    interpolate(phi, Fraction(0), Fraction(1), TauFamily([(3, psi3.scale(lam))]))
-    # the pin's degree-3 tangent, then one tangent per flow degree at its own order
-    assert orders == [3, 3, 4]
+def test_flow_and_pin_make_no_twist(monkeypatch, kz5):
+    twists = [counter(monkeypatch, associator, "grt_infinitesimal_act")]
+    twists += [counter(monkeypatch, mod, name)
+               for mod in (associator, tangent) for name in ("exp_tder", "log_taut")]
+    duals = counter(monkeypatch, Dual, "__init__")
+    applies = counter(monkeypatch, TDerElem, "apply_nc")
+    psi3 = psi3_normalized(5)
+    lam, _ = pin_lambda(kz5, psi3)
+    interpolate(kz5, Fraction(0), Fraction(1), TauFamily([(3, psi3.scale(lam))]))
+    assert [len(c) for c in twists] == [0, 0, 0, 0, 0]
+    assert len(duals) == 0
+    # the pin is one division, and each flow degree 3..5 one Drinfeld tangent
+    assert len(applies) == 3
