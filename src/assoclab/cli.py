@@ -1,10 +1,16 @@
 """Command line front end: compute, check, cache and report.
 
-Exit codes: 0 success, 1 an internal error, 2 a requested check or
+Each ``cmd_*`` computes and returns ``(fields, rows, passed)``: the fields
+of its JSON report, the rows of its stderr table, and whether its checks
+held.  ``main`` is the one boundary.  It stamps ``command``, ``version``,
+``passed`` and ``seconds`` on the report, writes the report to ``--out`` and
+to stdout, prints the table, and maps the outcome to an exit code: 0
+success, 1 an internal error (with its traceback), 2 a requested check or
 tolerance was not met (a failed check, an unconverged quadrature, an MZV or
 KZ expansion that cannot reach its tolerance, a degree outside t_3, an
-associator check such as a log that is not Lie within tolerance), 3 an
-input/output or environment problem.
+associator check such as a log that is not Lie within tolerance, a graph
+outside the domain of ``phi_map``), 3 an input/output or environment
+problem.
 """
 
 from __future__ import annotations
@@ -16,24 +22,40 @@ import os
 import sys
 import tempfile
 import time
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
 from .associator import (Associator, AssociatorError, TauFamily, check_hexagon,
                          check_pentagon, etingof_coefficients, interpolate, pin_lambda)
-from .graphcx import (NAMED_GRAPHS, GraphLinComb, differential, divergence,
-                      gc_bracket, grt_check, phi_map, psi3_normalized)
+from .graphcx import (NAMED_GRAPHS, GraphError, GraphLinComb, differential, divergence,
+                      gc_bracket, grt_check, ihara_bracket, phi_map, psi3_normalized,
+                      tetrahedron)
 from .kz import KZError, MzvError, anti_kz, build_phi_kz, mzv
+from .ncalg import lyndon_words, witt_dimension
 from .tangent import NotInT3Error
-from .confint import (QuadratureError, QuadratureSpec, RECORDED_LAMBDA_RATIO,
-                      TETRA_PREFACTOR, TETRA_SYMMETRY_FACTOR, tetra_type1_integral,
-                      tetra_weight_from_type1)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_CHECK = 2
 EXIT_IO = 3
+
+CHECK_ERRORS = (MzvError, KZError, NotInT3Error, AssociatorError, GraphError)
+
+
+def _check_errors() -> tuple[type[Exception], ...]:
+    """The exceptions that exit 2.
+
+    ``confint`` loads numpy, so it is imported only by ``weights``; its
+    ``QuadratureError`` can only have been raised once it is loaded.
+    """
+    confint = sys.modules.get(f"{__package__}.confint")
+    return CHECK_ERRORS + ((confint.QuadratureError,) if confint else ())
+
+
+def _ratio(q: Fraction) -> list[str]:
+    return [str(q.numerator), str(q.denominator)]
 
 
 def _cache_dir(args) -> Path:
@@ -44,23 +66,6 @@ def _cache_dir(args) -> Path:
     except OSError as e:
         raise IOError(f"cannot create cache dir {p}: {e}")
     return p
-
-
-def _report(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2, default=str)
-    if out_path:
-        try:
-            Path(out_path).write_text(text + "\n")
-        except OSError as e:
-            print(f"error: cannot write {out_path}: {e}", file=sys.stderr)
-            raise IOError(str(e))
-    print(text)
-
-
-def _table(rows: list[tuple[str, str]]) -> None:
-    width = max((len(r[0]) for r in rows), default=10)
-    for name, val in rows:
-        print(f"  {name:<{width}}  {val}", file=sys.stderr)
 
 
 def _read_cached(path: Path, *keys: str) -> dict | None:
@@ -88,31 +93,42 @@ def _write_cached(path: Path, payload: dict) -> None:
         raise
 
 
-def _phi_kz_cached(order: int, m_order: int, tol: float, cache: Path):
-    path = cache / f"phi-kz-N{order}-v{__version__}-M{m_order}-tol{tol:.1e}.json"
-    data = _read_cached(path, "associator", "report")
+def _cached(path: Path, keys: tuple[str, ...], compute, decode):
+    """``decode`` of the payload cached at ``path``, or else a fresh value.
+
+    ``compute`` returns the value and its payload; the payload is written to
+    ``path`` and the value itself is returned, so a miss hands back exactly
+    what was computed.
+    """
+    data = _read_cached(path, *keys)
     if data is not None:
-        return Associator.from_json(data["associator"]), data["report"]
-    phi, report = build_phi_kz(order, m_order, tol)
-    _write_cached(path, {"associator": phi.to_json(), "report": report})
-    return phi, report
+        return decode(data)
+    value, payload = compute()
+    _write_cached(path, payload)
+    return value
+
+
+def _phi_kz_cached(order: int, m_order: int, tol: float, cache: Path):
+    def compute():
+        phi, report = build_phi_kz(order, m_order, tol)
+        return (phi, report), {"associator": phi.to_json(), "report": report}
+
+    return _cached(cache / f"phi-kz-N{order}-v{__version__}-M{m_order}-tol{tol:.1e}.json",
+                   ("associator", "report"), compute,
+                   lambda data: (Associator.from_json(data["associator"]), data["report"]))
 
 
 def _mzv_cached(index: tuple[int, ...], tol: float, cache: Path) -> float:
-    key = "mzv-" + "-".join(map(str, index)) + f"-v{__version__}-tol{tol:.1e}.json"
-    path = cache / key
-    data = _read_cached(path, "value")
-    if data is not None:
-        return data["value"]
-    val = mzv(index, tol)
-    _write_cached(path, {"index": list(index), "value": val})
-    return val
+    def compute():
+        value = mzv(index, tol)
+        return value, {"index": list(index), "value": value}
+
+    name = "mzv-" + "-".join(map(str, index)) + f"-v{__version__}-tol{tol:.1e}.json"
+    return _cached(cache / name, ("value",), compute, lambda data: data["value"])
 
 
-def cmd_kz(args) -> int:
-    cache = _cache_dir(args)
-    t0 = time.time()
-    phi, report = _phi_kz_cached(args.order, args.series_order, args.tol, cache)
+def cmd_kz(args):
+    phi, report = _phi_kz_cached(args.order, args.series_order, args.tol, _cache_dir(args))
     residuals = {
         "grouplike": phi.grouplike_residual(),
         "lie-log": phi.lie_log_residual(),
@@ -121,27 +137,14 @@ def cmd_kz(args) -> int:
         "hexagon": check_hexagon(phi, args.tol),
         "constancy": report["constancy"],
     }
-    ok = all(v <= args.tol for v in residuals.values())
-    payload = {
-        "command": "kz",
-        "version": __version__,
-        "order": args.order,
-        "series_order": args.series_order,
-        "tol": args.tol,
-        "residuals": residuals,
-        "passed": ok,
-        "seconds": time.time() - t0,
-        "associator": phi.to_json(),
-    }
-    _report(payload, args.out)
-    _table([(k, f"{v:.3e}") for k, v in residuals.items()])
-    return EXIT_OK if ok else EXIT_CHECK
+    fields = {"order": args.order, "series_order": args.series_order, "tol": args.tol,
+              "residuals": residuals, "associator": phi.to_json()}
+    return (fields, [(k, f"{v:.3e}") for k, v in residuals.items()],
+            all(v <= args.tol for v in residuals.values()))
 
 
-def cmd_interp(args) -> int:
-    cache = _cache_dir(args)
-    t0 = time.time()
-    phi, _ = _phi_kz_cached(args.order, args.series_order, args.tol, cache)
+def cmd_interp(args):
+    phi, _ = _phi_kz_cached(args.order, args.series_order, args.tol, _cache_dir(args))
     psi3 = psi3_normalized(args.order)
     lam, pin_resid = pin_lambda(phi, psi3)
     fam = TauFamily([(3, psi3.scale(lam))])
@@ -156,38 +159,18 @@ def cmd_interp(args) -> int:
     elif t_target == Fraction(1, 2):
         # the midpoint of the family (Alekseev-Torossian) is even: Phi(-X, -Y) = Phi(X, Y)
         checks["flip-symmetry"] = phi_t.series.distance(phi_t.flip_signs().series)
-    ok = all(v <= max(args.tol, 1e-8) for v in checks.values())
-    payload = {
-        "command": "interp",
-        "version": __version__,
-        "t": str(t_target),
-        "lambda": {"re": lam.real, "im": lam.imag},
-        "checks": checks,
-        "passed": ok,
-        "seconds": time.time() - t0,
-        "associator": phi_t.to_json(),
-    }
-    _report(payload, args.out)
-    _table([(k, f"{v:.3e}") for k, v in checks.items()])
-    return EXIT_OK if ok else EXIT_CHECK
+    fields = {"t": str(t_target), "lambda": {"re": lam.real, "im": lam.imag},
+              "checks": checks, "associator": phi_t.to_json()}
+    return (fields, [(k, f"{v:.3e}") for k, v in checks.items()],
+            all(v <= max(args.tol, 1e-8) for v in checks.values()))
 
 
-def cmd_etingof(args) -> int:
-    t0 = time.time()
+def cmd_etingof(args):
     c_a, c_b = etingof_coefficients()
-    payload = {
-        "command": "etingof",
-        "version": __version__,
-        "c_a": [str(c_a.numerator), str(c_a.denominator)],
-        "c_b": [str(c_b.numerator), str(c_b.denominator)],
-        "equal": c_a == c_b,
-        "strong_form_fails": c_a != c_b,
-        "seconds": time.time() - t0,
-    }
-    _report(payload, args.out)
-    _table([("c_a", str(c_a)), ("c_b", str(c_b)),
-            ("strong form fails", str(c_a != c_b))])
-    return EXIT_OK
+    fields = {"c_a": _ratio(c_a), "c_b": _ratio(c_b), "equal": c_a == c_b,
+              "strong_form_fails": c_a != c_b}
+    return (fields, [("c_a", str(c_a)), ("c_b", str(c_b)),
+                     ("strong form fails", str(c_a != c_b))], True)
 
 
 def _load_graph(args) -> GraphLinComb:
@@ -209,78 +192,64 @@ def _load_graph(args) -> GraphLinComb:
     raise IOError(f"unknown graph {name!r} and no --in file")
 
 
-def cmd_gc(args) -> int:
-    t0 = time.time()
+def cmd_gc(args):
     g = _load_graph(args)
-    payload: dict = {"command": "gc", "action": args.action, "version": __version__,
-                     "graph": args.graph}
-    ok = True
+    fields: dict = {"action": args.action, "graph": args.graph}
+    passed = True
     if args.action == "cocycle":
         d = differential(g)
-        payload["closed"] = d.is_zero()
-        payload["differential_terms"] = len(d.terms)
-        ok = d.is_zero()
+        fields["closed"] = passed = d.is_zero()
+        fields["differential_terms"] = len(d.terms)
     elif args.action == "delta":
-        d = differential(g)
-        payload["differential"] = d.to_json()
+        fields["differential"] = differential(g).to_json()
     elif args.action == "divergence":
         div = divergence(g)
-        payload["divergence"] = div.to_json()
-        payload["divergence_free"] = div.is_zero()
+        fields["divergence"] = div.to_json()
+        fields["divergence_free"] = div.is_zero()
     elif args.action == "bracket-self":
-        payload["bracket"] = gc_bracket(g, g).to_json()
-    elif args.action == "phi":
+        fields["bracket"] = gc_bracket(g, g).to_json()
+    else:  # phi
+        # a graph with L loops lands in degree L, so a lower truncation reads zero
+        loops = max((len(t.edges) - t.n + 1 for t in g.terms), default=0)
+        if args.order < loops:
+            raise GraphError(f"--order {args.order} is below the loop order {loops} "
+                             f"of {args.graph}, where its image lies")
         elem = phi_map(g, args.order)
         res = grt_check(elem.psi)
-        payload["sder_pair"] = elem.avatar().to_json()
-        payload["psi"] = elem.psi.to_json()
-        payload["grt_residuals"] = {"antisymmetry": res[0], "hexagon": res[1],
-                                    "pentagon": res[2]}
-        ok = all(r == 0 for r in res)
-    else:
-        raise IOError(f"unknown gc action {args.action!r}")
-    payload["passed"] = ok
-    payload["seconds"] = time.time() - t0
-    _report(payload, args.out)
-    return EXIT_OK if ok else EXIT_CHECK
+        fields["sder_pair"] = elem.avatar().to_json()
+        fields["psi"] = elem.psi.to_json()
+        fields["grt_residuals"] = dict(zip(("antisymmetry", "hexagon", "pentagon"), res))
+        passed = all(r == 0 for r in res)
+    return fields, [], passed
 
 
-def cmd_weights(args) -> int:
-    t0 = time.time()
+def cmd_weights(args):
+    from . import confint  # numpy, which no other command needs
     if args.graph not in ("tetrahedron", "wheel3"):
         raise IOError("weight quadrature is implemented for the tetrahedron")
-    spec = QuadratureSpec(tol=args.tol, max_cells=args.budget)
-    base = tetra_type1_integral(spec)
-    w = tetra_weight_from_type1(base, args.t)
-    payload = {
-        "command": "weights",
-        "version": __version__,
+    base = confint.tetra_type1_integral(confint.QuadratureSpec(tol=args.tol,
+                                                               max_cells=args.budget))
+    w = confint.tetra_weight_from_type1(base, args.t)
+    fields = {
         "graph": args.graph,
         "t": args.t,
         "type1": base.to_json(),
         "weight": w.to_json(),
-        "symmetry_factor": TETRA_SYMMETRY_FACTOR,
-        "prefactor": [str(TETRA_PREFACTOR.numerator), str(TETRA_PREFACTOR.denominator)],
-        "lambda_ratio": [str(RECORDED_LAMBDA_RATIO.numerator),
-                         str(RECORDED_LAMBDA_RATIO.denominator)],
-        "seconds": time.time() - t0,
+        "symmetry_factor": confint.TETRA_SYMMETRY_FACTOR,
+        "prefactor": _ratio(confint.TETRA_PREFACTOR),
+        "lambda_ratio": _ratio(confint.RECORDED_LAMBDA_RATIO),
     }
-    _report(payload, args.out)
-    _table([("type-I", f"{base.value:.8f} +- {base.error:.1e}"),
-            ("weight", f"{w.value:.8f} +- {w.error:.1e}")])
+    rows = [("type-I", f"{base.value:.8f} +- {base.error:.1e}"),
+            ("weight", f"{w.value:.8f} +- {w.error:.1e}")]
     if not base.converged:
-        print(f"error: the type-I integral did not converge: error estimate "
-              f"{base.error:.1e} > tol {args.tol:.1e} after {base.cells} cells "
-              f"(budget {args.budget})", file=sys.stderr)
-        return EXIT_CHECK
-    return EXIT_OK
+        rows.append(("error", f"the type-I integral did not converge: error estimate "
+                              f"{base.error:.1e} > tol {args.tol:.1e} after {base.cells} "
+                              f"cells (budget {args.budget})"))
+    return fields, rows, base.converged
 
 
-def cmd_check(args) -> int:
+def cmd_check(args):
     """Small always-on battery: exact algebra identities at desk scale."""
-    t0 = time.time()
-    from .ncalg import lyndon_words, witt_dimension
-    from .graphcx import tetrahedron, ihara_bracket
     results: dict[str, bool] = {}
     results["witt-counts"] = all(
         len(lyndon_words(k, d)) == witt_dimension(k, d)
@@ -292,21 +261,13 @@ def cmd_check(args) -> int:
     results["ihara-self"] = ihara_bracket(psi3, psi3).is_zero()
     c_a, c_b = etingof_coefficients()
     results["product-coefficients-differ"] = c_a != c_b
-    ok = all(results.values())
-    payload = {"command": "check", "version": __version__, "results": results,
-               "passed": ok, "seconds": time.time() - t0}
-    _report(payload, args.out)
-    _table([(k, "ok" if v else "FAIL") for k, v in results.items()])
-    return EXIT_OK if ok else EXIT_CHECK
+    return ({"results": results}, [(k, "ok" if v else "FAIL") for k, v in results.items()],
+            all(results.values()))
 
 
-def cmd_mzv(args) -> int:
-    cache = _cache_dir(args)
-    index = tuple(int(s) for s in args.index.split(","))
-    val = _mzv_cached(index, args.tol, cache)
-    _report({"command": "mzv", "index": list(index), "tol": args.tol, "value": val},
-            args.out)
-    return EXIT_OK
+def cmd_mzv(args):
+    value = _mzv_cached(args.index, args.tol, _cache_dir(args))
+    return {"index": list(args.index), "tol": args.tol, "value": value}, [], True
 
 
 def _int_at_least(lo: int):
@@ -325,12 +286,28 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _mzv_index(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be comma separated integers, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="assoclab",
                                 description="associator, graph-complex and "
                                             "weight-integral computations")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
+    # main writes every report, so every command takes --out
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--out", default=None, help="write the JSON report here")
+
+    def command(name, func, summary):
+        sp = sub.add_parser(name, parents=[report], help=summary)
+        sp.set_defaults(func=func)
+        return sp
 
     def common(sp, order_default=4, order_type=int):
         sp.add_argument("--order", type=order_type, default=order_default,
@@ -338,66 +315,65 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--series-order", type=int, default=64,
                         help="number of expansion powers for the regular parts")
         sp.add_argument("--tol", type=float, default=1e-9)
-        sp.add_argument("--out", default=None, help="write the JSON report here")
         sp.add_argument("--cache-dir", default=None)
 
-    sp = sub.add_parser("kz", help="build the monodromy associator and check it")
-    common(sp, order_default=5)
-    sp.set_defaults(func=cmd_kz)
+    common(command("kz", cmd_kz, "build the monodromy associator and check it"),
+           order_default=5)
 
-    sp = sub.add_parser("interp", help="integrate the interpolation flow to t")
+    sp = command("interp", cmd_interp, "integrate the interpolation flow to t")
     # the flow starts in degree 3: a lower truncation has nothing to pin
     common(sp, order_type=_int_at_least(3))
     sp.add_argument("--t", type=_finite_float, default=0.5)
-    sp.set_defaults(func=cmd_interp)
 
-    sp = sub.add_parser("etingof", help="exact flow product coefficients")
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_etingof)
+    command("etingof", cmd_etingof, "exact flow product coefficients")
 
-    sp = sub.add_parser("gc", help="graph complex operations")
+    sp = command("gc", cmd_gc, "graph complex operations")
     sp.add_argument("action", choices=["cocycle", "delta", "divergence",
                                        "bracket-self", "phi"])
     sp.add_argument("graph", help="named graph (edge, tetrahedron, wheel5) or - with --in")
     sp.add_argument("--in", dest="infile", default=None)
     sp.add_argument("--order", type=int, default=5)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_gc)
 
-    sp = sub.add_parser("weights", help="configuration-space weight quadrature")
+    sp = command("weights", cmd_weights, "configuration-space weight quadrature")
     sp.add_argument("--graph", default="tetrahedron")
     sp.add_argument("--t", type=_finite_float, default=0.5)
     sp.add_argument("--tol", type=float, default=1e-6)
     sp.add_argument("--budget", type=int, default=60000)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_weights)
 
-    sp = sub.add_parser("check", help="fast exact self-checks")
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_check)
+    command("check", cmd_check, "fast exact self-checks")
 
-    sp = sub.add_parser("mzv", help="nested zeta value")
-    sp.add_argument("index", help="comma separated exponents, e.g. 2,1")
+    sp = command("mzv", cmd_mzv, "nested zeta value")
+    sp.add_argument("index", type=_mzv_index, help="comma separated exponents, e.g. 2,1")
     sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--out", default=None)
     sp.add_argument("--cache-dir", default=None)
-    sp.set_defaults(func=cmd_mzv)
 
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
-    except (MzvError, KZError, NotInT3Error, QuadratureError, AssociatorError) as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_CHECK
+        fields, rows, passed = args.func(args)
+        report = {"command": args.command, "version": __version__, **fields,
+                  "passed": passed, "seconds": time.perf_counter() - t0}
+        text = json.dumps(report, indent=2, default=str)
+        if args.out:
+            Path(args.out).write_text(text + "\n")
+        print(text)
+        width = max((len(name) for name, _ in rows), default=0)
+        for name, value in rows:
+            print(f"  {name:<{width}}  {value}", file=sys.stderr)
+        return EXIT_OK if passed else EXIT_CHECK
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
     except Exception as e:  # noqa: BLE001 - the CLI boundary reports and exits
+        if isinstance(e, _check_errors()):
+            print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+            return EXIT_CHECK
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        traceback.print_exc()
         return EXIT_INTERNAL
 
 

@@ -341,11 +341,13 @@ def normalize_tuple_gauge(g: TAutElem) -> TAutElem:
 
     Components of the same automorphism differ by group-like left factors
     commuting with their generator; requiring log(g_i) to have no X_i term
-    makes the tuple unique and equal to exp_tder's components.
+    makes the tuple unique and equal to exp_tder's components.  The X_i
+    coefficient of log(g_i) = (g_i - 1) - (g_i - 1)^2/2 + ... is that of g_i,
+    since every power past the first starts in degree 2.
     """
     comps = []
     for i, gi in enumerate(g.comps, start=1):
-        c = gi.log().coefficient((i,))
+        c = gi.coefficient((i,))
         comps.append(gi if is_zero(c) else NCSeries.generator(g.k, g.order, i, -c).exp() * gi)
     return TAutElem(g.k, g.order, tuple(comps))
 

@@ -1,5 +1,8 @@
 import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -140,7 +143,6 @@ def test_weights_integrates_once(capsys, monkeypatch):
         return original(spec)
 
     monkeypatch.setattr(confint, "tetra_type1_integral", counting)
-    monkeypatch.setattr(cli, "tetra_type1_integral", counting)
     code, payload = run(capsys, "weights", "--t", "0.25", "--tol", "1e-4", "--budget", "4000")
     assert code == EXIT_OK
     assert len(calls) == 1
@@ -248,7 +250,12 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "etingof_coefficients", broken)
     code = main(["etingof"])
     assert code == EXIT_INTERNAL
-    assert capsys.readouterr().err.startswith("internal error: ZeroDivisionError: boom")
+    first, *traceback = capsys.readouterr().err.splitlines()
+    assert first.startswith("internal error: ZeroDivisionError: boom")
+    # the traceback follows the one-line message and ends in the raising frame
+    assert traceback[0] == "Traceback (most recent call last):"
+    assert any(line.endswith("in broken") for line in traceback)
+    assert traceback[-1] == "ZeroDivisionError: boom"
 
 
 def test_truncated_cache_is_recomputed(tmp_path, capsys):
@@ -265,13 +272,80 @@ def test_truncated_cache_is_recomputed(tmp_path, capsys):
         text = p.read_text()
         p.write_text(text[: len(text) // 2])
     code, again = run(capsys, "mzv", "2,1", "--cache-dir", cache)
-    assert code == EXIT_OK and again == first
+    assert code == EXIT_OK
     code, again_kz = run(capsys, "kz", "--order", "3", "--series-order", "48",
                          "--tol", "1e-8", "--cache-dir", cache)
     assert code == EXIT_OK
-    first_kz.pop("seconds")
-    again_kz.pop("seconds")
-    assert again_kz == first_kz
+    for payload in (first, again, first_kz, again_kz):
+        payload.pop("seconds")
+    assert again == first and again_kz == first_kz
     # the repaired files are whole again
     for p in tmp_path.iterdir():
         json.loads(p.read_text())
+
+
+@pytest.mark.parametrize("argv", [
+    ["kz", "--order", "3", "--series-order", "48", "--tol", "1e-8"],
+    ["interp", "--order", "3", "--series-order", "48", "--t", "1", "--tol", "1e-8"],
+    ["etingof"],
+    ["gc", "cocycle", "tetrahedron"],
+    ["weights", "--tol", "1e-3", "--budget", "2000"],
+    ["check"],
+    ["mzv", "2,1"],
+], ids=lambda argv: argv[0])
+def test_every_report_carries_the_envelope(tmp_path, capsys, argv):
+    out = tmp_path / "report.json"
+    cache = ["--cache-dir", str(tmp_path / "cache")] if argv[0] in ("kz", "interp", "mzv") else []
+    code, payload = run(capsys, *argv, "--out", str(out), *cache)
+    assert code == EXIT_OK
+    assert payload["command"] == argv[0] and payload["version"] == __version__
+    assert payload["passed"] is True
+    assert isinstance(payload["seconds"], float) and payload["seconds"] >= 0
+    assert json.loads(out.read_text()) == payload
+
+
+@pytest.mark.parametrize("graph, reason", [("wheel5", "closed"), ("edge", "degree-0")])
+def test_gc_phi_outside_its_domain_exits_check(capsys, graph, reason):
+    code = main(["gc", "phi", graph])
+    err = capsys.readouterr().err
+    assert code == EXIT_CHECK
+    assert err.startswith("error: GraphError: phi_map needs") and reason in err
+
+
+def test_gc_phi_rejects_order_below_loop_order(capsys):
+    # the tetrahedron has 3 loops: its image lies in degree 3, so --order 2 reads zero
+    code = main(["gc", "phi", "tetrahedron", "--order", "2"])
+    captured = capsys.readouterr()
+    assert code == EXIT_CHECK and captured.out == ""
+    assert captured.err.startswith("error: GraphError: --order 2 is below the loop order 3")
+    code, payload = run(capsys, "gc", "phi", "tetrahedron", "--order", "3")
+    assert code == EXIT_OK and payload["passed"] is True
+
+
+@pytest.mark.parametrize("index", ["2,x", "3,,1", ""])
+def test_mzv_rejects_a_malformed_index(tmp_path, capsys, index):
+    cache = tmp_path / "cache"
+    with pytest.raises(SystemExit) as exc:
+        main(["mzv", index, "--cache-dir", str(cache)])
+    assert exc.value.code == 2
+    assert f"argument index: must be comma separated integers, got {index!r}" \
+        in capsys.readouterr().err
+    assert not cache.exists()
+
+
+def test_quadrature_error_exits_check(capsys, monkeypatch):
+    def refused(spec):
+        raise confint.QuadratureError("z must avoid the marked points")
+
+    monkeypatch.setattr(confint, "tetra_type1_integral", refused)
+    code = main(["weights"])
+    assert code == EXIT_CHECK
+    assert capsys.readouterr().err.startswith("error: QuadratureError: z must avoid")
+
+
+def test_algebra_commands_do_not_load_numpy():
+    src = Path(cli.__file__).resolve().parent.parent
+    probe = "import sys, assoclab.cli; print('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env={"PYTHONPATH": str(src)},
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
