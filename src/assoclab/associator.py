@@ -26,9 +26,9 @@ from .ncalg import (LieSeries, NCSeries, SeriesError, is_grouplike, lie_to_nc,
 from .scalars import (Dual, PolyInT, coeff_abs, is_zero, iterated_word_integral,
                       s_one_minus_s_power)
 from .tangent import (TAutElem, TDerElem, center_decompose_t3, duplicate_slot,
-                      exp_tder, log_taut, pad_left, pad_right, sym_action,
-                      t3_embed, taut_compose, taut_distance, taut_inverse,
-                      tk_generator)
+                      exp_tder, log_taut, pad_left, pad_right, pentagon_faces,
+                      sym_action, t3_embed, taut_compose, taut_distance,
+                      taut_inverse, tk_generator)
 
 
 class AssociatorError(ValueError):
@@ -116,11 +116,8 @@ def to_taut3(phi: Associator, tol: float = 1e-9) -> TAutElem:
 
 def check_pentagon(phi: Associator, tol: float = 1e-9) -> float:
     """Extensional residual of the five-term equation in arity 4."""
-    g = to_taut3(phi, tol)
-    lhs = taut_compose(duplicate_slot(g, 3), duplicate_slot(g, 1))
-    rhs = taut_compose(pad_left(g),
-                       taut_compose(duplicate_slot(g, 2), pad_right(g)))
-    return taut_distance(lhs, rhs)
+    (l1, l2), (r1, r2, r3) = pentagon_faces(to_taut3(phi, tol))
+    return taut_distance(taut_compose(l1, l2), taut_compose(r1, taut_compose(r2, r3)))
 
 
 def strand_permute_aut(g: TAutElem, strands: Sequence[int]) -> TAutElem:

@@ -225,8 +225,6 @@ def cmd_gc(args):
 
 def cmd_weights(args):
     from . import confint  # numpy, which no other command needs
-    if args.graph not in ("tetrahedron", "wheel3"):
-        raise IOError("weight quadrature is implemented for the tetrahedron")
     base = confint.tetra_type1_integral(confint.QuadratureSpec(tol=args.tol,
                                                                max_cells=args.budget))
     w = confint.tetra_weight_from_type1(base, args.t)
@@ -335,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--order", type=int, default=5)
 
     sp = command("weights", cmd_weights, "configuration-space weight quadrature")
-    sp.add_argument("--graph", default="tetrahedron")
+    # the quadrature is implemented for the tetrahedron, which is the 3-wheel
+    sp.add_argument("--graph", choices=["tetrahedron", "wheel3"], default="tetrahedron")
     sp.add_argument("--t", type=_finite_float, default=0.5)
     sp.add_argument("--tol", type=float, default=1e-6)
     sp.add_argument("--budget", type=int, default=60000)

@@ -17,9 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .ncalg import LieSeries, NCSeries, fold_bracketing, lie_coords_from_nc, lie_to_nc
+from .associator import GrtElem, nu_extract
+from .ncalg import (LieSeries, NCSeries, fold_bracketing, lie_coords_from_nc, lie_to_nc,
+                    lyndon_words)
 from .scalars import coeff_abs, is_zero, row_reduce
-from .tangent import TDerElem, evaluate_lie_in_tder, tk_generator
+from .tangent import TDerElem, pentagon_faces, t3_embed
 
 Edge = tuple[int, int]
 
@@ -545,7 +547,6 @@ def phi_map(a: GraphLinComb, order: int):
         if not g.one_vertex_irreducible():
             raise GraphError("phi_map needs one-vertex irreducible graphs")
     pair = pi_project(psi_map(a), order)
-    from .associator import GrtElem, nu_extract
     return GrtElem(psi=nu_extract(pair), pair=pair)
 
 
@@ -571,7 +572,13 @@ def ihara_bracket(psi1: LieSeries, psi2: LieSeries) -> LieSeries:
 
 
 def _grt_residual_vector(psi: LieSeries) -> dict:
-    """All coordinates of the three condition residuals, for linear algebra."""
+    """All coordinates of the three condition residuals, for linear algebra.
+
+    The pentagon is the sum of the left faces minus the sum of the right
+    faces of psi(t12, t23), from the simplicial maps ``check_pentagon`` uses;
+    they are Lie morphisms (Alekseev-Torossian, Ann. Math. 175, 2012), so
+    each face is psi evaluated on the faces of t12 and t23.
+    """
     order = psi.order
     nc = lie_to_nc(psi)
     x = NCSeries.generator(2, order, 1)
@@ -583,12 +590,8 @@ def _grt_residual_vector(psi: LieSeries) -> dict:
     for tag, series in (("a", anti), ("h", hexa)):
         for w, c in series.terms.items():
             out[(tag, w)] = c
-    t = {(i, j): tk_generator(i, j, 4, order) for i in range(1, 5) for j in range(i + 1, 5)}
-    def ev(aa, bb):
-        return evaluate_lie_in_tder(psi, {1: aa, 2: bb})
-    penta = (ev(t[(1, 2)], t[(2, 3)] + t[(2, 4)]) + ev(t[(1, 3)] + t[(2, 3)], t[(3, 4)])
-             - ev(t[(2, 3)], t[(3, 4)]) - ev(t[(1, 2)] + t[(1, 3)], t[(2, 4)] + t[(3, 4)])
-             - ev(t[(1, 2)], t[(2, 3)]))
+    (l1, l2), (r1, r2, r3) = pentagon_faces(t3_embed(psi))
+    penta = l1 + l2 - r1 - r2 - r3
     for i, comp in enumerate(penta.comps):
         for w, c in comp.terms.items():
             out[("p", i, w)] = c
@@ -597,7 +600,6 @@ def _grt_residual_vector(psi: LieSeries) -> dict:
 
 def grt_solution_space(word_length: int, order: int | None = None) -> list[LieSeries]:
     """Exact rational basis of the grt conditions in one word length."""
-    from .ncalg import lyndon_words
     order = word_length if order is None else order
     basis = [LieSeries(2, order, {w: Fraction(1)}) for w in lyndon_words(2, word_length)]
     mat, _, pivots = row_reduce([_grt_residual_vector(b) for b in basis])

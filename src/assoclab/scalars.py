@@ -50,24 +50,15 @@ class PolyInT:
     """Polynomial in one variable, coefficients in any supported ring.
 
     Coefficients are stored lowest power first with trailing zeros trimmed.
-    An optional ``bound`` declares a maximal allowed degree; exceeding it is
-    an error rather than silent truncation.
     """
 
-    __slots__ = ("coeffs", "bound")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Sequence = (), bound: int | None = None):
+    def __init__(self, coeffs: Sequence = ()):
         cs = list(coeffs)
         while cs and is_zero(cs[-1]):
             cs.pop()
-        if bound is not None and len(cs) - 1 > bound:
-            raise ScalarError(f"polynomial degree {len(cs)-1} exceeds bound {bound}")
         self.coeffs = tuple(cs)
-        self.bound = bound
-
-    @staticmethod
-    def variable(base=Fraction(1)):
-        return PolyInT((base * 0, base))
 
     @staticmethod
     def constant(c):
@@ -94,12 +85,12 @@ class PolyInT:
         a = list(self.coeffs) + [0] * (n - len(self.coeffs))
         for i, c in enumerate(o.coeffs):
             a[i] = a[i] + c
-        return PolyInT(a, _merge_bound(self.bound, o.bound))
+        return PolyInT(a)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PolyInT(tuple(-c for c in self.coeffs), self.bound)
+        return PolyInT(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -115,14 +106,14 @@ class PolyInT:
         if o is None:
             return NotImplemented
         if not self.coeffs or not o.coeffs:
-            return PolyInT((), _merge_bound(self.bound, o.bound))
+            return PolyInT(())
         out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if is_zero(a):
                 continue
             for j, b in enumerate(o.coeffs):
                 out[i + j] = out[i + j] + a * b
-        return PolyInT(out, _merge_bound(self.bound, o.bound))
+        return PolyInT(out)
 
     __rmul__ = __mul__
 
@@ -130,9 +121,9 @@ class PolyInT:
         if isinstance(other, (int, Fraction)):
             if isinstance(other, int):
                 other = Fraction(other)
-            return PolyInT(tuple(c / other for c in self.coeffs), self.bound)
+            return PolyInT(tuple(c / other for c in self.coeffs))
         if isinstance(other, (float, complex)):
-            return PolyInT(tuple(c / other for c in self.coeffs), self.bound)
+            return PolyInT(tuple(c / other for c in self.coeffs))
         return NotImplemented
 
     def __eq__(self, other):
@@ -169,14 +160,6 @@ class PolyInT:
         if not self.coeffs:
             return "PolyInT(0)"
         return "PolyInT(" + " + ".join(f"({c})*t^{i}" for i, c in enumerate(self.coeffs)) + ")"
-
-
-def _merge_bound(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
 
 
 class Dual:
@@ -228,23 +211,11 @@ class Dual:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Dual):
-            inv = other.inverse()
-            return self * inv
         if _is_plain_number(other):
             if isinstance(other, int):
                 other = Fraction(other)
             return Dual(self.primal / other, self.tangent / other)
         return NotImplemented
-
-    def inverse(self) -> "Dual":
-        if is_zero(self.primal):
-            raise ScalarError("dual number with zero primal part is not invertible")
-        if isinstance(self.primal, (int, Fraction)):
-            p = Fraction(1) / Fraction(self.primal)
-        else:
-            p = 1 / self.primal
-        return Dual(p, -(p * p) * self.tangent)
 
     def __eq__(self, other):
         o = self._coerce(other)

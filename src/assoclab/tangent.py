@@ -292,6 +292,18 @@ def duplicate_slot(u: TDerElem | TAutElem, i: int) -> TDerElem | TAutElem:
     return type(u)(k2, u.order, comps)
 
 
+def pentagon_faces(u: TDerElem | TAutElem) -> tuple[tuple, tuple]:
+    """The five arity-4 faces of an arity-3 element, as (left, right).
+
+    Left: u^{1,2,34}, u^{12,3,4}; right: u^{2,3,4}, u^{1,23,4}, u^{1,2,3}.
+    The pentagon equates the products of the two sides in this order
+    (Drinfeld, Leningrad Math. J. 2, 1991); on derivations its
+    linearization equates their sums.
+    """
+    return ((duplicate_slot(u, 3), duplicate_slot(u, 1)),
+            (pad_left(u), duplicate_slot(u, 2), pad_right(u)))
+
+
 def sym_action(sigma: Sequence[int], u: TDerElem | TAutElem) -> TDerElem | TAutElem:
     """Right action of a permutation sigma (1-based image list)."""
     inv = {sigma[j - 1]: (j,) for j in range(1, u.k + 1)}

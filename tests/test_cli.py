@@ -160,6 +160,17 @@ def test_interp_rejects_low_order(tmp_path, capsys):
     assert not cache.exists()  # rejected before any computation
 
 
+def test_weights_rejects_a_graph_without_quadrature(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["weights", "--graph", "wheel5", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --graph: invalid choice: 'wheel5'" in err
+    assert "'tetrahedron', 'wheel3'" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["interp", "weights"])
 @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
 def test_non_finite_t_is_rejected(tmp_path, capsys, command, t):

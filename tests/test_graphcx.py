@@ -179,6 +179,7 @@ def test_grt_solution_space_dimensions():
     assert len(grt_solution_space(3)) == 1
     space = grt_solution_space(4)
     assert space == [] or all(g.is_zero() for g in space)
+    assert grt_solution_space(6) == []  # grt has no degree-6 element
 
 
 def test_ihara():

@@ -1,11 +1,10 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from assoclab.scalars import (Dual, PolyInT, ScalarError, coeff_abs, is_zero,
-                              iterated_word_integral, poly_multiply_integrate_nested,
-                              scalar_from_json, scalar_to_json, s_one_minus_s_power)
+from assoclab.scalars import (Dual, PolyInT, coeff_abs, iterated_word_integral,
+                              poly_multiply_integrate_nested, scalar_from_json,
+                              scalar_to_json, s_one_minus_s_power)
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=7)
 polys = st.lists(rationals, max_size=5).map(PolyInT)
@@ -37,10 +36,6 @@ def test_dual_arithmetic():
     b = Dual(Fraction(5), Fraction(-1))
     prod = a * b
     assert prod.primal == 10 and prod.tangent == 13
-    inv = a.inverse()
-    assert (a * inv).primal == 1 and is_zero((a * inv).tangent)
-    with pytest.raises(ScalarError):
-        Dual(Fraction(0), Fraction(1)).inverse()
 
 
 def test_definite_integral_examples():
@@ -74,13 +69,6 @@ def test_iterated_word_integral_matches_nested():
     got = iterated_word_integral([inner, outer], Fraction(0), Fraction(1, 2))
     ref = poly_multiply_integrate_nested(outer, inner, Fraction(0), Fraction(1, 2))
     assert got == ref
-
-
-def test_degree_bound_enforced():
-    with pytest.raises(ScalarError):
-        PolyInT((1, 2, 3), bound=1)
-    p = PolyInT((1, 2), bound=3)
-    assert p.degree() == 1
 
 
 def test_json_roundtrip():
