@@ -319,22 +319,29 @@ def interpolate(phi_init: Associator, t0: Fraction, t1: Fraction,
     return Associator(value, origin=f"interpolated(t={t1})")
 
 
-def pin_lambda(phi_kz: Associator, psi3: LieSeries) -> tuple[complex, float]:
-    """Normalize tau_3 = lambda * psi3 by matching Phi^1 to the sign flip at degree 3.
+def pin_lambda(phi_kz: Associator, sigma: LieSeries,
+               flow: Associator | None = None) -> tuple[complex, float]:
+    """Normalize tau_d = lambda * sigma by matching Phi^1 to the sign flip at degree d.
 
-    The degree-3 tangent of the flow reads only the constant term 1 of the
-    associator, where Drinfeld's formula gives -psi3, so lambda is one
-    division on its largest coefficient (the first, on ties); the returned
-    residual measures its consistency across all degree-3 words.
+    ``sigma`` is a generator of odd degree d, and ``flow`` is Phi^1 of the
+    family with the generators below degree d pinned; without one (d = 3)
+    it is ``phi_kz`` itself.  The degree-d tangent of sigma reads only the
+    constant term 1 of the associator, where Drinfeld's formula gives
+    -sigma, so lambda is one division of the flow's degree-d miss on its
+    largest coefficient (the first, on ties); the returned residual
+    measures its consistency across all degree-d words.
     """
-    d3 = -lie_to_nc(psi3, 3).degree_part(3)
-    base = s_one_minus_s_power(2).integral(Fraction(0), Fraction(1))  # 1/30
-    target = (phi_kz.flip_signs().series - phi_kz.series).degree_part(3).truncate(3)
-    best_w = max(d3.terms, key=lambda w: coeff_abs(d3.terms[w]), default=None)
+    flow = phi_kz if flow is None else flow
+    d = max((len(w) for w in sigma.coords), default=3)
+    at_one = -lie_to_nc(sigma, d).degree_part(d)
+    base = s_one_minus_s_power(d - 1).integral(Fraction(0), Fraction(1))  # 1/30 at d = 3
+    target = (phi_kz.flip_signs().series - flow.series).degree_part(d).truncate(d)
+    best_w = max(at_one.terms, key=lambda w: coeff_abs(at_one.terms[w]), default=None)
     if best_w is None:
-        raise AssociatorError("degree-3 action vanishes; cannot pin the normalization")
-    lam = complex(target.coefficient(best_w)) / (complex(base) * complex(d3.coefficient(best_w)))
-    resid = d3.map_coefficients(lambda c: lam * complex(base) * c).distance(
+        raise AssociatorError(f"degree-{d} action vanishes; cannot pin the normalization")
+    lam = (complex(target.coefficient(best_w))
+           / (complex(base) * complex(at_one.coefficient(best_w))))
+    resid = at_one.map_coefficients(lambda c: lam * complex(base) * c).distance(
         target.map_coefficients(complex))
     return lam, resid
 

@@ -20,7 +20,7 @@ from functools import lru_cache
 from .associator import GrtElem, nu_extract
 from .ncalg import (LieSeries, NCSeries, fold_bracketing, lie_coords_from_nc, lie_to_nc,
                     lyndon_words)
-from .scalars import coeff_abs, is_zero, row_reduce
+from .scalars import coeff_abs, eliminate, is_zero
 from .tangent import TDerElem, pentagon_faces, t3_embed
 
 Edge = tuple[int, int]
@@ -601,35 +601,31 @@ def _grt_residual_vector(psi: LieSeries) -> dict:
 def grt_solution_space(word_length: int, order: int | None = None) -> list[LieSeries]:
     """Exact rational basis of the grt conditions in one word length."""
     order = word_length if order is None else order
-    basis = [LieSeries(2, order, {w: Fraction(1)}) for w in lyndon_words(2, word_length)]
-    mat, _, pivots = row_reduce([_grt_residual_vector(b) for b in basis])
-    ncols = len(basis)
-    free = [c for c in range(ncols) if c not in pivots]
-    out = []
-    for fc in free:
-        coeffs = [Fraction(0)] * ncols
-        coeffs[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            coeffs[pc] = -mat[r][fc]
-        elem = LieSeries(2, order)
-        for c, b in zip(coeffs, basis):
-            elem = elem + b.scale(c)
-        out.append(elem)
-    return out
+    words = lyndon_words(2, word_length)
+    kernel, _, _ = eliminate([_grt_residual_vector(LieSeries(2, order, {w: Fraction(1)}))
+                              for w in words])
+    return [LieSeries(2, order, {words[j]: c for j, c in vec.items()}) for vec in kernel]
 
 
 @lru_cache(maxsize=None)
-def psi3_normalized(order: int = 5) -> LieSeries:
-    """The unique (up to scale) word-length-3 solution of the three conditions.
+def grt_generator(degree: int, order: int) -> LieSeries:
+    """The grt element of word length ``degree``, lifted to truncation ``order``.
 
-    Found by exact linear solve and normalized to coefficient 1 on the
-    Lyndon word xxy.
+    It is the one solution of the three conditions in that word length,
+    found by exact elimination and normalized to coefficient 1 on the
+    Lyndon word x^(degree-1) y.  Raises GraphError unless the solution space
+    is one-dimensional.
     """
-    space = grt_solution_space(3, order)
+    space = grt_solution_space(degree)
     if len(space) != 1:
-        raise GraphError(f"expected a one-dimensional solution space, got {len(space)}")
-    sol = space[0]
-    lead = sol.coords.get((1, 1, 2))
-    if lead is None or lead == 0:
-        raise GraphError("degenerate length-3 solution")
-    return sol.scale(Fraction(1, 1) / Fraction(lead))
+        raise GraphError(f"expected a one-dimensional solution space in word length "
+                         f"{degree}, got {len(space)}")
+    lead = space[0].coords.get((1,) * (degree - 1) + (2,))
+    if lead is None:
+        raise GraphError(f"degenerate length-{degree} solution")
+    return LieSeries(2, order, space[0].scale(Fraction(1, 1) / Fraction(lead)).coords)
+
+
+def psi3_normalized(order: int = 5) -> LieSeries:
+    """The word-length-3 grt generator, normalized to 1 on xxy."""
+    return grt_generator(3, order)

@@ -14,9 +14,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .scalars import coeff_abs, is_zero
+from .scalars import add_scaled, coeff_abs, is_zero
 
 Word = tuple[int, ...]
 
@@ -329,24 +329,6 @@ class NCSeries:
         from .scalars import scalar_from_json
         return NCSeries(obj["alphabet"], obj["order"],
                         {tuple(t["word"]): scalar_from_json(t["coeff"]) for t in obj["terms"]})
-
-
-def add_scaled(acc: dict, terms: Iterable[tuple[Word, object]], c) -> None:
-    """In place, ``acc += c * terms``, dropping words whose sum is exactly zero.
-
-    ``terms`` yields (word, coeff) pairs with distinct words.  This gives the
-    values and the term order of ``acc = acc + series.scale(c)`` without
-    copying the accumulator.
-    """
-    for w, x in terms:
-        val = c * x
-        if is_zero(val):
-            continue
-        new = acc.get(w, 0) + val
-        if is_zero(new):
-            del acc[w]
-        else:
-            acc[w] = new
 
 
 def substitute_many(images: Sequence[NCSeries], series_list: Sequence[NCSeries]) -> list[NCSeries]:

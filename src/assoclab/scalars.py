@@ -17,7 +17,7 @@ rings.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 
 class ScalarError(ValueError):
@@ -266,39 +266,58 @@ def iterated_word_integral(polys: Sequence[PolyInT], a, b):
 
 # -- exact linear algebra -------------------------------------------------------
 
-def row_reduce(columns: Sequence[Mapping], rhs: Mapping | None = None):
-    """Exact Gauss-Jordan reduction of the matrix with these sparse columns.
+def add_scaled(acc: dict, terms: Iterable[tuple[Hashable, object]], c) -> None:
+    """In place, ``acc += c * terms``, dropping keys whose sum is exactly zero.
 
-    Rows are the sorted union of the keys of the columns and of ``rhs``, and
-    the matrix entries are made Fractions.  A column's pivot is its first
-    nonzero entry at or below the current row; a column without one is
-    skipped.  Row operations use only rational multipliers, so ``rhs`` may
-    have entries in any commutative ring containing the rationals.  Returns
-    the reduced matrix (a list of rows), the reduced right-hand side and the
-    pivot column of each leading row.
+    ``terms`` yields (key, coeff) pairs with distinct keys.  This gives the
+    values and the key order of ``acc = acc + series.scale(c)`` without
+    copying the accumulator.
     """
-    rhs = {} if rhs is None else rhs
-    rows = sorted(set().union(*columns, rhs))
-    A = [[Fraction(col.get(r, 0)) for col in columns] for r in rows]
-    b = [rhs.get(r, 0) for r in rows]
-    pivots: list[int] = []
-    for col in range(len(columns)):
-        row = len(pivots)
-        sel = next((r for r in range(row, len(A)) if A[r][col] != 0), None)
-        if sel is None:
+    for w, x in terms:
+        val = c * x
+        if is_zero(val):
             continue
-        A[row], A[sel] = A[sel], A[row]
-        b[row], b[sel] = b[sel], b[row]
-        inv = Fraction(1, 1) / A[row][col]
-        A[row] = [a * inv for a in A[row]]
-        b[row] = b[row] * inv
-        for r in range(len(A)):
-            if r != row and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [a - f * p for a, p in zip(A[r], A[row])]
-                b[r] = b[r] - f * b[row]
-        pivots.append(col)
-    return A, b, pivots
+        new = acc.get(w, 0) + val
+        if is_zero(new):
+            del acc[w]
+        else:
+            acc[w] = new
+
+
+def eliminate(columns: Sequence[Mapping], rhs: Mapping | None = None):
+    """Exact sparse elimination of rational columns, left to right.
+
+    Each column is reduced against the earlier pivots, tracking the input
+    columns it combines, and pivots on its least remaining key; one that
+    reduces to zero is a kernel vector, 1 on itself and supported on earlier
+    pivot columns (the RREF null-space vector).  ``rhs``, with entries in any
+    ring containing the rationals, is reduced with rational multipliers.
+    Returns the kernel vectors (dicts column -> Fraction), the coefficient of
+    each column in ``rhs`` (0 off the pivots) and the remainder of ``rhs``.
+    """
+    pivots = []  # (key, reduced column, 1 / its entry there, combination of columns)
+    kernel = []
+    for j, column in enumerate(columns):
+        vec = {r: x for r, x in column.items() if x != 0}
+        combo = {j: Fraction(1)}
+        for r, pvec, inv, pcombo in pivots:
+            if r in vec:
+                f = -vec[r] * inv
+                add_scaled(vec, pvec.items(), f)
+                add_scaled(combo, pcombo.items(), f)
+        if vec:
+            r = min(vec)
+            pivots.append((r, vec, Fraction(1) / vec[r], combo))
+        else:
+            kernel.append(dict(sorted(combo.items())))
+    rest = dict(rhs or {})
+    solution = {}
+    for r, pvec, inv, pcombo in pivots:
+        if r in rest:
+            f = rest[r] * inv
+            add_scaled(rest, pvec.items(), -f)
+            add_scaled(solution, pcombo.items(), f)
+    return kernel, [solution.get(j, Fraction(0)) for j in range(len(columns))], rest
 
 
 # -- JSON encoding ------------------------------------------------------------

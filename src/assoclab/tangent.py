@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 from .ncalg import (LieSeries, NCSeries, SeriesError, add_scaled, bracketing_of,
                     fold_bracketing, lie_coords_from_nc, lie_to_nc, lyndon_words,
                     relabel, standard_factorization, substitute_many)
-from .scalars import coeff_abs, is_zero, row_reduce
+from .scalars import coeff_abs, eliminate, is_zero
 
 
 class ArityError(ValueError):
@@ -471,10 +471,10 @@ def center_decompose_t3(u: TDerElem, tol: float = 0.0) -> CenterSplit:
         labels = ([None] if d == 1 else []) + list(lyndon_words(2, d))
         images = [center_element(3, order) if w is None else _t3_word_image(w, order)
                   for w in labels]
-        _, sol, pivots = row_reduce([_flatten(img, d) for img in images], _flatten(u, d))
-        if len(pivots) < len(labels):
+        kernel, sol, rest = eliminate([_flatten(img, d) for img in images], _flatten(u, d))
+        if kernel:
             raise NotInT3Error(d, float("inf"))
-        residual = max((coeff_abs(x) for x in sol[len(pivots):]), default=0.0)
+        residual = max((coeff_abs(x) for x in rest.values()), default=0.0)
         if residual > tol:
             raise NotInT3Error(d, residual)
         for lab, x in zip(labels, sol):

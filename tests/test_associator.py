@@ -11,7 +11,7 @@ from assoclab.associator import (Associator, AssociatorError, TauFamily,
                                  grt_infinitesimal_act, grt_twist_act, interpolate,
                                  nu_embedding, pexp_word_coefficient, pin_lambda,
                                  to_taut3, twist_by_avatar)
-from assoclab.graphcx import grt_solution_space, psi3_normalized
+from assoclab.graphcx import grt_generator, grt_solution_space, psi3_normalized
 from assoclab.kz import anti_kz, build_phi_kz
 from assoclab.ncalg import (LieSeries, NCSeries, SeriesError, lie_to_nc, lyndon_words,
                             nc_project_lie)
@@ -186,6 +186,16 @@ def test_pin_lambda_is_the_zeta3_closed_form():
     lam, _ = pin_lambda(phi, psi3_normalized(3))
     expected = -30j * mzv((3,)) / (4 * math.pi ** 3)
     assert abs(lam - expected) <= 1e-14 * abs(expected)
+    # c_5 * int_0^1 (t(1-t))^4 dt = i zeta(5) / (16 pi^5), pinned on the degree-5
+    # miss of the sigma_3 flow, and the integral is 1/630
+    phi5, _ = build_phi_kz(order=5, m_order=64)
+    lam3, _ = pin_lambda(phi5, psi3_normalized(5))
+    flow = interpolate(phi5, Fraction(0), Fraction(1),
+                       TauFamily([(3, psi3_normalized(5).scale(lam3))]))
+    c5, resid = pin_lambda(phi5, grt_generator(5, 5), flow)
+    expected = 630j * mzv((5,)) / (16 * math.pi ** 5)
+    assert resid < 1e-15
+    assert abs(c5 - expected) <= 1e-14 * abs(expected)
 
 
 def test_twisted_kz_still_passes_equations():

@@ -182,30 +182,49 @@ def test_non_finite_t_is_rejected(tmp_path, capsys, command, t):
     assert not out.exists()
 
 
-def test_interp_order5_reports_the_degree5_miss(tmp_path, capsys):
-    # tau_3 alone carries Phi^1 to anti-KZ through degree 4 only; the report
-    # still arrives, with a group-like associator
+def test_interp_order5_pins_sigma5(tmp_path, capsys):
+    # with sigma_5 pinned on the degree-5 miss of the sigma_3 flow, Phi^1
+    # meets anti-KZ through degree 5, and c_5 meets its zeta(5) closed form
     code, payload = run(capsys, "interp", "--order", "5", "--t", "1",
                         "--cache-dir", str(tmp_path))
-    assert code == EXIT_CHECK
+    assert code == EXIT_OK
     checks = payload["checks"]
-    assert list(checks) == ["pin-degree3-residual", "anti-kz-degree4", "anti-kz-degree5"]
-    assert checks["anti-kz-degree4"] < 1e-12
-    assert checks["anti-kz-degree5"] > 1e-4
-    assert payload["passed"] is False
+    assert list(checks) == ["pin-degree3-residual", "pin-degree5-residual",
+                            "zeta-closed-form-degree5", "anti-kz-degree4", "anti-kz-degree5"]
+    assert all(isinstance(v, float) and v < 1e-14 for v in checks.values())
+    assert checks["anti-kz-degree5"] < 1e-15
+    assert payload["passed"] is True
+    assert "lambda" in payload and "lambda-degree5" in payload
     assert Associator.from_json(payload["associator"]).grouplike_residual() < 1e-15
 
 
 def test_interp_order6_reaches_degree6(tmp_path, capsys):
-    # tau_3 alone meets anti-KZ in degrees 4 and 6 (grt has no degree-6
-    # element) and misses degree 5, where sigma_5 is not pinned yet
+    # sigma_3 and sigma_5 carry Phi^1 to anti-KZ in degrees 4 to 6 (grt has
+    # no degree-6 element)
     code, payload = run(capsys, "interp", "--order", "6", "--t", "1",
                         "--cache-dir", str(tmp_path))
-    assert code == EXIT_CHECK
+    assert code == EXIT_OK
     checks = payload["checks"]
+    assert list(checks) == ["pin-degree3-residual", "pin-degree5-residual",
+                            "zeta-closed-form-degree5", "anti-kz-degree4", "anti-kz-degree5",
+                            "anti-kz-degree6"]
+    assert all(v < 1e-14 for v in checks.values())
     assert checks["anti-kz-degree4"] < 1e-15
+    assert checks["anti-kz-degree5"] < 1e-15
     assert checks["anti-kz-degree6"] < 1e-15
-    assert checks["anti-kz-degree5"] > 1e-4
+    assert payload["passed"] is True
+
+
+def test_interp_order5_half_is_flip_symmetric(tmp_path, capsys):
+    code, payload = run(capsys, "interp", "--order", "5", "--t", "0.5",
+                        "--cache-dir", str(tmp_path))
+    assert code == EXIT_OK
+    checks = payload["checks"]
+    assert list(checks) == ["pin-degree3-residual", "pin-degree5-residual",
+                            "zeta-closed-form-degree5", "flip-symmetry"]
+    assert all(v < 1e-14 for v in checks.values())
+    assert checks["flip-symmetry"] < 1e-15
+    assert payload["passed"] is True
 
 
 def test_interp_half_reports_flip_symmetry(tmp_path, capsys):

@@ -7,7 +7,7 @@ from assoclab.associator import nu_embedding, nu_extract
 from assoclab.graphcx import (GCGraph, GraphError, GraphLinComb, canonicalize,
                               delta_ext, differential, divergence,
                               duplicate_external, edge_graph, enumerate_gc_graphs,
-                              gc_bracket, grt_check, grt_solution_space,
+                              gc_bracket, grt_check, grt_generator, grt_solution_space,
                               ihara_bracket, mark_one_external, pad_external,
                               phi_map, pi_project, psi3_normalized, psi_map,
                               tadpole_graph, tetrahedron, wheel)
@@ -180,6 +180,19 @@ def test_grt_solution_space_dimensions():
     space = grt_solution_space(4)
     assert space == [] or all(g.is_zero() for g in space)
     assert grt_solution_space(6) == []  # grt has no degree-6 element
+
+
+def test_grt_generator_is_the_normalized_solution():
+    sigma5 = grt_generator(5, 7)
+    assert sigma5.order == 7 and {len(w) for w in sigma5.coords} == {5}
+    assert sigma5.coords[(1, 1, 1, 1, 2)] == 1
+    assert grt_check(sigma5) == (0, 0, 0)
+    (space,) = grt_solution_space(5)
+    assert LieSeries(2, 5, sigma5.coords) == space.scale(1 / space.coords[(1, 1, 1, 1, 2)])
+    assert psi3_normalized(6) is grt_generator(3, 6)
+    assert repr(psi3_normalized(4)) == repr(grt_generator(3, 4))
+    with pytest.raises(GraphError, match="got 0"):
+        grt_generator(4, 4)
 
 
 def test_ihara():

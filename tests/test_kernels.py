@@ -14,6 +14,8 @@ the float rings.
 The interpolation flow and the pin of its normalization are checked
 against their forms with the dual-number twist as the tangent, taken at the
 truncation of the input and on the mid-flow associator itself.
+The exact elimination is checked against the dense Gauss-Jordan reduction
+it replaced, on column sets with kernels of any dimension.
 The graph complex is checked against its earlier routines: a selection sort
 counting swaps for the orientation sign, one loop over edge ends per
 operation, and the grt pentagon from tder4 brackets of the pair generators.
@@ -27,7 +29,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from assoclab import associator, graphcx, tangent
+from assoclab import associator, graphcx, scalars, tangent
 from assoclab.associator import (Associator, AssociatorError, TauFamily,
                                  grt_infinitesimal_act, interpolate, pin_lambda)
 from assoclab.graphcx import GraphLinComb, psi3_normalized
@@ -457,6 +459,122 @@ def test_t3_images_are_built_once_per_order(monkeypatch):
     t3_embed(ell, order)
     center_decompose_t3(u)
     assert len(brackets) == 0
+
+
+# -- exact elimination -----------------------------------------------------------
+
+def ref_row_reduce(columns, rhs=None):
+    """Dense Gauss-Jordan reduction over the sorted union of the keys.
+
+    Returns the reduced matrix, the reduced right-hand side, the pivot
+    column of each leading row and the key now at each row position.
+    """
+    rhs = {} if rhs is None else rhs
+    rows = sorted(set().union(*columns, rhs))
+    A = [[Fraction(col.get(r, 0)) for col in columns] for r in rows]
+    b = [rhs.get(r, 0) for r in rows]
+    pivots = []
+    for col in range(len(columns)):
+        row = len(pivots)
+        sel = next((r for r in range(row, len(A)) if A[r][col] != 0), None)
+        if sel is None:
+            continue
+        A[row], A[sel] = A[sel], A[row]
+        b[row], b[sel] = b[sel], b[row]
+        rows[row], rows[sel] = rows[sel], rows[row]
+        inv = Fraction(1, 1) / A[row][col]
+        A[row] = [a * inv for a in A[row]]
+        b[row] = b[row] * inv
+        for r in range(len(A)):
+            if r != row and A[r][col] != 0:
+                f = A[r][col]
+                A[r] = [a - f * p for a, p in zip(A[r], A[row])]
+                b[r] = b[r] - f * b[row]
+        pivots.append(col)
+    return A, b, pivots, rows
+
+
+def ref_null_space(columns):
+    """The RREF null-space basis: 1 on a free column, minus its RREF entries on the pivots."""
+    mat, _, pivots, _ = ref_row_reduce(columns)
+    out = []
+    for fc in range(len(columns)):
+        if fc not in pivots:
+            vec = {fc: Fraction(1)}
+            vec.update((pc, -mat[r][fc]) for r, pc in enumerate(pivots) if mat[r][fc] != 0)
+            out.append(dict(sorted(vec.items())))
+    return out
+
+
+@st.composite
+def column_system(draw):
+    """Sparse rational columns, some of them combinations of earlier ones, and a rhs.
+
+    The rhs is a combination of the columns in one scalar ring, with an
+    off-span entry added on some draws; kernels of dimension two or more
+    occur, which the grt systems never produce.
+    """
+    keys = [(i, j) for i in range(3) for j in range(4)]
+    coeff = st.sampled_from(SMALL + [Fraction(0)])
+    columns = []
+    for j in range(draw(st.integers(1, 7))):
+        if columns and draw(st.booleans()):
+            col = {}
+            for other in columns:
+                add_scaled(col, other.items(), draw(coeff))
+        else:
+            col = {k: draw(st.sampled_from(SMALL)) for k in keys if draw(st.integers(0, 3)) == 0}
+        columns.append(col)
+    ring = draw(st.sampled_from([fractions, st.sampled_from(HALVES[:2] + HALVES[3:]),
+                                 complexes, duals]))
+    rhs = {}
+    for col in columns:
+        add_scaled(rhs, col.items(), draw(ring))
+    if draw(st.booleans()):
+        add_scaled(rhs, [(draw(st.sampled_from(keys)), Fraction(1))], draw(ring))
+    return columns, rhs
+
+
+def assert_close(got, want, scale):
+    assert coeff_abs(got - want) <= 1e-12 * max(scale, 1.0), (got, want)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(column_system())
+def test_eliminate_matches_dense_reduction(case):
+    columns, rhs = case
+    kernel, solution, rest = scalars.eliminate(columns, rhs)
+    assert kernel == ref_null_space(columns)
+    assert all(isinstance(c, Fraction) for vec in kernel for c in vec.values())
+    # rhs = sum solution[j] * columns[j] + rest, exactly when rhs is rational
+    back = dict(rest)
+    for x, col in zip(solution, columns):
+        add_scaled(back, col.items(), x)
+    scale = max((coeff_abs(c) for c in rhs.values()), default=0.0)
+    for k in set(back) | set(rhs):
+        assert_close(back.get(k, 0), rhs.get(k, 0), scale)
+    _, b, pivots, _ = ref_row_reduce(columns, rhs)
+    ref_rest = max((coeff_abs(x) for x in b[len(pivots):]), default=0.0)
+    got_rest = max((coeff_abs(x) for x in rest.values()), default=0.0)
+    if all(isinstance(c, Fraction) for c in rhs.values()):
+        assert (got_rest == 0) == (ref_rest == 0)
+    if ref_rest <= 1e-12 * max(scale, 1.0):
+        # in the span the solution is unique on the pivot columns, 0 elsewhere
+        want = [0] * len(columns)
+        for x, pc in zip(b, pivots):
+            want[pc] = x
+        for got, x in zip(solution, want):
+            if all(isinstance(c, Fraction) for c in rhs.values()):
+                assert got == x
+            else:
+                assert_close(got, x, scale)
+        assert got_rest <= 1e-12 * max(scale, 1.0)
+
+
+def test_eliminate_without_rhs():
+    kernel, solution, rest = scalars.eliminate([{"a": 1}, {}, {"a": 2, "b": 1}, {"b": 3}])
+    assert kernel == [{1: 1}, {0: 6, 2: -3, 3: 1}]
+    assert solution == [0, 0, 0, 0] and rest == {}
 
 
 # -- graph complex ---------------------------------------------------------------

@@ -5,7 +5,9 @@ the workloads and the warm-up import ``assoclab`` names or call through
 module attributes.  A refactor that renames one of them breaks the
 benchmark without failing any other test, so these are checked here by
 reading the files, without running any workload.  So are the command
-lines the workloads pass to the CLI: each must still parse.
+lines the workloads pass to the CLI: each must still parse.  One op, the
+associator workload's order-5 probe, is run and checked as the benchmark
+runs and checks it.
 """
 
 import ast
@@ -122,3 +124,15 @@ def test_benchmark_command_lines_parse(argv):
     assert args.command == argv[0] and args.out == "report.json"
     if "--t" in argv:
         assert args.t == float(argv[argv.index("--t") + 1])
+
+
+# -- the benchmark's own check ------------------------------------------------------------
+
+def test_associator_probe_passes_the_benchmark_check(tmp_path, monkeypatch):
+    # the associator workload's once-per-run op (interp --order 5 --t 1), run
+    # and checked by the benchmark's own code, so a change that breaks it
+    # fails here and not only in a benchmark verdict
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    ops = workloads.Associator().after_run(workloads.Context(tmp_path))
+    assert ops and all(op.ok for op in ops), [(op.name, op.detail) for op in ops]
