@@ -1,10 +1,11 @@
 """Configuration-space weight integrals and the singular propagator family.
 
 All quadrature is deterministic adaptive tensor Gauss-Legendre over explicit
-charts: polar charts absorb the 1/r singularities at marked points, an
-inversion chart handles infinity, and zero-mean local models are subtracted
-where a Cauchy kernel would otherwise slow refinement.  Error estimates come
-from comparing two quadrature orders per cell and are accumulated globally.
+charts: polar charts absorb the 1/r singularities at marked points, and an
+inversion chart or a compactified radius handles infinity.  Where an
+integrand is singular at several points, a partition of unity gives each
+point its own polar chart.  Error estimates come from comparing two
+quadrature orders per cell and are accumulated globally.
 
 The Gauss-Legendre nodes and weights are computed once per order and
 shared.  When a cell is split, the coarse and fine grids of its four
@@ -376,41 +377,32 @@ def at_one_vertex_closed_form(t: float, z: complex) -> tuple[complex, complex]:
 
 
 def _cauchy_weighted_integral(z: complex, spec: QuadratureSpec) -> tuple[complex, float, int]:
-    """integral of Im(w) / (|w|^2 |w-1|^2 (w-z)) over the plane.
+    """integral of f(w) = Im(w) / (|w|^2 |w-1|^2 (w-z)) over the plane.
 
-    The three integrable singularities at 0, 1, z are weakened by
-    subtracting zero-mean local models; the whole plane is covered by one polar
-    chart centered at z with a compactified radial coordinate.
+    A partition of unity over the points p in {0, 1, z},
+    chi_p = prod_{q != p} |w-q|^2 / sum_{p'} prod_{q != p'} |w-q|^2, leaves
+    chi_p f = Im(w) conj(w-z) / (|w-p|^2 sum_{p'} ...), smooth away from p.
+    Each piece is integrated on a polar chart at p, w = p + r e^{i theta},
+    with r = R s / (1 - s) and R the distance from p to the nearest other
+    point; r dr/ds = r^2 / (s (1 - s)) cancels the |w-p|^2.  Each chart gets
+    a third of the tolerance and of the cell budget.
     """
-    d = min(abs(z), abs(z - 1.0), 1.0) / 2.5
+    points = (0.0, 1.0, complex(z))
+    third = QuadratureSpec(tol=spec.tol / 3, max_cells=spec.max_cells // 3,
+                           order=spec.order, order_fine=spec.order_fine)
+    value, err, cells = 0.0, 0.0, 0
+    for p in points:
+        radius = min(abs(p - q) for q in points if q != p)
 
-    def bump(r):
-        s = np.clip(r / d, 0.0, 1.0)
-        return (1.0 - s ** 2) ** 2
+        def chart(s, th, p=p, radius=radius):
+            u = radius * s / (1.0 - s) * np.exp(1j * th)      # w - p
+            d0, d1, dz = (np.abs(u + (p - q)) ** 2 for q in points)
+            g = np.imag(u + p) * np.conj(u + (p - z))
+            return g / ((d1 * dz + d0 * dz + d0 * d1) * s * (1.0 - s))
 
-    k0 = -1.0 / z                      # 1/(|w-1|^2 (w-z)) at w=0
-    k1 = 1.0 / (1.0 - z)               # 1/(|w|^2 (w-z)) at w=1
-    kz = np.imag(z) / (abs(z) ** 2 * abs(z - 1.0) ** 2)   # h(z)
-
-    def integrand(w):
-        y = np.imag(w)
-        h = y / (np.abs(w) ** 2 * np.abs(w - 1.0) ** 2)
-        g = h / (w - z)
-        g = g - k0 * (np.imag(w) / np.abs(w) ** 2) * bump(np.abs(w))
-        g = g - k1 * (np.imag(w - 1.0) / np.abs(w - 1.0) ** 2) * bump(np.abs(w - 1.0))
-        g = g - kz * bump(np.abs(w - z)) / (w - z)
-        return g
-
-    rad = 4.0 + abs(z)
-
-    def chart(s, th):
-        # r = rad * s / (1 - s) compactifies the radial direction
-        r = rad * s / (1.0 - s)
-        w = z + r * np.exp(1j * th)
-        jac = rad / (1.0 - s) ** 2
-        return integrand(w) * r * jac
-
-    return adaptive_quad_2d(chart, 1e-12, 1.0 - 1e-12, -PI, PI, spec)
+        v, e, c = adaptive_quad_2d(chart, 0.0, 1.0, -PI, PI, third)
+        value, err, cells = value + v, err + e, cells + c
+    return value, err, cells
 
 
 def at_one_vertex_coefficient(t: float, z: complex,

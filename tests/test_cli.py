@@ -376,6 +376,7 @@ def test_quadrature_error_exits_check(capsys, monkeypatch):
 def test_algebra_commands_do_not_load_numpy():
     src = Path(cli.__file__).resolve().parent.parent
     probe = "import sys, assoclab.cli; print('numpy' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", probe], env={"PYTHONPATH": str(src)},
+    env = {"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
