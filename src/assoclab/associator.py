@@ -114,39 +114,29 @@ def to_taut3(phi: Associator, tol: float = 1e-9) -> TAutElem:
     return exp_tder(t3_embed(_checked_lie_log(phi, tol), phi.order))
 
 
-def check_pentagon(phi: Associator, tol: float = 1e-9) -> float:
-    """Extensional residual of the five-term equation in arity 4."""
-    (l1, l2), (r1, r2, r3) = pentagon_faces(to_taut3(phi, tol))
+def check_pentagon(g: TAutElem) -> float:
+    """Extensional residual of the five-term equation in arity 4, for g = to_taut3(Phi)."""
+    (l1, l2), (r1, r2, r3) = pentagon_faces(g)
     return taut_distance(taut_compose(l1, l2), taut_compose(r1, taut_compose(r2, r3)))
 
 
-def strand_permute_aut(g: TAutElem, strands: Sequence[int]) -> TAutElem:
-    """Superscript notation: move the element onto the listed strands.
+def check_hexagon(g: TAutElem) -> float:
+    """Extensional residual of the hexagon equation in arity 3, for g = to_taut3(Phi).
 
-    An element built from the pair generators on strands (1, .., k) is sent
-    to the same expression with strand i renamed strands[i-1]; this is the
-    symmetric-group action by the inverse of the one-line list.
+    Phi^{312} is sym_action([2, 3, 1], g) and (Phi^{132})^{-1} is
+    sym_action([1, 3, 2], g^{-1}).
     """
-    inv = [0] * len(strands)
-    for pos, s in enumerate(strands, start=1):
-        inv[s - 1] = pos
-    return sym_action(inv, g)
-
-
-def check_hexagon(phi: Associator, tol: float = 1e-9) -> float:
-    """Extensional residual of the hexagon equation in arity 3."""
-    n = phi.order
-    g = to_taut3(phi, tol)
+    n = g.order
     t13 = tk_generator(1, 3, 3, n)
     t23 = tk_generator(2, 3, 3, n)
     half = Fraction(1, 2)
     lhs = exp_tder((t13 + t23).scale(half))
     rhs = taut_compose(
-        strand_permute_aut(g, [3, 1, 2]),
+        sym_action([2, 3, 1], g),
         taut_compose(
             exp_tder(t13.scale(half)),
             taut_compose(
-                taut_inverse(strand_permute_aut(g, [1, 3, 2])),
+                sym_action([1, 3, 2], taut_inverse(g)),
                 taut_compose(exp_tder(t23.scale(half)), g))))
     return taut_distance(lhs, rhs)
 

@@ -28,7 +28,8 @@ from pathlib import Path
 
 from . import __version__
 from .associator import (Associator, AssociatorError, TauFamily, check_hexagon,
-                         check_pentagon, etingof_coefficients, interpolate, pin_lambda)
+                         check_pentagon, etingof_coefficients, interpolate, pin_lambda,
+                         to_taut3)
 from .graphcx import (NAMED_GRAPHS, GraphError, GraphLinComb, differential, divergence,
                       gc_bracket, grt_check, grt_generator, ihara_bracket, phi_map,
                       psi3_normalized, tetrahedron)
@@ -129,14 +130,8 @@ def _mzv_cached(index: tuple[int, ...], tol: float, cache: Path) -> float:
 
 def cmd_kz(args):
     phi, report = _phi_kz_cached(args.order, args.series_order, args.tol, _cache_dir(args))
-    residuals = {
-        "grouplike": phi.grouplike_residual(),
-        "lie-log": phi.lie_log_residual(),
-        "duality": phi.duality_residual(),
-        "pentagon": check_pentagon(phi, args.tol),
-        "hexagon": check_hexagon(phi, args.tol),
-        "constancy": report["constancy"],
-    }
+    g = to_taut3(phi, args.tol)
+    residuals = {**report, "pentagon": check_pentagon(g), "hexagon": check_hexagon(g)}
     fields = {"order": args.order, "series_order": args.series_order, "tol": args.tol,
               "residuals": residuals, "associator": phi.to_json()}
     return (fields, [(k, f"{v:.3e}") for k, v in residuals.items()],
@@ -301,6 +296,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def _mzv_index(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(s) for s in text.split(","))
@@ -329,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="series truncation (word length)")
         sp.add_argument("--series-order", type=int, default=64,
                         help="number of expansion powers for the regular parts")
-        sp.add_argument("--tol", type=float, default=1e-9)
+        sp.add_argument("--tol", type=_tolerance, default=1e-9)
         sp.add_argument("--cache-dir", default=None)
 
     common(command("kz", cmd_kz, "build the monodromy associator and check it"),
@@ -353,14 +355,14 @@ def build_parser() -> argparse.ArgumentParser:
     # the quadrature is implemented for the tetrahedron, which is the 3-wheel
     sp.add_argument("--graph", choices=["tetrahedron", "wheel3"], default="tetrahedron")
     sp.add_argument("--t", type=_finite_float, default=0.5)
-    sp.add_argument("--tol", type=float, default=1e-6)
-    sp.add_argument("--budget", type=int, default=60000)
+    sp.add_argument("--tol", type=_tolerance, default=1e-6)
+    sp.add_argument("--budget", type=_int_at_least(1), default=60000)
 
     command("check", cmd_check, "fast exact self-checks")
 
     sp = command("mzv", cmd_mzv, "nested zeta value")
     sp.add_argument("index", type=_mzv_index, help="comma separated exponents, e.g. 2,1")
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--tol", type=_tolerance, default=1e-10)
     sp.add_argument("--cache-dir", default=None)
 
     return p

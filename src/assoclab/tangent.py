@@ -226,25 +226,6 @@ def taut_compose(g: TAutElem, h: TAutElem) -> TAutElem:
     return TAutElem(g.k, g.order, tuple(g.comps[i] * gh[i] for i in range(g.k)))
 
 
-def inverse_action(g: TAutElem) -> tuple[NCSeries, ...]:
-    """Generator images of g^{-1}, solved degree by degree."""
-    k, order = g.k, g.order
-    gens = [NCSeries.generator(k, order, i) for i in range(1, k + 1)]
-    sol = list(gens)
-    for _ in range(order):
-        applied = g.apply_many(sol)
-        sol = [sol[i] - (applied[i] - gens[i]) for i in range(k)]
-    return tuple(sol)
-
-
-def taut_inverse(g: TAutElem) -> TAutElem:
-    inv_imgs = inverse_action(g)
-    comps = substitute_many(inv_imgs, [c.inverse() for c in g.comps])
-    out = TAutElem(g.k, g.order, tuple(comps))
-    out._action = inv_imgs
-    return out
-
-
 def taut_distance(g: TAutElem, h: TAutElem) -> float:
     """Extensional distance: compare the actions on all generators."""
     g._check(h)
@@ -389,6 +370,11 @@ def log_taut(g: TAutElem) -> TDerElem:
         if not delta.is_zero():
             u = u + delta
     return u
+
+
+def taut_inverse(g: TAutElem) -> TAutElem:
+    """Inverse of a unipotent automorphism: exp(-log g)."""
+    return exp_tder(-log_taut(g))
 
 
 def tder_bch(u: TDerElem, v: TDerElem) -> TDerElem:

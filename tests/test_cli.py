@@ -8,6 +8,7 @@ import pytest
 
 from assoclab import __version__, cli, confint
 from assoclab.associator import Associator
+from assoclab.kz import build_phi_kz
 from assoclab.ncalg import NCSeries
 from assoclab.cli import EXIT_CHECK, EXIT_INTERNAL, EXIT_IO, EXIT_OK, main
 
@@ -101,9 +102,15 @@ def test_kz_command(tmp_path, capsys):
     assert payload["residuals"]["pentagon"] < 1e-8
     assert out.exists()
     # cached rerun
-    code, _ = run(capsys, "kz", "--order", "3", "--series-order", "48",
-                  "--tol", "1e-8", "--cache-dir", str(tmp_path))
+    code, cached = run(capsys, "kz", "--order", "3", "--series-order", "48",
+                       "--tol", "1e-8", "--cache-dir", str(tmp_path))
     assert code == EXIT_OK
+    # the report shows every construction residual, as built, then the two equations
+    _, report = build_phi_kz(3, 48, 1e-8)
+    for residuals in (payload["residuals"], cached["residuals"]):
+        assert list(residuals) == ["constancy", "ode-residual-at-0.3", "grouplike",
+                                   "lie-log", "duality", "pentagon", "hexagon"]
+        assert {k: residuals[k] for k in report} == report
 
 
 def test_kz_bad_output_path(tmp_path, capsys):
@@ -180,6 +187,26 @@ def test_non_finite_t_is_rejected(tmp_path, capsys, command, t):
     assert exc.value.code == 2
     assert "argument --t: must be a finite number" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["kz", "--order", "3", "--series-order", "48", "--tol", "nan"],
+    ["kz", "--order", "3", "--series-order", "48", "--tol", "0"],
+    ["interp", "--order", "3", "--series-order", "48", "--t", "1", "--tol", "nan"],
+    ["mzv", "3", "--tol", "nan"],
+    ["mzv", "3", "--tol=-1e-9"],
+    ["weights", "--tol", "inf"],
+    ["weights", "--budget=-5"],
+], ids=" ".join)
+def test_bad_numeric_options_are_rejected(tmp_path, capsys, monkeypatch, argv):
+    option = "--budget" if any(a.startswith("--budget") for a in argv) else "--tol"
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("ASSOCLAB_CACHE", str(cache))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {option}: " in capsys.readouterr().err
+    assert not cache.exists()  # rejected before any computation
 
 
 def test_interp_order5_pins_sigma5(tmp_path, capsys):

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from assoclab.associator import check_hexagon, check_pentagon
+from assoclab.associator import check_hexagon, check_pentagon, to_taut3
 from assoclab.kz import (KZError, MzvError, anti_kz, build_phi_kz,
                          kz_regularized_solution, mzv, ode_residual, phi_kz)
 
@@ -98,8 +98,9 @@ def test_phi_kz_m_stability():
 
 def test_phi_kz_equations():
     phi = phi_kz(order=4, m_order=64)
-    assert check_pentagon(phi) < 1e-9
-    assert check_hexagon(phi) < 1e-9
+    g = to_taut3(phi)
+    assert check_pentagon(g) < 1e-9
+    assert check_hexagon(g) < 1e-9
 
 
 def test_anti_kz():
@@ -109,8 +110,9 @@ def test_anti_kz():
     for w, c in phi.series.terms.items():
         expected = c if len(w) % 2 == 0 else -c
         assert bar.series.coefficient(w) == expected
-    assert check_pentagon(bar) < 1e-9
-    assert check_hexagon(bar) < 1e-9
+    g = to_taut3(bar)
+    assert check_pentagon(g) < 1e-9
+    assert check_hexagon(g) < 1e-9
     assert bar.duality_residual() < 1e-10
 
 

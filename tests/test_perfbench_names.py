@@ -7,7 +7,7 @@ benchmark without failing any other test, so these are checked here by
 reading the files, without running any workload.  So are the command
 lines the workloads pass to the CLI: each must still parse.  One op, the
 associator workload's order-5 probe, is run and checked as the benchmark
-runs and checks it.
+runs and checks it, and one small ``kz`` runs under the benchmark's tracer.
 """
 
 import ast
@@ -28,7 +28,8 @@ def _load_tracing():
     return mod
 
 
-WRAPPED = _load_tracing().WRAPPED
+tracing = _load_tracing()
+WRAPPED = tracing.WRAPPED
 
 
 @pytest.mark.parametrize("entry", WRAPPED, ids=[f"{e[0]}:{e[3]}" for e in WRAPPED])
@@ -136,3 +137,21 @@ def test_associator_probe_passes_the_benchmark_check(tmp_path, monkeypatch):
     workloads = importlib.import_module("workloads")
     ops = workloads.Associator().after_run(workloads.Context(tmp_path))
     assert ops and all(op.ok for op in ops), [(op.name, op.detail) for op in ops]
+
+
+def test_kz_builds_the_realisation_once_under_the_tracer(tmp_path):
+    # the benchmark's --trace wraps the checks and labels them by their
+    # argument's order; the install needs every traced module loaded
+    importlib.import_module("assoclab.confint")
+    from assoclab.cli import EXIT_OK, main
+    tr = tracing.Tracer()
+    try:
+        tr.install()
+        code = main(["kz", "--order", "3", "--series-order", "48", "--tol", "1e-8",
+                     "--cache-dir", str(tmp_path), "--out", str(tmp_path / "kz.json")])
+    finally:
+        tr.uninstall()
+    assert code == EXIT_OK
+    for label in ("associator.to_taut3", "associator.check_pentagon.N3",
+                  "associator.check_hexagon.N3", "tangent.taut_inverse"):
+        assert tr.stat(label)[0] == 1, label

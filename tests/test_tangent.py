@@ -140,6 +140,9 @@ def test_sym_action():
     assert sym_action([1, 2, 3], t12) == t12
     assert sym_action([2, 1, 3], t12) == t12
     assert sym_action([3, 2, 1], t12) == gen(2, 3, 3, o)
+    # the hexagon's superscripts: Phi^{312} and Phi^{132}
+    assert sym_action([2, 3, 1], gen(2, 3, 3, o)) == t12
+    assert sym_action([1, 3, 2], t12) == gen(1, 3, 3, o)
     rng = random.Random(31)
     u = random_tder(3, 4, rng)
     perms = list(itertools.permutations([1, 2, 3]))
@@ -188,6 +191,13 @@ def test_group_structure():
     g, h, k_ = (exp_tder(random_tder(3, o, rng, 0.3)) for _ in range(3))
     assert taut_distance(taut_compose(taut_compose(g, h), k_),
                          taut_compose(g, taut_compose(h, k_))) == 0
+    # the inverse exp(-log) of a product that is not itself an exponential
+    gh = taut_compose(g, h)
+    inv = taut_inverse(gh)
+    one = TAutElem.identity(3, o)
+    assert taut_distance(taut_compose(gh, inv), one) == 0
+    assert taut_distance(taut_compose(inv, gh), one) == 0
+    assert taut_distance(inv, taut_compose(taut_inverse(h), taut_inverse(g))) == 0
 
 
 def test_exp_is_bch_homomorphism():
