@@ -68,9 +68,6 @@ class Associator:
         """Distance of log(series) from the free Lie algebra."""
         return self._lie_log()[1]
 
-    def log_lie(self) -> LieSeries:
-        return self._lie_log()[0]
-
     def flip_signs(self) -> "Associator":
         terms = {w: (c if len(w) % 2 == 0 else -c) for w, c in self.series.terms.items()}
         return Associator(NCSeries._nonzero(2, self.order, terms),
@@ -147,18 +144,15 @@ def check_hexagon(g: TAutElem) -> float:
 class GrtElem:
     """Candidate element psi(X, Y) of the associator symmetry Lie algebra.
 
-    Optionally carries the special-derivation avatar it was computed from.
+    Carries the special-derivation avatar it was computed from.
     """
 
     psi: LieSeries
-    pair: "TDerElem | None" = None
+    pair: TDerElem
 
     def __post_init__(self):
         if self.psi.k != 2:
             raise AssociatorError("grt elements live in two generators")
-
-    def avatar(self) -> TDerElem:
-        return self.pair if self.pair is not None else nu_embedding(self.psi)
 
 
 def nu_embedding(psi: LieSeries) -> TDerElem:
@@ -309,23 +303,23 @@ def interpolate(phi_init: Associator, t0: Fraction, t1: Fraction,
     return Associator(value, origin=f"interpolated(t={t1})")
 
 
-def pin_lambda(phi_kz: Associator, sigma: LieSeries,
+def pin_lambda(phi: Associator, sigma: LieSeries,
                flow: Associator | None = None) -> tuple[complex, float]:
     """Normalize tau_d = lambda * sigma by matching Phi^1 to the sign flip at degree d.
 
     ``sigma`` is a generator of odd degree d, and ``flow`` is Phi^1 of the
     family with the generators below degree d pinned; without one (d = 3)
-    it is ``phi_kz`` itself.  The degree-d tangent of sigma reads only the
+    it is ``phi`` itself.  The degree-d tangent of sigma reads only the
     constant term 1 of the associator, where Drinfeld's formula gives
     -sigma, so lambda is one division of the flow's degree-d miss on its
     largest coefficient (the first, on ties); the returned residual
     measures its consistency across all degree-d words.
     """
-    flow = phi_kz if flow is None else flow
+    flow = phi if flow is None else flow
     d = max((len(w) for w in sigma.coords), default=3)
     at_one = -lie_to_nc(sigma, d).degree_part(d)
     base = s_one_minus_s_power(d - 1).integral(Fraction(0), Fraction(1))  # 1/30 at d = 3
-    target = (phi_kz.flip_signs().series - flow.series).degree_part(d).truncate(d)
+    target = (phi.flip_signs().series - flow.series).degree_part(d).truncate(d)
     best_w = max(at_one.terms, key=lambda w: coeff_abs(at_one.terms[w]), default=None)
     if best_w is None:
         raise AssociatorError(f"degree-{d} action vanishes; cannot pin the normalization")

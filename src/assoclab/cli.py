@@ -228,7 +228,7 @@ def cmd_gc(args):
                              f"of {args.graph}, where its image lies")
         elem = phi_map(g, args.order)
         res = grt_check(elem.psi)
-        fields["sder_pair"] = elem.avatar().to_json()
+        fields["sder_pair"] = elem.pair.to_json()
         fields["psi"] = elem.psi.to_json()
         fields["grt_residuals"] = dict(zip(("antisymmetry", "hexagon", "pentagon"), res))
         passed = all(r == 0 for r in res)
@@ -303,6 +303,14 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _unit_interval(text: str) -> float:
+    # the interpolation family and the weight's (4t(1-t))^2 live on [0, 1]
+    value = _finite_float(text)
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
+    return value
+
+
 def _mzv_index(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(s) for s in text.split(","))
@@ -340,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("interp", cmd_interp, "integrate the interpolation flow to t")
     # the flow starts in degree 3: a lower truncation has nothing to pin
     common(sp, order_type=_int_at_least(3))
-    sp.add_argument("--t", type=_finite_float, default=0.5)
+    sp.add_argument("--t", type=_unit_interval, default=0.5)
 
     command("etingof", cmd_etingof, "exact flow product coefficients")
 
@@ -354,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("weights", cmd_weights, "configuration-space weight quadrature")
     # the quadrature is implemented for the tetrahedron, which is the 3-wheel
     sp.add_argument("--graph", choices=["tetrahedron", "wheel3"], default="tetrahedron")
-    sp.add_argument("--t", type=_finite_float, default=0.5)
+    sp.add_argument("--t", type=_unit_interval, default=0.5)
     sp.add_argument("--tol", type=_tolerance, default=1e-6)
     sp.add_argument("--budget", type=_int_at_least(1), default=60000)
 

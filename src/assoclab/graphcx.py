@@ -242,9 +242,6 @@ class GraphLinComb:
             return NotImplemented
         return self.ext == other.ext and (self - other).is_zero()
 
-    def __hash__(self):  # pragma: no cover
-        return hash(frozenset(self.terms.items()))
-
     def __repr__(self):
         if not self.terms:
             return "GraphLinComb(0)"

@@ -248,11 +248,6 @@ def build_phi_kz(order: int = 5, m_order: int = 64, tol: float = 1e-10):
     return phi, report
 
 
-def phi_kz(order: int = 5, m_order: int = 64, tol: float = 1e-10) -> Associator:
-    phi, _ = build_phi_kz(order, m_order, tol)
-    return phi
-
-
 def anti_kz(phi: Associator) -> Associator:
     """The sign-flip associator Phi(-X, -Y); involutive."""
     out = phi.flip_signs()

@@ -94,24 +94,6 @@ def _is_lyndon(w: Word) -> bool:
     return all(w < w[i:] for i in range(1, len(w)))
 
 
-def lyndon_basis(k: int, d: int) -> tuple[tuple[Word, object], ...]:
-    """Lyndon words of length d with their standard bracketings."""
-    return tuple((w, bracketing_of(w)) for w in lyndon_words(k, d))
-
-
-@lru_cache(maxsize=None)
-def bracketing_of(w: Word):
-    """Standard-factorization bracketing of a Lyndon word, as nested tuples.
-
-    A bare letter for length 1, otherwise ``(left, right)`` following the
-    standard factorization.
-    """
-    if len(w) == 1:
-        return w[0]
-    u, v = standard_factorization(w)
-    return (bracketing_of(u), bracketing_of(v))
-
-
 def fold_bracketing(b, leaf: Callable, bracket: Callable):
     """Evaluate a nested-tuple bracketing: ``leaf`` on letters, ``bracket`` on pairs.
 
@@ -239,8 +221,6 @@ class NCSeries:
         return NCSeries._nonzero(self.k, N, out)
 
     def __rmul__(self, other):
-        if isinstance(other, NCSeries):  # pragma: no cover - handled by __mul__
-            return other.__mul__(self)
         return self.scale(other)
 
     def bracket(self, other: "NCSeries") -> "NCSeries":
@@ -303,9 +283,6 @@ class NCSeries:
             return False
         keys = set(self.terms) | set(other.terms)
         return all(is_zero(self.terms.get(w, 0) - other.terms.get(w, 0)) for w in keys)
-
-    def __hash__(self):  # pragma: no cover - series are not dict keys in practice
-        return hash((self.k, self.order, frozenset(self.terms.items())))
 
     def __repr__(self):
         if not self.terms:
@@ -441,9 +418,6 @@ class LieSeries:
         keys = set(self.coords) | set(other.coords)
         return all(is_zero(self.coords.get(w, 0) - other.coords.get(w, 0)) for w in keys)
 
-    def __hash__(self):  # pragma: no cover
-        return hash((self.k, self.order, frozenset(self.coords.items())))
-
     def __repr__(self):
         parts = [f"({c})*L{''.join(map(str, w))}"
                  for w, c in sorted(self.coords.items(), key=lambda t: (len(t[0]), t[0]))[:8]]
@@ -526,22 +500,6 @@ def lie_coords_from_nc(a: NCSeries, tol: float = 0.0) -> LieSeries:
     if residual > tol:
         raise SeriesError(f"series is not Lie (residual {residual:.3e})")
     return LieSeries(a.k, a.order, coords)
-
-
-def lie_bracket(x: LieSeries, y: LieSeries) -> LieSeries:
-    nx, ny = lie_to_nc(x), lie_to_nc(y)
-    return lie_coords_from_nc(nx.bracket(ny))
-
-
-def lie_substitute(ell: LieSeries, images: Mapping[int, "LieSeries"]) -> LieSeries:
-    """Lie algebra homomorphism given by generator images (Lie series)."""
-    nc_images = {i: lie_to_nc(s) for i, s in images.items()}
-    any_img = nc_images[next(iter(nc_images))]
-    out = NCSeries.zero(any_img.k, min(ell.order, any_img.order))
-    for w, c in ell.coords.items():
-        out = out + fold_bracketing(bracketing_of(w), nc_images.__getitem__,
-                                    NCSeries.bracket).scale(c)
-    return lie_coords_from_nc(out)
 
 
 # -- shuffles and group-likeness ----------------------------------------------

@@ -232,16 +232,6 @@ class Dual:
 
 # -- exact polynomial integrals (the iterated-integral workhorses) ----------
 
-def poly_multiply_integrate_nested(outer: PolyInT, inner: PolyInT, a, b):
-    """The nested iterated integral of ``outer(s1) * int_a^{s1} inner(s2) ds2``.
-
-    Returns the exact value over [a, b]; rational in, rational out.
-    """
-    inner_anti = inner.antiderivative()
-    inner_from_a = inner_anti - PolyInT.constant(inner_anti(a))
-    return (outer * inner_from_a).integral(a, b)
-
-
 def s_one_minus_s_power(exponent: int) -> PolyInT:
     """The polynomial ``(s(1-s))**exponent`` with rational coefficients."""
     base = PolyInT((Fraction(0), Fraction(1), Fraction(-1)))  # s - s^2

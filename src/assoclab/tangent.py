@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .ncalg import (LieSeries, NCSeries, SeriesError, add_scaled, bracketing_of,
-                    fold_bracketing, lie_coords_from_nc, lie_to_nc, lyndon_words,
-                    relabel, standard_factorization, substitute_many)
+from .ncalg import (LieSeries, NCSeries, SeriesError, add_scaled, lyndon_words, relabel,
+                    standard_factorization, substitute_many)
 from .scalars import coeff_abs, eliminate, is_zero
 
 
@@ -88,9 +87,6 @@ class TDerElem:
             return NotImplemented
         return self.k == other.k and all(a == b for a, b in zip(self.comps, other.comps))
 
-    def __hash__(self):  # pragma: no cover
-        return hash((self.k, self.order, self.comps))
-
     def distance(self, other: "TDerElem") -> float:
         self._check(other)
         return max(a.distance(b) for a, b in zip(self.comps, other.comps))
@@ -127,9 +123,6 @@ class TDerElem:
                 head, tail = w[:j], w[j + 1:]
                 add_scaled(out, ((head + v + tail, x) for v, x in images[a - 1][rem]), c)
         return NCSeries._nonzero(self.k, N, out)
-
-    def apply_lie(self, ell: LieSeries) -> LieSeries:
-        return lie_coords_from_nc(self.apply_nc(lie_to_nc(ell)))
 
     def to_json(self) -> dict:
         return {"arity": self.k, "order": self.order,
@@ -231,10 +224,6 @@ def taut_distance(g: TAutElem, h: TAutElem) -> float:
     g._check(h)
     ga, ha = g.action(), h.action()
     return max(a.distance(b) for a, b in zip(ga, ha))
-
-
-def taut_equal(g: TAutElem, h: TAutElem, tol: float = 0.0) -> bool:
-    return taut_distance(g, h) <= tol
 
 
 # -- simplicial and permutation maps ------------------------------------------
@@ -375,31 +364,6 @@ def log_taut(g: TAutElem) -> TDerElem:
 def taut_inverse(g: TAutElem) -> TAutElem:
     """Inverse of a unipotent automorphism: exp(-log g)."""
     return exp_tder(-log_taut(g))
-
-
-def tder_bch(u: TDerElem, v: TDerElem) -> TDerElem:
-    """Baker-Campbell-Hausdorff series evaluated on tangential derivations.
-
-    Computed independently of exp/log by expanding log(exp(A)exp(B)) in the
-    free associative algebra on two symbols and evaluating the Lyndon
-    bracketings through tder_bracket.
-    """
-    u._check(v)
-    n = u.order
-    A = NCSeries.generator(2, n, 1, Fraction(1))
-    B = NCSeries.generator(2, n, 2, Fraction(1))
-    word_series = (A.exp() * B.exp()).log()
-    coords = lie_coords_from_nc(word_series)
-    return evaluate_lie_in_tder(coords, {1: u, 2: v})
-
-
-def evaluate_lie_in_tder(ell: LieSeries, images: Mapping[int, TDerElem]) -> TDerElem:
-    """Evaluate a Lie series on tder images of its generators."""
-    any_img = images[next(iter(images))]
-    out = TDerElem.zero(any_img.k, any_img.order)
-    for w, c in ell.coords.items():
-        out = out + fold_bracketing(bracketing_of(w), images.__getitem__, tder_bracket).scale(c)
-    return out
 
 
 # -- the center decomposition in arity 3 ---------------------------------------

@@ -95,7 +95,7 @@ def test_criterion_2_graph_complex():
 def test_criterion_3_phi_map_lands_in_grt():
     t0 = time.time()
     elem = phi_map(tetrahedron(), 5)
-    pair, psi = elem.avatar(), elem.psi
+    pair, psi = elem.pair, elem.psi
     space = grt_solution_space(3, 5)
     ok = len(space) == 1
     sol = space[0]

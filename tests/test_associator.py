@@ -258,7 +258,7 @@ def test_dynkin_tolerance_comes_from_the_caller(monkeypatch):
     with pytest.raises(SeriesError):
         nc_project_lie(lg, tol=1e-9)
     nc_project_lie(lg)
-    phi.log_lie()
+    phi.lie_log_residual()
     with pytest.raises(AssociatorError, match="log is not Lie within tolerance"):
         _checked_lie_log(phi, 1e-9)
     _checked_lie_log(phi, 1e-6)

@@ -179,13 +179,18 @@ def test_weights_rejects_a_graph_without_quadrature(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["interp", "weights"])
-@pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf", "1e200", "-0.5", "1.5"])
 def test_non_finite_t_is_rejected(tmp_path, capsys, command, t):
+    """A --t that is not finite, or finite but outside [0, 1], exits 2 from the parser."""
     out = tmp_path / "report.json"
     with pytest.raises(SystemExit) as exc:
         main([command, f"--t={t}", "--out", str(out)])
     assert exc.value.code == 2
-    assert "argument --t: must be a finite number" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if t in ("nan", "inf", "-inf"):
+        assert "argument --t: must be a finite number" in err
+    else:
+        assert f"argument --t: must lie in [0, 1], got {t}" in err
     assert not out.exists()
 
 

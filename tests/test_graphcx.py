@@ -125,7 +125,7 @@ def test_pi_after_delta_vanishes():
 
 def test_phi_map_tetrahedron():
     elem = phi_map(tetrahedron(), 5)
-    pair, psi = elem.avatar(), elem.psi
+    pair, psi = elem.pair, elem.psi
     assert is_sder(pair)
     psi3 = psi3_normalized(5)
     assert psi == psi3.scale(Fraction(-24))

@@ -10,7 +10,9 @@ in the same term order, including when coefficients cancel to exact zeros.
 The antipode and the recurrence for the exponential's components are
 checked on group-like series against a Neumann-series inverse and a sum over
 compositions: equal values over the rationals, agreement to rounding over
-the float rings.
+the float rings.  The exponential of derivations is checked to turn the
+Baker-Campbell-Hausdorff series, expanded in two free letters and evaluated
+through tder brackets, into the composition of automorphisms.
 The interpolation flow and the pin of its normalization are checked
 against their forms with the dual-number twist as the tangent, taken at the
 truncation of the input and on the mid-flow associator itself.
@@ -34,13 +36,15 @@ from assoclab.associator import (Associator, AssociatorError, TauFamily,
                                  grt_infinitesimal_act, interpolate, pin_lambda)
 from assoclab.graphcx import GraphLinComb, psi3_normalized
 from assoclab.kz import build_phi_kz
-from assoclab.ncalg import (LieSeries, NCSeries, SeriesError, add_scaled, lie_to_nc,
-                            lyndon_bracket_nc, lyndon_words, substitute_many)
+from assoclab.ncalg import (LieSeries, NCSeries, SeriesError, add_scaled, lie_coords_from_nc,
+                            lie_to_nc, lyndon_bracket_nc, lyndon_words,
+                            standard_factorization, substitute_many)
 from assoclab.scalars import Dual, PolyInT, coeff_abs, is_zero, s_one_minus_s_power
-from assoclab.tangent import (TAutElem, TDerElem, center_decompose_t3,
-                              evaluate_lie_in_tder, exp_tder, log_taut,
-                              normalize_tuple_gauge, t3_embed,
-                              taut_compose, tder_bracket, tk_generator)
+from assoclab.tangent import (TAutElem, TDerElem, center_decompose_t3, exp_tder,
+                              log_taut, normalize_tuple_gauge, t3_embed, taut_compose,
+                              taut_distance, tder_bracket, tk_generator)
+
+from test_tangent import random_tder
 
 # few distinct values, so that sums cancel to exact zeros often
 SMALL = [Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(1, 2), Fraction(1), Fraction(2)]
@@ -172,6 +176,39 @@ def ref_exp_components(u):
             add_scaled(g, term.terms.items(), coeff)
         comps.append(NCSeries(k, order, g))
     return tuple(comps)
+
+
+def evaluate_lie_in_tder(ell, images):
+    """Evaluate a Lie series on tder images of its generators.
+
+    Each Lyndon word is bracketed by recursion on its standard
+    factorization, the left factor first.
+    """
+    def word(w):
+        if len(w) == 1:
+            return images[w[0]]
+        left, right = standard_factorization(w)
+        return tder_bracket(word(left), word(right))
+
+    any_img = images[next(iter(images))]
+    out = TDerElem.zero(any_img.k, any_img.order)
+    for w, c in ell.coords.items():
+        out = out + word(w).scale(c)
+    return out
+
+
+def tder_bch(u, v):
+    """Baker-Campbell-Hausdorff series evaluated on tangential derivations.
+
+    Computed independently of exp/log by expanding log(exp(A)exp(B)) in the
+    free associative algebra on two symbols and evaluating the Lyndon
+    bracketings through tder_bracket.
+    """
+    n = u.order
+    A = NCSeries.generator(2, n, 1, Fraction(1))
+    B = NCSeries.generator(2, n, 2, Fraction(1))
+    coords = lie_coords_from_nc((A.exp() * B.exp()).log())
+    return evaluate_lie_in_tder(coords, {1: u, 2: v})
 
 
 def ref_t3_embed(ell, order):
@@ -387,6 +424,15 @@ def test_exp_components_match_composition_sum(case):
     kind, u = case
     for got, want in zip(exp_tder(u).comps, ref_exp_components(u)):
         agree(kind, got, want)
+
+
+def test_exp_is_bch_homomorphism():
+    o = 4
+    rng = random.Random(43)
+    u, v = random_tder(3, o, rng, 0.3), random_tder(3, o, rng, 0.3)
+    lhs = exp_tder(tder_bch(u, v))
+    rhs = taut_compose(exp_tder(u), exp_tder(v))
+    assert taut_distance(lhs, rhs) == 0
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)

@@ -3,8 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from assoclab.scalars import (Dual, PolyInT, coeff_abs, iterated_word_integral,
-                              poly_multiply_integrate_nested, scalar_from_json,
-                              scalar_to_json, s_one_minus_s_power)
+                              scalar_from_json, scalar_to_json, s_one_minus_s_power)
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=7)
 polys = st.lists(rationals, max_size=5).map(PolyInT)
@@ -56,18 +55,21 @@ def test_nested_integral_product_coefficients():
     outer = s_one_minus_s_power(4)
     inner = s_one_minus_s_power(2)
     half = Fraction(1, 2)
-    c_a = half * poly_multiply_integrate_nested(outer, inner, Fraction(0), half)
-    c_b = half * poly_multiply_integrate_nested(outer, inner, half, Fraction(1))
+    c_a = half * iterated_word_integral([inner, outer], Fraction(0), half)
+    c_b = half * iterated_word_integral([inner, outer], half, Fraction(1))
     assert c_a == Fraction(1199, 309657600)
     assert c_b == Fraction(283, 103219200)
-    assert poly_multiply_integrate_nested(PolyInT(()), PolyInT(()), 0, 1) == 0
+    assert iterated_word_integral([PolyInT(()), PolyInT(())], 0, 1) == 0
 
 
 def test_iterated_word_integral_matches_nested():
+    """Against outer(s1) * int_a^{s1} inner(s2) ds2, integrated over [a, b]."""
     outer = s_one_minus_s_power(4)
     inner = s_one_minus_s_power(2)
-    got = iterated_word_integral([inner, outer], Fraction(0), Fraction(1, 2))
-    ref = poly_multiply_integrate_nested(outer, inner, Fraction(0), Fraction(1, 2))
+    a, b = Fraction(0), Fraction(1, 2)
+    got = iterated_word_integral([inner, outer], a, b)
+    inner_anti = inner.antiderivative()
+    ref = (outer * (inner_anti - PolyInT.constant(inner_anti(a)))).integral(a, b)
     assert got == ref
 
 

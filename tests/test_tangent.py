@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from assoclab.ncalg import LieSeries, NCSeries, lie_to_nc
+from assoclab.ncalg import LieSeries, NCSeries, lie_coords_from_nc, lie_to_nc
 from assoclab.tangent import (NotInT3Error, TAutElem, TDerElem, center_decompose_t3,
                               center_element, duplicate_slot, exp_tder, is_sder,
                               log_taut, pad_left, pad_right, sym_action,
-                              t3_embed, taut_compose, taut_distance, taut_equal,
-                              taut_inverse, tder_bch, tder_bracket, tk_generator)
+                              t3_embed, taut_compose, taut_distance,
+                              taut_inverse, tder_bracket, tk_generator)
 
 from test_ncalg import random_lie
 
@@ -111,11 +111,17 @@ def test_tder_apply():
     o = 4
     t12 = gen(1, 2, 3, o)
     x = [LieSeries.generator(3, o, i) for i in (1, 2, 3)]
-    from assoclab.ncalg import lie_bracket
-    assert t12.apply_lie(x[0]) == lie_bracket(x[0], x[1])
-    assert t12.apply_lie(LieSeries.zero(3, o)).is_zero()
-    got = t12.apply_lie(lie_bracket(x[0], x[2]))
-    assert got == lie_bracket(lie_bracket(x[0], x[1]), x[2])
+
+    def apply_lie(ell):
+        return lie_coords_from_nc(t12.apply_nc(lie_to_nc(ell)))
+
+    def bracket(a, b):
+        return lie_coords_from_nc(lie_to_nc(a).bracket(lie_to_nc(b)))
+
+    assert apply_lie(x[0]) == bracket(x[0], x[1])
+    assert apply_lie(LieSeries.zero(3, o)).is_zero()
+    got = apply_lie(bracket(x[0], x[2]))
+    assert got == bracket(bracket(x[0], x[1]), x[2])
 
 
 def test_simplicial_and_coproduct_maps():
@@ -168,7 +174,7 @@ def test_slot_maps_commute_with_exp():
 
 def test_exp_log():
     o = 4
-    assert taut_equal(exp_tder(TDerElem.zero(3, o)), TAutElem.identity(3, o))
+    assert taut_distance(exp_tder(TDerElem.zero(3, o)), TAutElem.identity(3, o)) == 0
     rng = random.Random(37)
     for k, order in ((2, 6), (3, 4)):
         u = random_tder(k, order, rng, 0.3)
@@ -185,8 +191,8 @@ def test_group_structure():
     o = 4
     t12 = gen(1, 2, 3, o)
     e = exp_tder(t12)
-    assert taut_equal(taut_compose(e, taut_inverse(e)), TAutElem.identity(3, o))
-    assert taut_equal(taut_compose(e, e), exp_tder(t12.scale(Fraction(2))))
+    assert taut_distance(taut_compose(e, taut_inverse(e)), TAutElem.identity(3, o)) == 0
+    assert taut_distance(taut_compose(e, e), exp_tder(t12.scale(Fraction(2)))) == 0
     rng = random.Random(41)
     g, h, k_ = (exp_tder(random_tder(3, o, rng, 0.3)) for _ in range(3))
     assert taut_distance(taut_compose(taut_compose(g, h), k_),
@@ -198,15 +204,6 @@ def test_group_structure():
     assert taut_distance(taut_compose(gh, inv), one) == 0
     assert taut_distance(taut_compose(inv, gh), one) == 0
     assert taut_distance(inv, taut_compose(taut_inverse(h), taut_inverse(g))) == 0
-
-
-def test_exp_is_bch_homomorphism():
-    o = 4
-    rng = random.Random(43)
-    u, v = random_tder(3, o, rng, 0.3), random_tder(3, o, rng, 0.3)
-    lhs = exp_tder(tder_bch(u, v))
-    rhs = taut_compose(exp_tder(u), exp_tder(v))
-    assert taut_distance(lhs, rhs) == 0
 
 
 def test_center_decompose():
