@@ -27,8 +27,7 @@ from .scalars import (Dual, PolyInT, coeff_abs, is_zero, iterated_word_integral,
                       s_one_minus_s_power)
 from .tangent import (TAutElem, TDerElem, center_decompose_t3, duplicate_slot,
                       exp_tder, log_taut, pad_left, pad_right, pentagon_faces,
-                      sym_action, t3_embed, taut_compose, taut_distance,
-                      taut_inverse, tk_generator)
+                      sym_action, t3_embed, taut_compose, taut_distance, tk_generator)
 
 
 class AssociatorError(ValueError):
@@ -106,22 +105,31 @@ def _checked_lie_log(phi: Associator, tol: float) -> LieSeries:
     return ell
 
 
-def to_taut3(phi: Associator, tol: float = 1e-9) -> TAutElem:
-    """Realize Phi inside the arity-3 tangential automorphism group."""
-    return exp_tder(t3_embed(_checked_lie_log(phi, tol), phi.order))
+def _t3_log(phi: Associator, tol: float) -> TDerElem:
+    """u = log Phi on (t12, t23) inside tder3, whose exponential realizes Phi."""
+    return t3_embed(_checked_lie_log(phi, tol), phi.order)
+
+
+def to_taut3(phi: Associator, tol: float = 1e-9) -> tuple[TAutElem, TAutElem]:
+    """Realize Phi inside the arity-3 tangential automorphism group, with its inverse.
+
+    Returns (g, g^{-1}) = (exp u, exp -u) for u = ``_t3_log(phi)``.
+    """
+    u = _t3_log(phi, tol)
+    return exp_tder(u), exp_tder(-u)
 
 
 def check_pentagon(g: TAutElem) -> float:
-    """Extensional residual of the five-term equation in arity 4, for g = to_taut3(Phi)."""
+    """Extensional residual of the five-term equation in arity 4, for g of to_taut3(Phi)."""
     (l1, l2), (r1, r2, r3) = pentagon_faces(g)
     return taut_distance(taut_compose(l1, l2), taut_compose(r1, taut_compose(r2, r3)))
 
 
-def check_hexagon(g: TAutElem) -> float:
-    """Extensional residual of the hexagon equation in arity 3, for g = to_taut3(Phi).
+def check_hexagon(g: TAutElem, g_inv: TAutElem) -> float:
+    """Extensional residual of the hexagon equation in arity 3, for (g, g_inv) = to_taut3(Phi).
 
     Phi^{312} is sym_action([2, 3, 1], g) and (Phi^{132})^{-1} is
-    sym_action([1, 3, 2], g^{-1}).
+    sym_action([1, 3, 2], g_inv).
     """
     n = g.order
     t13 = tk_generator(1, 3, 3, n)
@@ -133,7 +141,7 @@ def check_hexagon(g: TAutElem) -> float:
         taut_compose(
             exp_tder(t13.scale(half)),
             taut_compose(
-                sym_action([1, 3, 2], taut_inverse(g)),
+                sym_action([1, 3, 2], g_inv),
                 taut_compose(exp_tder(t23.scale(half)), g))))
     return taut_distance(lhs, rhs)
 
@@ -200,7 +208,7 @@ def _exp_of_reduced_log(w: TAutElem, order: int, tol: float, what: str) -> NCSer
 def twist_by_avatar(avatar: TDerElem, phi: Associator,
                     tol: float = 1e-9) -> Associator:
     """Twist action computed entirely inside the arity-3 automorphism group."""
-    w = _twisted_group_element(avatar, to_taut3(phi, tol))
+    w = _twisted_group_element(avatar, exp_tder(_t3_log(phi, tol)))
     out = _exp_of_reduced_log(w, phi.order, tol, "twist result")
     return Associator(out, origin=f"twisted({phi.origin})")
 
@@ -229,7 +237,7 @@ def grt_infinitesimal_act(psi: LieSeries, phi: Associator,
     """
     eps = Dual(Fraction(0), Fraction(1))
     psi_eps = psi.scale(eps)
-    g = to_taut3(phi, tol)
+    g = exp_tder(_t3_log(phi, tol))
     g3 = TAutElem(3, g.order, tuple(c.map_coefficients(lambda x: Dual(x, 0)) for c in g.comps))
     w = _twisted_group_element(nu_embedding(psi_eps), g3)
     out = _exp_of_reduced_log(w, phi.order, tol, "tangent")
@@ -332,27 +340,25 @@ def pin_lambda(phi: Associator, sigma: LieSeries,
 
 # -- exact path-ordered exponential coefficients --------------------------------
 
-def pexp_word_coefficient(word: Sequence[int], t0: Fraction, t1: Fraction,
-                          half_normalized: bool = True) -> Fraction:
+def pexp_word_coefficient(word: Sequence[int], t0: Fraction, t1: Fraction) -> Fraction:
     """Coefficient of an abstract generator word in the flow's ordered exponential.
 
     ``word`` lists odd degrees, e.g. (3, 5) for the product of the degree-3
-    and degree-5 generators, earliest time leftmost.  With ``half_normalized``
-    the length-2 values carry the extra 1/2 used for the published product
-    coefficients; the raw values satisfy the Chen concatenation identity.
+    and degree-5 generators, earliest time leftmost.  The values satisfy the
+    Chen concatenation identity.
     """
     for d in word:
         if d < 3 or d % 2 == 0:
             raise AssociatorError("word letters must be odd degrees >= 3")
-    polys = [s_one_minus_s_power(d - 1) for d in word]
-    val = iterated_word_integral(polys, t0, t1)
-    if half_normalized and len(word) == 2:
-        val = val * Fraction(1, 2)
-    return val
+    return iterated_word_integral([s_one_minus_s_power(d - 1) for d in word], t0, t1)
 
 
 def etingof_coefficients() -> tuple[Fraction, Fraction]:
-    """The two exact product coefficients that separate the half flows."""
-    c_a = pexp_word_coefficient((3, 5), Fraction(0), Fraction(1, 2))
-    c_b = pexp_word_coefficient((3, 5), Fraction(1, 2), Fraction(1))
-    return c_a, c_b
+    """The two exact product coefficients that separate the half flows.
+
+    They are half the (3, 5) coefficients of the ordered exponential on
+    [0, 1/2] and on [1/2, 1], the normalization of the published values.
+    """
+    half = Fraction(1, 2)
+    return (half * pexp_word_coefficient((3, 5), Fraction(0), half),
+            half * pexp_word_coefficient((3, 5), half, Fraction(1)))

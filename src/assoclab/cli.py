@@ -33,7 +33,7 @@ from .associator import (Associator, AssociatorError, TauFamily, check_hexagon,
 from .graphcx import (NAMED_GRAPHS, GraphError, GraphLinComb, differential, divergence,
                       gc_bracket, grt_check, grt_generator, ihara_bracket, phi_map,
                       psi3_normalized, tetrahedron)
-from .kz import KZError, MzvError, anti_kz, build_phi_kz, mzv
+from .kz import KZError, MzvError, build_phi_kz, mzv
 from .ncalg import lyndon_words, witt_dimension
 from .tangent import NotInT3Error
 
@@ -130,8 +130,8 @@ def _mzv_cached(index: tuple[int, ...], tol: float, cache: Path) -> float:
 
 def cmd_kz(args):
     phi, report = _phi_kz_cached(args.order, args.series_order, args.tol, _cache_dir(args))
-    g = to_taut3(phi, args.tol)
-    residuals = {**report, "pentagon": check_pentagon(g), "hexagon": check_hexagon(g)}
+    g, g_inv = to_taut3(phi, args.tol)
+    residuals = {**report, "pentagon": check_pentagon(g), "hexagon": check_hexagon(g, g_inv)}
     fields = {"order": args.order, "series_order": args.series_order, "tol": args.tol,
               "residuals": residuals, "associator": phi.to_json()}
     return (fields, [(k, f"{v:.3e}") for k, v in residuals.items()],
@@ -165,7 +165,7 @@ def cmd_interp(args):
     t_target = Fraction(args.t).limit_denominator(10**6)
     phi_t = interpolate(phi, Fraction(0), t_target, fam)
     if t_target == 1:
-        target = anti_kz(phi)
+        target = phi.flip_signs()
         for d in range(4, args.order + 1):
             checks[f"anti-kz-degree{d}"] = phi_t.series.degree_part(d).distance(
                 target.series.degree_part(d))
@@ -334,10 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=func)
         return sp
 
-    def common(sp, order_default=4, order_type=int):
+    def common(sp, order_default=4, order_type=_int_at_least(1)):
         sp.add_argument("--order", type=order_type, default=order_default,
                         help="series truncation (word length)")
-        sp.add_argument("--series-order", type=int, default=64,
+        sp.add_argument("--series-order", type=_int_at_least(1), default=64,
                         help="number of expansion powers for the regular parts")
         sp.add_argument("--tol", type=_tolerance, default=1e-9)
         sp.add_argument("--cache-dir", default=None)

@@ -18,8 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .associator import GrtElem, nu_extract
-from .ncalg import (LieSeries, NCSeries, fold_bracketing, lie_coords_from_nc, lie_to_nc,
-                    lyndon_words)
+from .ncalg import LieSeries, NCSeries, lie_coords_from_nc, lie_to_nc, lyndon_words
 from .scalars import coeff_abs, eliminate, is_zero
 from .tangent import TDerElem, pentagon_faces, t3_embed
 
@@ -481,6 +480,12 @@ def _monomial_from_tree(g: GCGraph, root_edge_idx: int, ext_vertex: int,
         right = walk(children[1][1], children[1][0])
         return (left, right)
 
+    def fold(b) -> NCSeries:
+        """The Lie monomial of a bracketing, left operand evaluated first."""
+        if isinstance(b, int):
+            return NCSeries.generator(2, order, b, Fraction(1))
+        return fold(b[0]).bracket(fold(b[1]))
+
     u, v = g.edges[root_edge_idx]
     other = v if u == ext_vertex else u
     try:
@@ -489,8 +494,7 @@ def _monomial_from_tree(g: GCGraph, root_edge_idx: int, ext_vertex: int,
         return None
     if len(dfs_edges) != len(g.edges):
         return None
-    mono = fold_bracketing(tree, lambda a: NCSeries.generator(2, order, a, Fraction(1)),
-                           NCSeries.bracket)
+    mono = fold(tree)
     # parity of (graph edge order -> DFS order)
     return mono, _perm_sign(dfs_edges)
 

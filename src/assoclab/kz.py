@@ -1,13 +1,15 @@
 """Numerical construction of the KZ associator and multiple zeta values.
 
 The associator comes from the ODE  f' = (1/2pi i)(X/z + Y/(z-1)) f  (the
-three-point reduction with the generators substituted) by Frobenius
-expansion at both singular points and matching at z = 1/2.  The local
-exponents are X/(2pi i) at 0 and Y/(2pi i) at 1; the tame-part recurrences
-are then mirror images of each other under X <-> Y, z <-> 1-z, which is
-what the duality equation requires.  Multiple zeta values enter only as
-independent numeric spot checks, computed by the Hoelder convolution at 1/2
-from exact partial sums with a bound on the geometric tails.
+three-point reduction with the generators substituted) by matching the
+solutions normalized at the two singular points at z = 1/2.  The local
+exponents are X/(2pi i) at 0 and Y/(2pi i) at 1, and the equation is
+invariant under X <-> Y, z <-> 1-z, which is what the duality equation
+requires.  So the Frobenius recurrence is run once, at 0, and the tame
+factor at 1 is its letter swap in the local coordinate 1 - z.  Multiple
+zeta values enter only as independent numeric spot checks, computed by the
+Hoelder convolution at 1/2 from exact partial sums with a bound on the
+geometric tails.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .associator import Associator
-from .ncalg import NCSeries, add_scaled
+from .ncalg import NCSeries, add_scaled, relabel
 
 TWO_PI_I = 2j * math.pi
 ALPHA = 1.0 / TWO_PI_I
@@ -130,16 +132,18 @@ def mzv(index: tuple[int, ...], tol: float = 1e-12) -> float:
 
 @dataclass
 class FuchsSeries:
-    """Series-coefficient solution of the regularized KZ equation at 0 or 1."""
+    """Tame factor of a solution of the regularized KZ equation, as a power series.
 
-    point: int            # 0 or 1
+    Its coefficients are in the local coordinate x: x = z for the expansion
+    at 0 and x = 1 - z for its mirror image at 1.
+    """
+
     m_order: int          # number of computed powers
     order: int            # word truncation
     coeffs: list[NCSeries] = field(default_factory=list)
 
-    def evaluate(self, z: complex) -> NCSeries:
-        """Value of the tame factor at z (series in z or in 1-z)."""
-        x = z if self.point == 0 else 1.0 - z
+    def evaluate(self, x: complex) -> NCSeries:
+        """Value of the tame factor, sum_m c_m x^m."""
         acc: dict = {}
         p = 1.0
         for c in self.coeffs:
@@ -147,78 +151,72 @@ class FuchsSeries:
             p *= x
         return NCSeries._nonzero(2, self.order, acc)
 
-    def derivative_at(self, z: complex) -> NCSeries:
-        """d/dz of the tame factor: sum_m m c_m x^{m-1} dx/dz."""
-        x = z if self.point == 0 else 1.0 - z
-        sign = 1.0 if self.point == 0 else -1.0
+    def derivative_at(self, x: complex) -> NCSeries:
+        """d/dx of the tame factor: sum_m m c_m x^{m-1}."""
         acc: dict = {}
         for mth, c in enumerate(self.coeffs[1:], start=1):
-            add_scaled(acc, c.terms.items(), sign * mth * x ** (mth - 1))
+            add_scaled(acc, c.terms.items(), mth * x ** (mth - 1))
         return NCSeries._nonzero(2, self.order, acc)
+
+    def mirror(self) -> "FuchsSeries":
+        """The X <-> Y letter swap: the expansion at 1 made from the one at 0."""
+        swap = {1: (2,), 2: (1,)}
+        return FuchsSeries(self.m_order, self.order, [relabel(c, 2, swap) for c in self.coeffs])
 
 
 def _ad_series(gen: int, order: int) -> NCSeries:
     return NCSeries.generator(2, order, gen, 1.0 + 0.0j)
 
 
-def kz_regularized_solution(point: int, m_order: int, order: int) -> FuchsSeries:
-    """Tame factor of the solution normalized to 1 at the chosen singular point.
+def kz_regularized_solution(m_order: int, order: int) -> FuchsSeries:
+    """Tame factor of the solution normalized to 1 at 0.
 
-    At 0:  (m - alpha ad_X) c_m = -alpha Y (c_0 + ... + c_{m-1})
-    At 1:  (m - alpha ad_Y) d_m = -alpha X (d_0 + ... + d_{m-1})
-    Both operators are invertible for m >= 1 because ad raises word length.
+    (m - alpha ad_X) c_m = -alpha Y (c_0 + ... + c_{m-1}); the operator is
+    invertible for m >= 1 because ad raises word length.  The recurrence at
+    1 is this one with X and Y exchanged, so ``mirror`` gives its solution.
     """
-    if point not in (0, 1):
-        raise KZError("expansion point must be 0 or 1")
     if m_order < 1 or order < 1:
         raise KZError("need m_order >= 1 and order >= 1")
     X = _ad_series(1, order)
     Y = _ad_series(2, order)
-    lead, other = (X, Y) if point == 0 else (Y, X)
 
     coeffs = [NCSeries.unit(2, order, 1.0 + 0.0j)]
     running = coeffs[0]
     for mth in range(1, m_order + 1):
-        rhs = (other * running).scale(-ALPHA)
-        # invert (m - alpha ad_lead): geometric series in the nilpotent part
+        rhs = (Y * running).scale(-ALPHA)
+        # invert (m - alpha ad_X): geometric series in the nilpotent part
         c = rhs.scale(1.0 / mth)
         term = c
         for _ in range(order):
-            term = lead.bracket(term).scale(ALPHA / mth)
+            term = X.bracket(term).scale(ALPHA / mth)
             if term.is_zero():
                 break
             c = c + term
         coeffs.append(c)
         running = running + c
-    return FuchsSeries(point, m_order, order, coeffs)
+    return FuchsSeries(m_order, order, coeffs)
 
 
 def ode_residual(fuchs: FuchsSeries, z: complex) -> float:
-    """Self-consistency of the assembled solution against the equation at z."""
+    """Self-consistency of the solution tame(z) z^{alpha X} against the equation at z."""
     order = fuchs.order
     X = _ad_series(1, order)
     Y = _ad_series(2, order)
     tame = fuchs.evaluate(z)
     dtame = fuchs.derivative_at(z)
-    if fuchs.point == 0:
-        exponent = X.scale(ALPHA * cmath.log(z))
-        dexp_factor = X.scale(ALPHA / z)
-    else:
-        exponent = Y.scale(ALPHA * cmath.log(1.0 - z))
-        dexp_factor = Y.scale(-ALPHA / (1.0 - z))
-    w = exponent.exp()
+    w = X.scale(ALPHA * cmath.log(z)).exp()
     f = tame * w
-    df = dtame * w + tame * dexp_factor * w
+    df = dtame * w + tame * X.scale(ALPHA / z) * w
     rhs = (X.scale(ALPHA / z) + Y.scale(ALPHA / (z - 1.0))) * f
     return df.distance(rhs)
 
 
 def _assemble_phi(f0: FuchsSeries, f1: FuchsSeries, z: complex) -> NCSeries:
-    """f1(z)^{-1} f0(z) with f0 = tame0 * z^{aX}, f1 = tame1 * (1-z)^{aY}."""
+    """f1(z)^{-1} f0(z) with f0 = tame0(z) z^{aX}, f1 = tame1(1-z) (1-z)^{aY}."""
     order = f0.order
     X = _ad_series(1, order)
     Y = _ad_series(2, order)
-    left = Y.scale(-ALPHA * cmath.log(1.0 - z)).exp() * f1.evaluate(z).inverse()
+    left = Y.scale(-ALPHA * cmath.log(1.0 - z)).exp() * f1.evaluate(1.0 - z).inverse()
     right = f0.evaluate(z) * X.scale(ALPHA * cmath.log(z)).exp()
     return left * right
 
@@ -227,8 +225,8 @@ def build_phi_kz(order: int = 5, m_order: int = 64, tol: float = 1e-10):
     """KZ associator plus a report of the construction residuals."""
     if 2.0 ** (-m_order) > tol:
         raise KZError("series order too small for the requested tolerance")
-    f0 = kz_regularized_solution(0, m_order, order)
-    f1 = kz_regularized_solution(1, m_order, order)
+    f0 = kz_regularized_solution(m_order, order)
+    f1 = f0.mirror()
     phi_half = _assemble_phi(f0, f1, 0.5 + 0.0j)
     phi_alt = _assemble_phi(f0, f1, 0.4 + 0.0j)
     constancy = phi_half.distance(phi_alt)
@@ -246,10 +244,3 @@ def build_phi_kz(order: int = 5, m_order: int = 64, tol: float = 1e-10):
         "duality": phi.duality_residual(),
     }
     return phi, report
-
-
-def anti_kz(phi: Associator) -> Associator:
-    """The sign-flip associator Phi(-X, -Y); involutive."""
-    out = phi.flip_signs()
-    out.origin = f"anti({phi.origin})"
-    return out

@@ -94,17 +94,6 @@ def _is_lyndon(w: Word) -> bool:
     return all(w < w[i:] for i in range(1, len(w)))
 
 
-def fold_bracketing(b, leaf: Callable, bracket: Callable):
-    """Evaluate a nested-tuple bracketing: ``leaf`` on letters, ``bracket`` on pairs.
-
-    The left operand is evaluated before the right one.
-    """
-    if isinstance(b, int):
-        return leaf(b)
-    left, right = b
-    return bracket(fold_bracketing(left, leaf, bracket), fold_bracketing(right, leaf, bracket))
-
-
 # -- NC series ----------------------------------------------------------------
 
 class NCSeries:

@@ -12,10 +12,11 @@ from assoclab.associator import (Associator, AssociatorError, TauFamily,
                                  nu_embedding, pexp_word_coefficient, pin_lambda,
                                  to_taut3, twist_by_avatar)
 from assoclab.graphcx import grt_generator, grt_solution_space, psi3_normalized
-from assoclab.kz import anti_kz, build_phi_kz
+from assoclab.kz import build_phi_kz
 from assoclab.ncalg import (LieSeries, NCSeries, SeriesError, lie_to_nc, lyndon_words,
                             nc_project_lie)
-from assoclab.tangent import center_decompose_t3, log_taut
+from assoclab.tangent import (TAutElem, center_decompose_t3, log_taut, taut_compose,
+                              taut_distance)
 
 
 def rational_associator(order, seed=101, density=0.6):
@@ -32,9 +33,10 @@ def rational_associator(order, seed=101, density=0.6):
 
 def test_pexp_coefficients():
     assert pexp_word_coefficient((3,), Fraction(0), Fraction(1)) == Fraction(1, 30)
-    assert pexp_word_coefficient((3, 5), Fraction(0), Fraction(1, 2)) == \
+    # the published product coefficients are half the ordered-exponential ones
+    assert pexp_word_coefficient((3, 5), Fraction(0), Fraction(1, 2)) / 2 == \
         Fraction(1199, 309657600)
-    assert pexp_word_coefficient((3, 5), Fraction(1, 2), Fraction(1)) == \
+    assert pexp_word_coefficient((3, 5), Fraction(1, 2), Fraction(1)) / 2 == \
         Fraction(283, 103219200)
     assert pexp_word_coefficient((), Fraction(0), Fraction(1)) == 1
     with pytest.raises(AssociatorError):
@@ -44,11 +46,11 @@ def test_pexp_coefficients():
 def test_pexp_chen_concatenation():
     a, b, c = Fraction(0), Fraction(2, 5), Fraction(1)
     word = (3, 5, 3)
-    lhs = pexp_word_coefficient(word, a, c, half_normalized=False)
+    lhs = pexp_word_coefficient(word, a, c)
     rhs = Fraction(0)
     for i in range(len(word) + 1):
-        left = pexp_word_coefficient(word[:i], a, b, half_normalized=False)
-        right = pexp_word_coefficient(word[i:], b, c, half_normalized=False)
+        left = pexp_word_coefficient(word[:i], a, b)
+        right = pexp_word_coefficient(word[i:], b, c)
         rhs += left * right
     assert lhs == rhs
 
@@ -62,25 +64,28 @@ def test_etingof_values():
 
 def test_pentagon_hexagon_trivial():
     one = Associator.one(4)
-    g = to_taut3(one)
+    g, g_inv = to_taut3(one)
     assert check_pentagon(g) == 0
-    assert check_hexagon(g) == 0.125  # the pair generators do not commute
+    assert check_hexagon(g, g_inv) == 0.125  # the pair generators do not commute
 
 
 def test_pure_bracket_exponential_fails_pentagon():
     lam = Fraction(1, 3)
     xy = NCSeries(2, 5, {(1, 2): lam, (2, 1): -lam})
     phi = Associator(xy.exp())
-    assert check_pentagon(to_taut3(phi)) > 0.01
+    assert check_pentagon(to_taut3(phi)[0]) > 0.01
 
 
 def test_to_taut3_roundtrip():
     phi, ell = rational_associator(4)
-    g = to_taut3(phi, tol=0)
+    g, g_inv = to_taut3(phi, tol=0)
     split = center_decompose_t3(log_taut(g))
     assert split.alpha == 0
     assert split.reduced == ell
-    assert to_taut3(Associator.one(4)).action()[0].coefficient((1,)) == 1
+    one = TAutElem.identity(3, 4)
+    assert taut_distance(taut_compose(g, g_inv), one) == 0
+    assert taut_distance(taut_compose(g_inv, g), one) == 0
+    assert to_taut3(Associator.one(4))[0].action()[0].coefficient((1,)) == 1
 
 
 def test_twist_trivial_and_exact():
@@ -162,7 +167,6 @@ def test_interpolate_is_grouplike_exact():
 
 
 def test_pin_lambda_and_degree4_prediction():
-    from assoclab.kz import anti_kz, build_phi_kz
     phi, _ = build_phi_kz(order=4, m_order=64)
     psi3 = psi3_normalized(4)
     lam, resid = pin_lambda(phi, psi3)
@@ -170,7 +174,7 @@ def test_pin_lambda_and_degree4_prediction():
     assert abs(lam.real) < 1e-15  # imaginary in these conventions
     fam = TauFamily([(3, psi3.scale(lam))])
     phi1 = interpolate(phi, Fraction(0), Fraction(1), fam)
-    target = anti_kz(phi)
+    target = phi.flip_signs()
     assert phi1.series.degree_part(3).distance(target.series.degree_part(3)) < 1e-12
     assert phi1.series.degree_part(4).distance(target.series.degree_part(4)) < 1e-12
     # the pin reads the unit tangent at truncation 3, whatever the order of Phi
@@ -205,9 +209,9 @@ def test_twisted_kz_still_passes_equations():
     psi3 = psi3_normalized(4)
     f = lie_to_nc(psi3).scale(0.05).exp()
     out = grt_twist_act(f, phi)
-    g = to_taut3(out)
+    g, g_inv = to_taut3(out)
     assert check_pentagon(g) < 1e-8
-    assert check_hexagon(g) < 1e-8
+    assert check_hexagon(g, g_inv) < 1e-8
 
 
 def test_interpolate_rejects_small_truncation():
@@ -231,7 +235,7 @@ def test_drinfeld_formula_matches_the_twist_tangent():
     cases = [("kz4", Associator(kz6.series.truncate(4)), [psi3]),
              ("kz5", kz5, [psi3, sigma5]),
              ("kz6", kz6, [psi3]),
-             ("anti-kz", anti_kz(kz5), [psi3, sigma5]),
+             ("anti-kz", kz5.flip_signs(), [psi3, sigma5]),
              ("mid-flow", mid, [psi3, sigma5]),
              ("off-family", off, [psi3, sigma5])]
     for name, phi, psis in cases:

@@ -202,9 +202,14 @@ def test_non_finite_t_is_rejected(tmp_path, capsys, command, t):
     ["mzv", "3", "--tol=-1e-9"],
     ["weights", "--tol", "inf"],
     ["weights", "--budget=-5"],
+    ["kz", "--order", "-3"],
+    ["kz", "--order", "0"],
+    ["kz", "--order", "3", "--series-order", "0"],
+    ["interp", "--order", "3", "--series-order", "-1"],
 ], ids=" ".join)
 def test_bad_numeric_options_are_rejected(tmp_path, capsys, monkeypatch, argv):
-    option = "--budget" if any(a.startswith("--budget") for a in argv) else "--tol"
+    # the last option given is the bad one
+    option = [a for a in argv if a.startswith("--")][-1].split("=")[0]
     cache = tmp_path / "cache"
     monkeypatch.setenv("ASSOCLAB_CACHE", str(cache))
     with pytest.raises(SystemExit) as exc:

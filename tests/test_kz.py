@@ -1,13 +1,52 @@
+import cmath
 import math
 
 import pytest
 
-from assoclab.associator import check_hexagon, check_pentagon, to_taut3
-from assoclab.kz import (KZError, MzvError, anti_kz, build_phi_kz,
+from assoclab.associator import Associator, check_hexagon, check_pentagon, to_taut3
+from assoclab.kz import (FuchsSeries, KZError, MzvError, _assemble_phi, build_phi_kz,
                          kz_regularized_solution, mzv, ode_residual)
-from assoclab.ncalg import nc_project_lie
+from assoclab.ncalg import NCSeries, nc_project_lie
 
 TWO_PI_I = 2j * math.pi
+ALPHA = 1.0 / TWO_PI_I
+
+
+def recurrence_at_one(m_order, order):
+    """Reference: the Frobenius recurrence run at 1, independently of the one at 0.
+
+    (m - alpha ad_Y) d_m = -alpha X (d_0 + ... + d_{m-1})
+    """
+    X = NCSeries.generator(2, order, 1, 1.0 + 0.0j)
+    Y = NCSeries.generator(2, order, 2, 1.0 + 0.0j)
+    coeffs = [NCSeries.unit(2, order, 1.0 + 0.0j)]
+    running = coeffs[0]
+    for mth in range(1, m_order + 1):
+        c = (X * running).scale(-ALPHA).scale(1.0 / mth)
+        term = c
+        for _ in range(order):
+            term = Y.bracket(term).scale(ALPHA / mth)
+            if term.is_zero():
+                break
+            c = c + term
+        coeffs.append(c)
+        running = running + c
+    return FuchsSeries(m_order, order, coeffs)
+
+
+def ode_residual_at_one(f1, z):
+    """Residual of the solution tame(1-z) (1-z)^{alpha Y} against the equation at z."""
+    order = f1.order
+    X = NCSeries.generator(2, order, 1, 1.0 + 0.0j)
+    Y = NCSeries.generator(2, order, 2, 1.0 + 0.0j)
+    x = 1.0 - z
+    tame = f1.evaluate(x)
+    dtame = f1.derivative_at(x).scale(-1.0)
+    w = Y.scale(ALPHA * cmath.log(x)).exp()
+    f = tame * w
+    df = dtame * w + tame * Y.scale(-ALPHA / x) * w
+    rhs = (X.scale(ALPHA / z) + Y.scale(ALPHA / (z - 1.0))) * f
+    return df.distance(rhs)
 
 
 def zeta3_single_sum(n0=2_000_000):
@@ -54,28 +93,52 @@ def test_mzv_duality():
 
 
 def test_frobenius_series():
-    f0 = kz_regularized_solution(0, 8, 2)
+    f0 = kz_regularized_solution(8, 2)
     assert f0.coeffs[0].coefficient(()) == 1
     c1 = f0.coeffs[1]
     # first step: c_1 = -Y/(2 pi i) - [X,Y]/(2 pi i)^2 - ...
     assert abs(c1.coefficient((2,)) - (-1.0 / TWO_PI_I)) < 1e-15
     assert abs(c1.coefficient((1,))) == 0
-    f1 = kz_regularized_solution(1, 8, 2)
+    f1 = f0.mirror()
     assert abs(f1.coeffs[1].coefficient((1,)) - (-1.0 / TWO_PI_I)) < 1e-15
     with pytest.raises(KZError):
-        kz_regularized_solution(2, 8, 2)
+        kz_regularized_solution(0, 2)
+
+
+@pytest.mark.parametrize("order", [3, 4, 5, 6])
+def test_mirror_is_the_recurrence_at_one(order):
+    # the X <-> Y swap of the expansion at 0 is the expansion at 1: the same
+    # words in the same order with equal values (relabel's 0 + c turns a
+    # signed zero real or imaginary part into +0, which == does not see)
+    mirrored = kz_regularized_solution(64, order).mirror()
+    reference = recurrence_at_one(64, order)
+    assert len(mirrored.coeffs) == len(reference.coeffs) == 65
+    for got, want in zip(mirrored.coeffs, reference.coeffs):
+        assert list(got.terms) == list(want.terms)
+        assert all(got.terms[w] == c for w, c in want.terms.items())
+
+
+@pytest.mark.parametrize("order", [3, 5])
+def test_phi_kz_is_the_two_expansion_assembly(order):
+    f0 = kz_regularized_solution(64, order)
+    half = _assemble_phi(f0, recurrence_at_one(64, order), 0.5 + 0.0j)
+    terms = dict(half.terms)
+    terms[()] = 1
+    reference = Associator(NCSeries._nonzero(2, order, terms), origin="kz")
+    phi = build_phi_kz(order, 64)[0]
+    assert repr(phi) == repr(reference)
+    assert repr(phi.series.terms) == repr(reference.series.terms)
 
 
 def test_ode_self_consistency():
     # convergence is geometric in the distance to the expansion point
-    f0 = kz_regularized_solution(0, 48, 3)
+    f0 = kz_regularized_solution(48, 3)
     assert ode_residual(f0, 0.3 + 0.0j) < 1e-12
-    f1 = kz_regularized_solution(1, 48, 3)
-    assert ode_residual(f1, 0.7 + 0.0j) < 1e-12
-    for point in (0, 1):
-        f = kz_regularized_solution(point, 96, 3)
-        for z in (0.3, 0.5, 0.6):
-            assert ode_residual(f, z + 0.0j) < 1e-12
+    assert ode_residual_at_one(f0.mirror(), 0.7 + 0.0j) < 1e-12
+    f = kz_regularized_solution(96, 3)
+    for z in (0.3, 0.5, 0.6):
+        assert ode_residual(f, z + 0.0j) < 1e-12
+        assert ode_residual_at_one(f.mirror(), z + 0.0j) < 1e-12
 
 
 def test_phi_kz_structure():
@@ -99,21 +162,21 @@ def test_phi_kz_m_stability():
 
 def test_phi_kz_equations():
     phi = build_phi_kz(order=4, m_order=64)[0]
-    g = to_taut3(phi)
+    g, g_inv = to_taut3(phi)
     assert check_pentagon(g) < 1e-9
-    assert check_hexagon(g) < 1e-9
+    assert check_hexagon(g, g_inv) < 1e-9
 
 
 def test_anti_kz():
     phi = build_phi_kz(order=4, m_order=64)[0]
-    bar = anti_kz(phi)
-    assert anti_kz(bar).series.distance(phi.series) == 0
+    bar = phi.flip_signs()
+    assert bar.flip_signs().series.distance(phi.series) == 0
     for w, c in phi.series.terms.items():
         expected = c if len(w) % 2 == 0 else -c
         assert bar.series.coefficient(w) == expected
-    g = to_taut3(bar)
+    g, g_inv = to_taut3(bar)
     assert check_pentagon(g) < 1e-9
-    assert check_hexagon(g) < 1e-9
+    assert check_hexagon(g, g_inv) < 1e-9
     assert bar.duality_residual() < 1e-10
 
 

@@ -153,5 +153,8 @@ def test_kz_builds_the_realisation_once_under_the_tracer(tmp_path):
         tr.uninstall()
     assert code == EXIT_OK
     for label in ("associator.to_taut3", "associator.check_pentagon.N3",
-                  "associator.check_hexagon.N3", "tangent.taut_inverse"):
+                  "associator.check_hexagon.N3"):
         assert tr.stat(label)[0] == 1, label
+    # the inverse is exp(-u) from to_taut3, not a logarithm of g
+    for label in ("tangent.log_taut", "tangent.taut_inverse"):
+        assert tr.stat(label)[0] == 0, label

@@ -204,6 +204,14 @@ def test_group_structure():
     assert taut_distance(taut_compose(gh, inv), one) == 0
     assert taut_distance(taut_compose(inv, gh), one) == 0
     assert taut_distance(inv, taut_compose(taut_inverse(h), taut_inverse(g))) == 0
+    # the pair (exp u, exp -u) that to_taut3 returns, with no logarithm
+    for k, o in ((2, 5), (3, 4)):
+        u = random_tder(k, o, rng, 0.3)
+        g, g_inv = exp_tder(u), exp_tder(-u)
+        one = TAutElem.identity(k, o)
+        assert taut_distance(taut_compose(g, g_inv), one) == 0
+        assert taut_distance(taut_compose(g_inv, g), one) == 0
+        assert taut_distance(g_inv, taut_inverse(g)) == 0
 
 
 def test_center_decompose():
