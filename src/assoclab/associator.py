@@ -17,7 +17,7 @@ actions agree).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -205,23 +205,13 @@ def _exp_of_reduced_log(w: TAutElem, order: int, tol: float, what: str) -> NCSer
     return lie_to_nc(split.reduced, order).exp()
 
 
-def twist_by_avatar(avatar: TDerElem, phi: Associator,
-                    tol: float = 1e-9) -> Associator:
-    """Twist action computed entirely inside the arity-3 automorphism group."""
-    w = _twisted_group_element(avatar, exp_tder(_t3_log(phi, tol)))
+def grt_twist_act(psi: LieSeries, phi: Associator, tol: float = 1e-9) -> Associator:
+    """Act on an associator by exp(psi), psi in grt, inside the arity-3 automorphism group."""
+    if any(len(w) < 2 for w in psi.coords):
+        raise AssociatorError("twist log must start in degree >= 2")
+    w = _twisted_group_element(nu_embedding(psi), exp_tder(_t3_log(phi, tol)))
     out = _exp_of_reduced_log(w, phi.order, tol, "twist result")
     return Associator(out, origin=f"twisted({phi.origin})")
-
-
-def grt_twist_act(f: NCSeries, phi: Associator, tol: float = 1e-9) -> Associator:
-    """Act on an associator by a group-like series exp(psi), psi in grt."""
-    if not is_zero(f.constant_term() - 1):
-        raise AssociatorError("twists need constant term 1")
-    psi = nc_project_lie(f.log(), tol)
-    lowest = min((len(w) for w in psi.coords), default=3)
-    if lowest < 2:
-        raise AssociatorError("twist log must start in degree >= 2")
-    return twist_by_avatar(nu_embedding(psi), phi, tol)
 
 
 def grt_infinitesimal_act(psi: LieSeries, phi: Associator,
@@ -246,21 +236,6 @@ def grt_infinitesimal_act(psi: LieSeries, phi: Associator,
 
 # -- the interpolation flow ----------------------------------------------------
 
-@dataclass
-class TauFamily:
-    """Odd-degree generators tau_{2j+1}; tau^t = sum (t(1-t))^{2j} tau_{2j+1}."""
-
-    generators: list[tuple[int, LieSeries]] = field(default_factory=list)
-
-    def __post_init__(self):
-        for deg, ell in self.generators:
-            if deg < 3 or deg % 2 == 0:
-                raise AssociatorError("family degrees must be odd and >= 3")
-            for w in ell.coords:
-                if len(w) != deg:
-                    raise AssociatorError(f"generator tagged {deg} has a word of length {len(w)}")
-
-
 def drinfeld_tangent(psi: NCSeries, phi: NCSeries) -> NCSeries:
     """Drinfeld's infinitesimal action of psi in grt on Phi: D_psi(Phi) - Phi . psi.
 
@@ -275,29 +250,39 @@ def drinfeld_tangent(psi: NCSeries, phi: NCSeries) -> NCSeries:
 
 
 def interpolate(phi_init: Associator, t0: Fraction, t1: Fraction,
-                fam: TauFamily, tol: float = 1e-9) -> Associator:
+                generators: Sequence[LieSeries], tol: float = 1e-9) -> Associator:
     """Solve d/dt Phi^t = tau^t . Phi^t exactly and evaluate at t1.
 
-    Word coefficients of Phi^t are polynomials in t.  The tangent is
-    Drinfeld's formula ``drinfeld_tangent``, delta_psi Phi = D_psi(Phi) -
-    Phi . psi, which is linear in Phi: a generator of degree d sends the
-    degree-(n - d) part of Phi^t to degree n.  The family starts in degree 3,
-    so the system is triangular in the word length, and one exact polynomial
-    integration per degree produces the flow.  The input is checked once to
-    have a Lie logarithm within ``tol``.
+    tau^t = sum (t(1-t))^(d-1) tau over the ``generators``, homogeneous Lie
+    series whose odd degree d >= 3 is read from their words; the zero series
+    contributes nothing.  Word coefficients of Phi^t are polynomials in t.
+    The tangent is Drinfeld's formula ``drinfeld_tangent``, delta_psi Phi =
+    D_psi(Phi) - Phi . psi, which is linear in Phi: a generator of degree d
+    sends the degree-(n - d) part of Phi^t to degree n.  The family starts
+    in degree 3, so the system is triangular in the word length, and one
+    exact polynomial integration per degree produces the flow.  The input is
+    checked once to have a Lie logarithm within ``tol``.
     """
     order = phi_init.order
-    if fam.generators and max(d for d, _ in fam.generators) > order:
-        raise AssociatorError("truncation too small for the family degrees")
+    gens = []
+    for ell in generators:
+        degrees = {len(w) for w in ell.coords}
+        if not degrees:
+            continue
+        deg = degrees.pop()
+        if degrees:
+            raise AssociatorError("family generators must be homogeneous")
+        if deg < 3 or deg % 2 == 0:
+            raise AssociatorError("family degrees must be odd and >= 3")
+        if deg > order:
+            raise AssociatorError("truncation too small for the family degrees")
+        gens.append((deg, s_one_minus_s_power(deg - 1), lie_to_nc(ell, order)))
     _checked_lie_log(phi_init, tol)
-    if not fam.generators or t0 == t1:
+    if not gens or t0 == t1:
         return Associator(phi_init.series, origin=phi_init.origin)
 
-    gens = [(deg, s_one_minus_s_power(deg - 1), lie_to_nc(ell, order))
-            for deg, ell in fam.generators]
     poly_phi = phi_init.series.map_coefficients(lambda c: PolyInT((c,)))
-
-    for n in range(min(d for d, _ in fam.generators), order + 1):
+    for n in range(min(deg for deg, _, _ in gens), order + 1):
         rhs = NCSeries.zero(2, order)
         for deg, tpoly, psi in gens:
             if deg > n:

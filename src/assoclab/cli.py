@@ -27,9 +27,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .associator import (Associator, AssociatorError, TauFamily, check_hexagon,
-                         check_pentagon, etingof_coefficients, interpolate, pin_lambda,
-                         to_taut3)
+from .associator import (Associator, AssociatorError, check_hexagon, check_pentagon,
+                         etingof_coefficients, interpolate, pin_lambda, to_taut3)
 from .graphcx import (NAMED_GRAPHS, GraphError, GraphLinComb, differential, divergence,
                       gc_bracket, grt_check, grt_generator, ihara_bracket, phi_map,
                       psi3_normalized, tetrahedron)
@@ -151,19 +150,19 @@ def _zeta_gap(lam: complex, d: int) -> float:
 
 def cmd_interp(args):
     phi, _ = _phi_kz_cached(args.order, args.series_order, args.tol, _cache_dir(args))
-    fam = TauFamily()
+    family = []
     pins, checks = {}, {}
     for d in range(3, args.order + 1, 2):
         # sigma_d first acts in degree d, where the lower generators fix the miss
-        flow = interpolate(phi, Fraction(0), Fraction(1), fam) if fam.generators else None
+        flow = interpolate(phi, Fraction(0), Fraction(1), family, args.tol) if family else None
         sigma = grt_generator(d, args.order)
         lam, checks[f"pin-degree{d}-residual"] = pin_lambda(phi, sigma, flow)
-        fam = TauFamily(fam.generators + [(d, sigma.scale(lam))])
+        family.append(sigma.scale(lam))
         pins["lambda" if d == 3 else f"lambda-degree{d}"] = {"re": lam.real, "im": lam.imag}
         if d > 3:  # the test suite checks the d = 3 closed form
             checks[f"zeta-closed-form-degree{d}"] = _zeta_gap(lam, d)
     t_target = Fraction(args.t).limit_denominator(10**6)
-    phi_t = interpolate(phi, Fraction(0), t_target, fam)
+    phi_t = interpolate(phi, Fraction(0), t_target, family, args.tol)
     if t_target == 1:
         target = phi.flip_signs()
         for d in range(4, args.order + 1):
@@ -174,7 +173,7 @@ def cmd_interp(args):
         checks["flip-symmetry"] = phi_t.series.distance(phi_t.flip_signs().series)
     fields = {"t": str(t_target), **pins, "checks": checks, "associator": phi_t.to_json()}
     return (fields, [(k, f"{v:.3e}") for k, v in checks.items()],
-            all(v <= max(args.tol, 1e-8) for v in checks.values()))
+            all(v <= args.tol for v in checks.values()))
 
 
 def cmd_etingof(args):

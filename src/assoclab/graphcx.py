@@ -566,8 +566,8 @@ def ihara_bracket(psi1: LieSeries, psi2: LieSeries) -> LieSeries:
     order = min(psi1.order, psi2.order)
     nc1 = lie_to_nc(LieSeries(2, order, psi1.coords))
     nc2 = lie_to_nc(LieSeries(2, order, psi2.coords))
-    d1 = TDerElem(2, order, (NCSeries.zero(2, order), nc1), gauge=False)
-    d2 = TDerElem(2, order, (NCSeries.zero(2, order), nc2), gauge=False)
+    d1 = TDerElem(2, order, (NCSeries.zero(2, order), nc1))
+    d2 = TDerElem(2, order, (NCSeries.zero(2, order), nc2))
     out = d1.apply_nc(nc2) - d2.apply_nc(nc1) + nc1.bracket(nc2)
     return lie_coords_from_nc(out)
 

@@ -138,7 +138,6 @@ class FuchsSeries:
     at 0 and x = 1 - z for its mirror image at 1.
     """
 
-    m_order: int          # number of computed powers
     order: int            # word truncation
     coeffs: list[NCSeries] = field(default_factory=list)
 
@@ -161,7 +160,7 @@ class FuchsSeries:
     def mirror(self) -> "FuchsSeries":
         """The X <-> Y letter swap: the expansion at 1 made from the one at 0."""
         swap = {1: (2,), 2: (1,)}
-        return FuchsSeries(self.m_order, self.order, [relabel(c, 2, swap) for c in self.coeffs])
+        return FuchsSeries(self.order, [relabel(c, 2, swap) for c in self.coeffs])
 
 
 def _ad_series(gen: int, order: int) -> NCSeries:
@@ -194,7 +193,7 @@ def kz_regularized_solution(m_order: int, order: int) -> FuchsSeries:
             c = c + term
         coeffs.append(c)
         running = running + c
-    return FuchsSeries(m_order, order, coeffs)
+    return FuchsSeries(order, coeffs)
 
 
 def ode_residual(fuchs: FuchsSeries, z: complex) -> float:

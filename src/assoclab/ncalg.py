@@ -330,13 +330,12 @@ def relabel(s: NCSeries, k: int, letters: Mapping[int, Sequence[int]]) -> NCSeri
     """Send X_a to the sum of X_b over b in letters[a], on k letters.
 
     With one letter per entry this renames letters; ``(i, i + 1)`` for a
-    splits X_i into X_i + X_{i+1}.  Words keep their length.
+    splits X_i into X_i + X_{i+1}.  Words keep their length.  The images
+    must be disjoint and inside 1..k, so that no two words of ``s`` meet:
+    each coefficient is copied as it is, with no sum and no check.
     """
-    terms: dict[Word, object] = {}
-    for w, c in s.terms.items():
-        for w2 in product(*(letters[a] for a in w)):
-            terms[w2] = terms.get(w2, 0) + c
-    return NCSeries(k, s.order, terms)
+    return NCSeries._nonzero(k, s.order, {w2: c for w, c in s.terms.items()
+                                          for w2 in product(*(letters[a] for a in w))})
 
 
 # -- Lie elements -------------------------------------------------------------
@@ -478,15 +477,15 @@ def _lyndon_extract(a: NCSeries) -> tuple[dict, float]:
     return coords, residual
 
 
-def lie_coords_from_nc(a: NCSeries, tol: float = 0.0) -> LieSeries:
+def lie_coords_from_nc(a: NCSeries) -> LieSeries:
     """Lyndon coordinates of an NC series assumed to be a Lie element.
 
     Uses the triangularity of Lyndon bracketings (each expands as its word
-    plus lexicographically larger words) and raises if the residual exceeds
-    ``tol``, i.e. if the input was not Lie.
+    plus lexicographically larger words) and raises on any residual, i.e.
+    if the input was not Lie.
     """
     coords, residual = _lyndon_extract(a)
-    if residual > tol:
+    if residual > 0:
         raise SeriesError(f"series is not Lie (residual {residual:.3e})")
     return LieSeries(a.k, a.order, coords)
 

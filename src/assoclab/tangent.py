@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .ncalg import (LieSeries, NCSeries, SeriesError, add_scaled, lyndon_words, relabel,
                     standard_factorization, substitute_many)
@@ -26,11 +26,12 @@ class ArityError(ValueError):
 
 
 def _strip_gauge(comps: Sequence[NCSeries]) -> tuple[NCSeries, ...]:
+    """Drop the word (i,) from component i, which adds [X_i, X_i] = 0 to the action."""
     out = []
     for i, c in enumerate(comps, start=1):
-        t = dict(c.terms)
-        t.pop((i,), None)
-        out.append(NCSeries._nonzero(c.k, c.order, t))
+        if (i,) in c.terms:
+            c = NCSeries._nonzero(c.k, c.order, {w: x for w, x in c.terms.items() if w != (i,)})
+        out.append(c)
     return tuple(out)
 
 
@@ -40,7 +41,7 @@ class TDerElem:
     __slots__ = ("k", "order", "comps")
     _fill = staticmethod(NCSeries.zero)  # the component of an untouched slot
 
-    def __init__(self, k: int, order: int, comps: Sequence[NCSeries], gauge: bool = True):
+    def __init__(self, k: int, order: int, comps: Sequence[NCSeries]):
         if len(comps) != k:
             raise ArityError(f"expected {k} components, got {len(comps)}")
         for c in comps:
@@ -48,7 +49,7 @@ class TDerElem:
                 raise ArityError("component alphabet/truncation mismatch")
         self.k = k
         self.order = order
-        self.comps = _strip_gauge(comps) if gauge else tuple(comps)
+        self.comps = _strip_gauge(comps)
 
     @staticmethod
     def zero(k: int, order: int) -> "TDerElem":
@@ -76,7 +77,7 @@ class TDerElem:
 
     def map_coefficients(self, f) -> "TDerElem":
         return TDerElem(self.k, self.order,
-                        tuple(x.map_coefficients(f) for x in self.comps), gauge=False)
+                        tuple(x.map_coefficients(f) for x in self.comps))
 
     def _check(self, other: "TDerElem"):
         if self.k != other.k or self.order != other.order:
@@ -95,24 +96,16 @@ class TDerElem:
         """Extend the derivation by Leibniz to the free associative algebra.
 
         Letter j of a word w is replaced by each term (v, b) of its image
-        [X_a, u_a] that fits, len(v) <= N - len(w) + 1, and c*b is added at
-        w[:j] + v + w[j+1:] in one accumulator, in the order the product
-        ``w[:j] * image * w[j+1:]`` would give.
+        [X_a, u_a] that fits, len(v) <= N - len(w) + 1, and c*b, with b as
+        the bracket gives it, is added at w[:j] + v + w[j+1:] in one
+        accumulator, in the order the product ``w[:j] * image * w[j+1:]``
+        would give.
         """
         N = self.order
         images = []
         for i in range(self.k):
             img = NCSeries.generator(self.k, N, i + 1).bracket(self.comps[i])
-            # the unit factors of w[:j] * image * w[j+1:], kept so that
-            # signed zeros inside complex coefficients come out unchanged
-            terms = {}
-            for v, b in img.terms.items():
-                x = 0 + 1 * b
-                if not is_zero(x):
-                    x = 0 + x * 1
-                    if not is_zero(x):
-                        terms[v] = x
-            images.append({r: [(v, x) for v, x in terms.items() if len(v) <= r]
+            images.append({r: [(v, x) for v, x in img.terms.items() if len(v) <= r]
                            for r in range(N + 1)})
         out: dict[tuple[int, ...], object] = {}
         for w, c in s.terms.items():
@@ -352,10 +345,10 @@ def log_taut(g: TAutElem) -> TDerElem:
     gn = normalize_tuple_gauge(g)
     u = TDerElem.zero(k, order)
     for d in range(1, order + 1):
-        e = _exp_components(TDerElem(k, d, [c.truncate(d) for c in u.comps], gauge=False))
+        e = _exp_components(TDerElem(k, d, [c.truncate(d) for c in u.comps]))
         corr = [NCSeries._nonzero(k, order, (gn.comps[i].truncate(d) - e[i]).degree_part(d).terms)
                 for i in range(k)]
-        delta = TDerElem(k, order, corr, gauge=(d == 1))
+        delta = TDerElem(k, order, corr)
         if not delta.is_zero():
             u = u + delta
     return u
@@ -375,15 +368,11 @@ class NotInT3Error(ValueError):
         self.residual = residual
 
 
-class CenterSplit:
+class CenterSplit(NamedTuple):
     """alpha * (t12+t13+t23) + reduced(t12, t23) decomposition of a tder3 element."""
 
-    __slots__ = ("alpha", "reduced", "order")
-
-    def __init__(self, alpha, reduced: LieSeries, order: int):
-        self.alpha = alpha
-        self.reduced = reduced
-        self.order = order
+    alpha: object
+    reduced: LieSeries
 
 
 @lru_cache(maxsize=None)
@@ -432,7 +421,7 @@ def center_decompose_t3(u: TDerElem, tol: float = 0.0) -> CenterSplit:
                 alpha = x
             elif not is_zero(x):
                 coords[lab] = x
-    return CenterSplit(alpha, LieSeries(2, order, coords), order)
+    return CenterSplit(alpha, LieSeries(2, order, coords))
 
 
 def t3_embed(ell: LieSeries, order: int | None = None) -> TDerElem:

@@ -18,9 +18,9 @@ from pathlib import Path
 
 import pytest
 
-from assoclab.associator import (Associator, TauFamily, check_hexagon,
-                                 check_pentagon, etingof_coefficients,
-                                 interpolate, pin_lambda, to_taut3)
+from assoclab.associator import (Associator, check_hexagon, check_pentagon,
+                                 etingof_coefficients, interpolate, pin_lambda,
+                                 to_taut3)
 from assoclab.confint import (RECORDED_LAMBDA_RATIO, TETRA_PREFACTOR,
                               TETRA_SYMMETRY_FACTOR, QuadratureSpec, ZETA3,
                               at_one_vertex_closed_form,
@@ -132,8 +132,7 @@ def test_criterion_5_interpolation_prediction(kz5, pinned):
     t0 = time.time()
     phi4, psi3, lam, resid = pinned
     ok = resid < 1e-12
-    fam = TauFamily([(3, psi3.scale(lam))])
-    phi1 = interpolate(phi4, Fraction(0), Fraction(1), fam)
+    phi1 = interpolate(phi4, Fraction(0), Fraction(1), [psi3.scale(lam)])
     target = phi4.flip_signs()
     d3 = phi1.series.degree_part(3).distance(target.series.degree_part(3))
     d4 = phi1.series.degree_part(4).distance(target.series.degree_part(4))

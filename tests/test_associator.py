@@ -5,12 +5,11 @@ from fractions import Fraction
 import pytest
 
 from assoclab import ncalg
-from assoclab.associator import (Associator, AssociatorError, TauFamily,
-                                 _checked_lie_log, check_hexagon, check_pentagon,
-                                 drinfeld_tangent, etingof_coefficients,
-                                 grt_infinitesimal_act, grt_twist_act, interpolate,
-                                 nu_embedding, pexp_word_coefficient, pin_lambda,
-                                 to_taut3, twist_by_avatar)
+from assoclab.associator import (Associator, AssociatorError, _checked_lie_log,
+                                 check_hexagon, check_pentagon, drinfeld_tangent,
+                                 etingof_coefficients, grt_infinitesimal_act,
+                                 grt_twist_act, interpolate, pexp_word_coefficient,
+                                 pin_lambda, to_taut3)
 from assoclab.graphcx import grt_generator, grt_solution_space, psi3_normalized
 from assoclab.kz import build_phi_kz
 from assoclab.ncalg import (LieSeries, NCSeries, SeriesError, lie_to_nc, lyndon_words,
@@ -90,28 +89,24 @@ def test_to_taut3_roundtrip():
 
 def test_twist_trivial_and_exact():
     phi, _ = rational_associator(4, seed=7)
-    one_f = NCSeries.unit(2, 4)
-    assert grt_twist_act(one_f, phi, tol=0).series == phi.series
-    psi3 = psi3_normalized(4)
-    f = lie_to_nc(psi3).exp()
-    out = grt_twist_act(f, phi, tol=0)
+    assert grt_twist_act(LieSeries.zero(2, 4), phi, tol=0).series == phi.series
+    out = grt_twist_act(psi3_normalized(4), phi, tol=0)
     assert out.grouplike_residual() == 0
 
 
 def test_twist_is_action():
     order = 4
     psi3 = psi3_normalized(order)
-    nu = nu_embedding(psi3)
     phi, _ = rational_associator(order, seed=13)
-    twice = twist_by_avatar(nu, twist_by_avatar(nu, phi, 0), 0)
-    once = twist_by_avatar(nu.scale(Fraction(2)), phi, 0)
+    twice = grt_twist_act(psi3, grt_twist_act(psi3, phi, 0), 0)
+    once = grt_twist_act(psi3.scale(Fraction(2)), phi, 0)
     assert twice.series == once.series
 
 
 def test_twist_rejects_low_degree():
     phi = Associator.one(4)
-    bad = NCSeries(2, 4, {(): 1, (1,): Fraction(1)})
-    with pytest.raises(AssociatorError):
+    bad = LieSeries(2, 4, {(1,): Fraction(1), (1, 1, 2): Fraction(1)})
+    with pytest.raises(AssociatorError, match="degree >= 2"):
         grt_twist_act(bad, phi)
 
 
@@ -123,8 +118,7 @@ def test_infinitesimal_zero_and_finite_difference():
     psi3 = psi3_normalized(4)
     tangent = grt_infinitesimal_act(psi3, phi)
     h = 1e-6
-    f = lie_to_nc(psi3).scale(h).exp()
-    fd = (grt_twist_act(f, phi).series - phi.series).scale(1.0 / h)
+    fd = (grt_twist_act(psi3.scale(h), phi).series - phi.series).scale(1.0 / h)
     assert fd.distance(tangent) < 50 * h
 
 
@@ -138,19 +132,28 @@ def test_unit_tangent_lowest_degree():
 
 def test_interpolate_trivial_cases():
     phi, _ = rational_associator(4, seed=3)
-    fam = TauFamily([])
-    assert interpolate(phi, Fraction(0), Fraction(1), fam).series == phi.series
+    assert interpolate(phi, Fraction(0), Fraction(1), []).series == phi.series
+    # the zero series contributes nothing
+    zero = LieSeries.zero(2, 4)
+    assert interpolate(phi, Fraction(0), Fraction(1), [zero]).series == phi.series
     psi3 = psi3_normalized(4)
-    fam = TauFamily([(3, psi3)])
-    assert interpolate(phi, Fraction(1, 3), Fraction(1, 3), fam).series == phi.series
-    with pytest.raises(AssociatorError):
-        TauFamily([(4, psi3)])
+    assert interpolate(phi, Fraction(1, 3), Fraction(1, 3), [psi3]).series == phi.series
+
+
+@pytest.mark.parametrize("coords, why", [
+    ({(1, 1, 2, 2): Fraction(1)}, "odd"),
+    ({(1, 2): Fraction(1)}, "odd"),
+    ({(1, 1, 2): Fraction(1), (1, 1, 1, 1, 2): Fraction(1)}, "homogeneous"),
+])
+def test_interpolate_reads_and_checks_generator_degrees(coords, why):
+    phi, _ = rational_associator(4, seed=3)
+    with pytest.raises(AssociatorError, match=why):
+        interpolate(phi, Fraction(0), Fraction(1), [LieSeries(2, 5, coords)])
 
 
 def test_interpolate_flow_property_exact():
     phi, _ = rational_associator(4, seed=5, density=0.5)
-    psi3 = psi3_normalized(4)
-    fam = TauFamily([(3, psi3)])
+    fam = [psi3_normalized(4)]
     t0, t1, t2 = Fraction(0), Fraction(1, 3), Fraction(1)
     direct = interpolate(phi, t0, t2, fam, tol=0)
     mid = interpolate(phi, t0, t1, fam, tol=0)
@@ -160,9 +163,7 @@ def test_interpolate_flow_property_exact():
 
 def test_interpolate_is_grouplike_exact():
     phi, _ = rational_associator(4, seed=23, density=0.4)
-    psi3 = psi3_normalized(4)
-    fam = TauFamily([(3, psi3)])
-    out = interpolate(phi, Fraction(0), Fraction(1, 2), fam, tol=0)
+    out = interpolate(phi, Fraction(0), Fraction(1, 2), [psi3_normalized(4)], tol=0)
     assert out.grouplike_residual() == 0
 
 
@@ -172,8 +173,7 @@ def test_pin_lambda_and_degree4_prediction():
     lam, resid = pin_lambda(phi, psi3)
     assert resid < 1e-15
     assert abs(lam.real) < 1e-15  # imaginary in these conventions
-    fam = TauFamily([(3, psi3.scale(lam))])
-    phi1 = interpolate(phi, Fraction(0), Fraction(1), fam)
+    phi1 = interpolate(phi, Fraction(0), Fraction(1), [psi3.scale(lam)])
     target = phi.flip_signs()
     assert phi1.series.degree_part(3).distance(target.series.degree_part(3)) < 1e-12
     assert phi1.series.degree_part(4).distance(target.series.degree_part(4)) < 1e-12
@@ -195,8 +195,7 @@ def test_pin_lambda_is_the_zeta3_closed_form():
     # miss of the sigma_3 flow, and the integral is 1/630
     phi5, _ = build_phi_kz(order=5, m_order=64)
     lam3, _ = pin_lambda(phi5, psi3_normalized(5))
-    flow = interpolate(phi5, Fraction(0), Fraction(1),
-                       TauFamily([(3, psi3_normalized(5).scale(lam3))]))
+    flow = interpolate(phi5, Fraction(0), Fraction(1), [psi3_normalized(5).scale(lam3)])
     c5, resid = pin_lambda(phi5, grt_generator(5, 5), flow)
     expected = 630j * mzv((5,)) / (16 * math.pi ** 5)
     assert resid < 1e-15
@@ -206,9 +205,7 @@ def test_pin_lambda_is_the_zeta3_closed_form():
 def test_twisted_kz_still_passes_equations():
     from assoclab.kz import build_phi_kz
     phi, _ = build_phi_kz(order=4, m_order=48)
-    psi3 = psi3_normalized(4)
-    f = lie_to_nc(psi3).scale(0.05).exp()
-    out = grt_twist_act(f, phi)
+    out = grt_twist_act(psi3_normalized(4).scale(0.05), phi)
     g, g_inv = to_taut3(out)
     assert check_pentagon(g) < 1e-8
     assert check_hexagon(g, g_inv) < 1e-8
@@ -217,9 +214,8 @@ def test_twisted_kz_still_passes_equations():
 def test_interpolate_rejects_small_truncation():
     phi, _ = rational_associator(4, seed=9)
     psi5 = LieSeries(2, 5, {(1, 1, 1, 1, 2): Fraction(1)})
-    fam = TauFamily([(5, psi5)])
     with pytest.raises(AssociatorError):
-        interpolate(phi, Fraction(0), Fraction(1), fam)
+        interpolate(phi, Fraction(0), Fraction(1), [psi5])
 
 
 def test_drinfeld_formula_matches_the_twist_tangent():
@@ -230,8 +226,8 @@ def test_drinfeld_formula_matches_the_twist_tangent():
     psi3 = psi3_normalized(5)
     sigma5 = grt_solution_space(5, 5)[0]
     lam, _ = pin_lambda(kz5, psi3)
-    mid = interpolate(kz5, Fraction(0), Fraction(1, 3), TauFamily([(3, psi3.scale(lam))]))
-    off = grt_twist_act(lie_to_nc(sigma5).scale(0.3).exp(), kz5)
+    mid = interpolate(kz5, Fraction(0), Fraction(1, 3), [psi3.scale(lam)])
+    off = grt_twist_act(sigma5.scale(0.3), kz5)
     cases = [("kz4", Associator(kz6.series.truncate(4)), [psi3]),
              ("kz5", kz5, [psi3, sigma5]),
              ("kz6", kz6, [psi3]),
@@ -256,7 +252,6 @@ def test_dynkin_tolerance_comes_from_the_caller(monkeypatch):
 
     phi, _ = rational_associator(4, seed=3)
     lg = phi.series.log()
-    f = lie_to_nc(psi3_normalized(4)).exp()
     monkeypatch.setattr(ncalg, "_lyndon_extract", dusty)
     # a Dynkin residual of 1e-7 is refused at tol 1e-9 and accepted at the default 1e-6
     with pytest.raises(SeriesError):
@@ -267,6 +262,6 @@ def test_dynkin_tolerance_comes_from_the_caller(monkeypatch):
         _checked_lie_log(phi, 1e-9)
     _checked_lie_log(phi, 1e-6)
     with pytest.raises(AssociatorError, match="log is not Lie within tolerance"):
-        interpolate(phi, Fraction(0), Fraction(1), TauFamily([(3, psi3_normalized(4))]), tol=1e-9)
-    with pytest.raises(SeriesError):
-        grt_twist_act(f, phi, tol=1e-9)
+        interpolate(phi, Fraction(0), Fraction(1), [psi3_normalized(4)], tol=1e-9)
+    with pytest.raises(AssociatorError, match="log is not Lie within tolerance"):
+        grt_twist_act(psi3_normalized(4), phi, tol=1e-9)

@@ -235,6 +235,24 @@ def test_interp_order5_pins_sigma5(tmp_path, capsys):
     assert Associator.from_json(payload["associator"]).grouplike_residual() < 1e-15
 
 
+@pytest.fixture(scope="module")
+def shared_cache(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("cache"))
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-16])
+@pytest.mark.parametrize("argv", [("kz", "--order", "5"), ("interp", "--order", "5", "--t", "1")],
+                         ids=["kz", "interp"])
+def test_passed_is_every_check_within_tol(shared_cache, capsys, argv, tol):
+    # the report passes exactly when every residual or check is <= --tol, as given
+    code, payload = run(capsys, *argv, "--tol", repr(tol), "--cache-dir", shared_cache)
+    values = payload["residuals"] if argv[0] == "kz" else payload["checks"]
+    assert payload["passed"] is all(v <= tol for v in values.values())
+    assert code == (EXIT_OK if payload["passed"] else EXIT_CHECK)
+    if argv[0] == "interp" and tol == 1e-16:
+        assert code == EXIT_CHECK  # zeta-closed-form-degree5 reads about 5e-16
+
+
 def test_interp_order6_reaches_degree6(tmp_path, capsys):
     # sigma_3 and sigma_5 carry Phi^1 to anti-KZ in degrees 4 to 6 (grt has
     # no degree-6 element)

@@ -16,6 +16,8 @@ through tder brackets, into the composition of automorphisms.
 The interpolation flow and the pin of its normalization are checked
 against their forms with the dual-number twist as the tangent, taken at the
 truncation of the input and on the mid-flow associator itself.
+Relabelling is checked against a summing, validating copy on the letter maps
+the pentagon faces, permutations and the KZ mirror use.
 The exact elimination is checked against the dense Gauss-Jordan reduction
 it replaced, on column sets with kernels of any dimension.
 The graph complex is checked against its earlier routines: a selection sort
@@ -26,18 +28,19 @@ operation, and the grt pentagon from tder4 brackets of the pair generators.
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from assoclab import associator, graphcx, scalars, tangent
-from assoclab.associator import (Associator, AssociatorError, TauFamily,
-                                 grt_infinitesimal_act, interpolate, pin_lambda)
+from assoclab.associator import (Associator, AssociatorError, grt_infinitesimal_act,
+                                 interpolate, pin_lambda)
 from assoclab.graphcx import GraphLinComb, psi3_normalized
 from assoclab.kz import build_phi_kz
 from assoclab.ncalg import (LieSeries, NCSeries, SeriesError, add_scaled, lie_coords_from_nc,
-                            lie_to_nc, lyndon_bracket_nc, lyndon_words,
+                            lie_to_nc, lyndon_bracket_nc, lyndon_words, relabel,
                             standard_factorization, substitute_many)
 from assoclab.scalars import Dual, PolyInT, coeff_abs, is_zero, s_one_minus_s_power
 from assoclab.tangent import (TAutElem, TDerElem, center_decompose_t3, exp_tder,
@@ -119,6 +122,15 @@ def ref_substitute_many(images, s):
     return acc
 
 
+def ref_relabel(s, k, letters):
+    """Summing every image term into a validated series."""
+    terms = {}
+    for w, c in s.terms.items():
+        for w2 in itertools.product(*(letters[a] for a in w)):
+            terms[w2] = terms.get(w2, 0) + c
+    return NCSeries(k, s.order, terms)
+
+
 def ref_log_taut(g):
     """Degree by degree, with a full-order exp_tder of the partial logarithm."""
     k, order = g.k, g.order
@@ -127,7 +139,7 @@ def ref_log_taut(g):
     for d in range(1, order + 1):
         e = exp_tder(u)
         corr = [(gn.comps[i] - e.comps[i]).degree_part(d) for i in range(k)]
-        delta = TDerElem(k, order, corr, gauge=(d == 1))
+        delta = TDerElem(k, order, corr)
         if not delta.is_zero():
             u = u + delta
     return u
@@ -267,6 +279,21 @@ def substitution(draw):
     return images, draw(series(k, order, ring))
 
 
+# (k, k2, letters) of the letter maps of pentagon_faces (pad_right, pad_left,
+# duplicate_slot 1..3), of sym_action for [2, 3, 1] and [1, 3, 2], and of mirror
+RELABELINGS = [(3, 4, {1: (1,), 2: (2,), 3: (3,)}), (3, 4, {1: (2,), 2: (3,), 3: (4,)}),
+               (3, 4, {1: (1, 2), 2: (3,), 3: (4,)}), (3, 4, {1: (1,), 2: (2, 3), 3: (4,)}),
+               (3, 4, {1: (1,), 2: (2,), 3: (3, 4)}), (3, 3, {2: (1,), 3: (2,), 1: (3,)}),
+               (3, 3, {1: (1,), 3: (2,), 2: (3,)}), (2, 2, {1: (2,), 2: (1,)})]
+
+
+@st.composite
+def relabeling(draw):
+    k, k2, letters = draw(st.sampled_from(RELABELINGS))
+    order, ring = draw(st.integers(1, 4)), draw(RINGS)
+    return draw(series(k, order, ring)), k2, letters
+
+
 def lie_words(k, order):
     return [w for d in range(1, order + 1) for w in lyndon_words(k, d)]
 
@@ -371,6 +398,13 @@ def test_substitutions_match_copying_sums(case):
     want = ref_substitute_many(images, s)
     same(substitute_many(images, [s])[0], want)
     same(s.substitute(dict(enumerate(images, start=1))), want)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(relabeling())
+def test_relabel_matches_summing_reference(case):
+    s, k2, letters = case
+    same(relabel(s, k2, letters), ref_relabel(s, k2, letters))
 
 
 def test_cancellation_to_zero_keeps_term_order():
@@ -834,6 +868,22 @@ def test_grt_check_on_solution_spaces():
             assert graphcx.grt_check(psi) == (0, 0, 0)
 
 
+def test_ihara_bracket_matches_derivations_with_their_y_letter_term():
+    # (0, psi) acts on Y by [Y, psi]; the word (2,) of psi adds [Y, Y] = 0
+    # there, so TDerElem may drop it without changing the bracket
+    order = 5
+    psi = LieSeries(2, order, {**psi3_normalized(order).coords, (2,): Fraction(3)})
+    a = LieSeries(2, order, {(2,): Fraction(-1), (1, 2, 2): Fraction(2),
+                             (1, 1, 2, 1, 2): Fraction(1, 2)})
+    nc1, nc2 = lie_to_nc(psi), lie_to_nc(a)
+    zero = NCSeries.zero(2, order)
+    d1 = SimpleNamespace(k=2, order=order, comps=(zero, nc1))
+    d2 = SimpleNamespace(k=2, order=order, comps=(zero, nc2))
+    want = ref_add(ref_add(ref_apply_nc(d1, nc2), ref_neg(ref_apply_nc(d2, nc1))),
+                   nc1.bracket(nc2))
+    assert graphcx.ihara_bracket(psi, a) == lie_coords_from_nc(want)
+
+
 def test_graph_maps_keep_term_order():
     graphs = [GraphLinComb({g: Fraction(1)}) for g in graphcx.enumerate_gc_graphs(5)]
     for gamma in graphs + [graphcx.wheel(5)]:
@@ -854,20 +904,21 @@ def test_graph_maps_keep_term_order():
 def ref_interpolate(phi_init, t0, t1, fam, order=None, tol=1e-9):
     """The flow with every tangent the dual-number twist at the full order, on the mid-flow Phi."""
     order = phi_init.order if order is None else order
-    if fam.generators and max(d for d, _ in fam.generators) > order:
+    gens = [(len(next(iter(ell.coords))), ell) for ell in fam if ell.coords]
+    if gens and max(d for d, _ in gens) > order:
         raise AssociatorError("truncation too small for the family degrees")
-    if not fam.generators or t0 == t1:
+    if not gens or t0 == t1:
         return Associator(phi_init.series.truncate(order), origin=phi_init.origin)
 
-    tpolys = {deg: s_one_minus_s_power(deg - 1) for deg, _ in fam.generators}
+    tpolys = {deg: s_one_minus_s_power(deg - 1) for deg, _ in gens}
     poly_phi = phi_init.series.truncate(order).map_coefficients(
         lambda c: PolyInT((c,)))
 
-    lowest = min((d for d, _ in fam.generators), default=0)
+    lowest = min((d for d, _ in gens), default=0)
     for n in range(lowest, order + 1):
         current = Associator(poly_phi, origin="flow")
         rhs = NCSeries.zero(2, order)
-        for deg, ell in fam.generators:
+        for deg, ell in gens:
             if deg > n:
                 continue
             tangent = grt_infinitesimal_act(ell, current, tol).degree_part(n)
@@ -928,7 +979,7 @@ def kz5():
 @pytest.mark.parametrize("order", [3, 4])
 @pytest.mark.parametrize("seed", [1, 7, 19])
 def test_flow_matches_full_order_reference_exact(order, seed):
-    fam = TauFamily([(3, psi3_normalized(order).scale(Fraction(-1, 5)))])
+    fam = [psi3_normalized(order).scale(Fraction(-1, 5))]
     phi = rational_associator(order, seed)
     for t0, t1 in ((Fraction(0), Fraction(1)), (Fraction(1, 4), Fraction(2, 3))):
         same_associator(interpolate(phi, t0, t1, fam, tol=0),
@@ -940,7 +991,7 @@ def test_flow_matches_full_order_reference_on_kz(kz5, t):
     phi = Associator(kz5.series.truncate(4), origin="kz")
     psi3 = psi3_normalized(4)
     lam, _ = pin_lambda(phi, psi3)
-    fam = TauFamily([(3, psi3.scale(lam))])
+    fam = [psi3.scale(lam)]
     same_associator(interpolate(phi, Fraction(0), t, fam),
                     ref_interpolate(phi, Fraction(0), t, fam))
 
@@ -949,7 +1000,7 @@ def test_flow_sums_generators_in_family_order(kz5):
     # (0.1 + 0.2) + 0.3 and (0.3 + 0.2) + 0.1 differ in the last bit
     phi = Associator(kz5.series.truncate(3), origin="kz")
     psi3 = psi3_normalized(3)
-    fam = TauFamily([(3, psi3.scale(c)) for c in (0.1, 0.2, 0.3)])
+    fam = [psi3.scale(c) for c in (0.1, 0.2, 0.3)]
     same_associator(interpolate(phi, Fraction(0), Fraction(1), fam),
                     ref_interpolate(phi, Fraction(0), Fraction(1), fam))
 
@@ -969,7 +1020,7 @@ def test_flow_and_pin_make_no_twist(monkeypatch, kz5):
     applies = counter(monkeypatch, TDerElem, "apply_nc")
     psi3 = psi3_normalized(5)
     lam, _ = pin_lambda(kz5, psi3)
-    interpolate(kz5, Fraction(0), Fraction(1), TauFamily([(3, psi3.scale(lam))]))
+    interpolate(kz5, Fraction(0), Fraction(1), [psi3.scale(lam)])
     assert [len(c) for c in twists] == [0, 0, 0, 0, 0]
     assert len(duals) == 0
     # the pin is one division, and each flow degree 3..5 one Drinfeld tangent
