@@ -26,7 +26,7 @@ from .ncalg import (LieSeries, NCSeries, SeriesError, is_grouplike, lie_to_nc,
 from .scalars import (Dual, PolyInT, coeff_abs, is_zero, iterated_word_integral,
                       s_one_minus_s_power)
 from .tangent import (TAutElem, TDerElem, center_decompose_t3, duplicate_slot,
-                      exp_tder, log_taut, pad_left, pad_right, pentagon_faces,
+                      exp_tder, exp_tder_pair, log_taut, pad_left, pad_right, pentagon_faces,
                       sym_action, t3_embed, taut_compose, taut_distance, tk_generator)
 
 
@@ -113,10 +113,10 @@ def _t3_log(phi: Associator, tol: float) -> TDerElem:
 def to_taut3(phi: Associator, tol: float = 1e-9) -> tuple[TAutElem, TAutElem]:
     """Realize Phi inside the arity-3 tangential automorphism group, with its inverse.
 
-    Returns (g, g^{-1}) = (exp u, exp -u) for u = ``_t3_log(phi)``.
+    Returns (g, g^{-1}) = (exp u, exp -u) for u = ``_t3_log(phi)``, from one
+    set of derivation powers.
     """
-    u = _t3_log(phi, tol)
-    return exp_tder(u), exp_tder(-u)
+    return exp_tder_pair(_t3_log(phi, tol))
 
 
 def check_pentagon(g: TAutElem) -> float:

@@ -191,23 +191,14 @@ class NCSeries:
     def __mul__(self, other):
         """Concatenation product, truncated; scalars multiply coefficientwise.
 
-        A left word u only meets the right terms of length <= N - len(u)
-        (``fits``, in the right operand's term order), so no pair is formed
-        to be discarded and every output word sums its contributions in the
-        order of the left operand's terms.
+        The right operand's ``length_views`` are built for this one product;
+        ``_times_views`` pairs each left word only with the right terms that
+        fit, so no pair is formed to be discarded.
         """
         if not isinstance(other, NCSeries):
             return self.scale(other)
         self._check_compatible(other)
-        out: dict[Word, object] = {}
-        N = self.order
-        fits = {r: [(v, b) for v, b in other.terms.items() if len(v) <= r]
-                for r in {N - len(u) for u in self.terms}}
-        for u, a in self.terms.items():
-            for v, b in fits[N - len(u)]:
-                w = u + v
-                out[w] = out.get(w, 0) + a * b
-        return NCSeries._nonzero(self.k, N, out)
+        return _times_views(self, length_views(other))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -297,23 +288,59 @@ class NCSeries:
                         {tuple(t["word"]): scalar_from_json(t["coeff"]) for t in obj["terms"]})
 
 
+def length_views(s: NCSeries) -> list[list[tuple[Word, object]]]:
+    """``views[r]`` holds the terms of ``s`` of length <= r, in term order, r = 0..order.
+
+    Built in one pass over the terms.  The views belong to whoever reuses
+    the operand and live as long as that reuse: one product in
+    ``NCSeries.__mul__``, one call of ``substitute_many``, and the lifetime
+    of a derivation for its letter images (``TDerElem.apply_nc``).
+    """
+    views: list[list[tuple[Word, object]]] = [[] for _ in range(s.order + 1)]
+    for t in s.terms.items():
+        for view in views[len(t[0]):]:
+            view.append(t)
+    return views
+
+
+def _times_views(a: NCSeries, views: Sequence[Sequence[tuple[Word, object]]]) -> NCSeries:
+    """The truncated product ``a * b``, given ``views = length_views(b)``.
+
+    A left word u only meets the right terms of length <= N - len(u), in the
+    right operand's term order, and every output word sums its contributions
+    in the order of the left operand's terms.
+    """
+    out: dict[Word, object] = {}
+    N = a.order
+    for u, x in a.terms.items():
+        for v, y in views[N - len(u)]:
+            w = u + v
+            out[w] = out.get(w, 0) + x * y
+    return NCSeries._nonzero(a.k, N, out)
+
+
 def substitute_many(images: Sequence[NCSeries], series_list: Sequence[NCSeries]) -> list[NCSeries]:
     """Apply the algebra endomorphism X_i -> images[i-1] to several series.
 
     Prefix products are shared across all inputs through one walk over the
     trie of their words, taken in sorted order, which is what makes group
-    computations at desk scale affordable.
+    computations at desk scale affordable.  Each image's ``length_views``
+    are built once, on entry, and serve every prefix product that ends in
+    that letter; they are dropped on return.
     """
     if not images:
         return [s for s in series_list]
+    for img in images[1:]:
+        images[0]._check_compatible(img)
     k, order = images[0].k, images[0].order
+    views = [length_views(img) for img in images]
     prefix_cache: dict[Word, NCSeries] = {(): NCSeries.unit(k, order)}
 
     def product_for(w):
         got = prefix_cache.get(w)
         if got is not None:
             return got
-        p = product_for(w[:-1]) * images[w[-1] - 1]
+        p = _times_views(product_for(w[:-1]), views[w[-1] - 1])
         prefix_cache[w] = p
         return p
 

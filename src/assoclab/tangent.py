@@ -16,8 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .ncalg import (LieSeries, NCSeries, SeriesError, add_scaled, lyndon_words, relabel,
-                    standard_factorization, substitute_many)
+from .ncalg import (LieSeries, NCSeries, SeriesError, add_scaled, length_views, lyndon_words,
+                    relabel, standard_factorization, substitute_many)
 from .scalars import coeff_abs, eliminate, is_zero
 
 
@@ -38,7 +38,7 @@ def _strip_gauge(comps: Sequence[NCSeries]) -> tuple[NCSeries, ...]:
 class TDerElem:
     """Tangential derivation, components as NC series that are Lie elements."""
 
-    __slots__ = ("k", "order", "comps")
+    __slots__ = ("k", "order", "comps", "_images")
     _fill = staticmethod(NCSeries.zero)  # the component of an untouched slot
 
     def __init__(self, k: int, order: int, comps: Sequence[NCSeries]):
@@ -50,6 +50,7 @@ class TDerElem:
         self.k = k
         self.order = order
         self.comps = _strip_gauge(comps)
+        self._images: tuple[list, ...] | None = None
 
     @staticmethod
     def zero(k: int, order: int) -> "TDerElem":
@@ -99,14 +100,14 @@ class TDerElem:
         [X_a, u_a] that fits, len(v) <= N - len(w) + 1, and c*b, with b as
         the bracket gives it, is added at w[:j] + v + w[j+1:] in one
         accumulator, in the order the product ``w[:j] * image * w[j+1:]``
-        would give.
+        would give.  The images' ``length_views`` are built on the first call
+        and kept, as ``TAutElem.action`` is: the components never change.
         """
         N = self.order
-        images = []
-        for i in range(self.k):
-            img = NCSeries.generator(self.k, N, i + 1).bracket(self.comps[i])
-            images.append({r: [(v, x) for v, x in img.terms.items() if len(v) <= r]
-                           for r in range(N + 1)})
+        if self._images is None:
+            self._images = tuple(length_views(NCSeries.generator(self.k, N, i).bracket(c))
+                                 for i, c in enumerate(self.comps, start=1))
+        images = self._images
         out: dict[tuple[int, ...], object] = {}
         for w, c in s.terms.items():
             rem = N - len(w) + 1
@@ -276,13 +277,17 @@ def sym_action(sigma: Sequence[int], u: TDerElem | TAutElem) -> TDerElem | TAutE
 
 # -- exp and log ---------------------------------------------------------------
 
-def _exp_components(u: TDerElem) -> tuple[NCSeries, ...]:
-    """Component tuple of exp(u), by the recurrence documented on exp_tder."""
-    k, order = u.k, u.order
-    # derivation powers: powers[a][i] = u^a(u_i)/a! = A_a for a < order
+def _derivation_powers(u: TDerElem) -> list[list[NCSeries]]:
+    """powers[a][i] = u^a(u_i)/a! = A_a for a < order, as documented on exp_tder."""
     powers = [list(u.comps)]
-    for a in range(1, order):
+    for a in range(1, u.order):
         powers.append([u.apply_nc(c).scale(Fraction(1, a)) for c in powers[-1]])
+    return powers
+
+
+def _exp_components(powers: list[list[NCSeries]]) -> tuple[NCSeries, ...]:
+    """Component tuple of exp(u) from its derivation powers, by the recurrence on exp_tder."""
+    k, order = powers[0][0].k, powers[0][0].order
     comps = []
     for i in range(k):
         parts = [NCSeries.unit(k, order)]  # parts[n] = G_n
@@ -308,7 +313,19 @@ def exp_tder(u: TDerElem) -> TAutElem:
     A_0..A_{N-1} and G_0..G_N enter at order N.  The action is not stored:
     ``TAutElem.action`` computes it from the components.
     """
-    return TAutElem(u.k, u.order, _exp_components(u))
+    return TAutElem(u.k, u.order, _exp_components(_derivation_powers(u)))
+
+
+def exp_tder_pair(u: TDerElem) -> tuple[TAutElem, TAutElem]:
+    """(exp u, exp -u) from one set of derivation powers.
+
+    The powers of -u are (-u)^a(-u_i)/a! = (-1)^(a+1) u^a(u_i)/a!, and
+    negation is exact, so exp -u equals ``exp_tder(-u)``.
+    """
+    powers = _derivation_powers(u)
+    negated = [p if a % 2 else [-c for c in p] for a, p in enumerate(powers)]
+    return (TAutElem(u.k, u.order, _exp_components(powers)),
+            TAutElem(u.k, u.order, _exp_components(negated)))
 
 
 def normalize_tuple_gauge(g: TAutElem) -> TAutElem:
@@ -345,7 +362,7 @@ def log_taut(g: TAutElem) -> TDerElem:
     gn = normalize_tuple_gauge(g)
     u = TDerElem.zero(k, order)
     for d in range(1, order + 1):
-        e = _exp_components(TDerElem(k, d, [c.truncate(d) for c in u.comps]))
+        e = _exp_components(_derivation_powers(TDerElem(k, d, [c.truncate(d) for c in u.comps])))
         corr = [NCSeries._nonzero(k, order, (gn.comps[i].truncate(d) - e[i]).degree_part(d).terms)
                 for i in range(k)]
         delta = TDerElem(k, order, corr)

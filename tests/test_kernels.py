@@ -34,17 +34,17 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from assoclab import associator, graphcx, scalars, tangent
+from assoclab import associator, graphcx, ncalg, scalars, tangent
 from assoclab.associator import (Associator, AssociatorError, grt_infinitesimal_act,
                                  interpolate, pin_lambda)
 from assoclab.graphcx import GraphLinComb, psi3_normalized
 from assoclab.kz import build_phi_kz
-from assoclab.ncalg import (LieSeries, NCSeries, SeriesError, add_scaled, lie_coords_from_nc,
-                            lie_to_nc, lyndon_bracket_nc, lyndon_words, relabel,
-                            standard_factorization, substitute_many)
+from assoclab.ncalg import (LieSeries, NCSeries, SeriesError, add_scaled, length_views,
+                            lie_coords_from_nc, lie_to_nc, lyndon_bracket_nc, lyndon_words,
+                            relabel, standard_factorization, substitute_many)
 from assoclab.scalars import Dual, PolyInT, coeff_abs, is_zero, s_one_minus_s_power
 from assoclab.tangent import (TAutElem, TDerElem, center_decompose_t3, exp_tder,
-                              log_taut, normalize_tuple_gauge, t3_embed, taut_compose,
+                              exp_tder_pair, log_taut, normalize_tuple_gauge, t3_embed, taut_compose,
                               taut_distance, tder_bracket, tk_generator)
 
 from test_tangent import random_tder
@@ -364,6 +364,21 @@ def two_letter_lie(draw):
 
 # -- properties --------------------------------------------------------------------
 
+@st.composite
+def any_series(draw):
+    k, order, ring = draw(st.integers(1, 3)), draw(st.integers(0, 5)), draw(RINGS)
+    return draw(series(k, order, ring))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(any_series())
+def test_length_views_are_the_fitting_terms_in_term_order(s):
+    views = length_views(s)
+    assert len(views) == s.order + 1
+    for r, view in enumerate(views):
+        assert view == [(w, c) for w, c in s.terms.items() if len(w) <= r]
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(series_pair())
 def test_mul_matches_pair_loop(pair):
@@ -454,6 +469,16 @@ def test_antipode_needs_constant_term_one():
 
 @settings(max_examples=80, derandomize=True, deadline=None)
 @given(tangent_derivation())
+def test_exp_pair_is_exp_of_u_and_of_minus_u(case):
+    _, u = case
+    for got, want in zip(exp_tder_pair(u), (exp_tder(u), exp_tder(-u))):
+        for a, b in zip(got.comps, want.comps):
+            same(a, b)
+            assert repr(list(a.terms.items())) == repr(list(b.terms.items()))  # signed zeros
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(tangent_derivation())
 def test_exp_components_match_composition_sum(case):
     kind, u = case
     for got, want in zip(exp_tder(u).comps, ref_exp_components(u)):
@@ -521,6 +546,40 @@ def test_exp_tder_builds_each_derivation_power_once(monkeypatch):
     # u^a(u_i) for a = 1..3 in each of the 3 components, and none for the action
     assert len(applies) == 9
     assert g._action is None
+    # the pair (exp u, exp -u) reads exp -u off the same powers
+    applies.clear()
+    exp_tder_pair(u)
+    assert len(applies) == 9
+
+
+def test_substitution_views_each_image_once(monkeypatch):
+    x, y = (NCSeries.generator(2, 5, i, Fraction(1)) for i in (1, 2))
+    images = [x + y * x, y - x * y * x]
+    s = sum((NCSeries(2, 5, {w: Fraction(len(w) + 1)}) for d in range(6)
+             for w in itertools.product((1, 2), repeat=d)), NCSeries.zero(2, 5))
+    views = counter(monkeypatch, ncalg, "length_views")
+    products = counter(monkeypatch, NCSeries, "__mul__")
+    got = substitute_many(images, [s, s.scale(Fraction(2))])
+    # 62 prefix products, each against the views built on entry
+    assert len(views) == 2 and len(products) == 0
+    same(got[0], ref_substitute_many(images, s))
+
+
+def test_derivation_brackets_its_letter_images_once(monkeypatch):
+    t12, t23 = tk_generator(1, 2, 3, 4), tk_generator(2, 3, 3, 4)
+    u = t12 + t23.scale(Fraction(1, 2))
+    v = tder_bracket(t12, t23)
+    s = v.comps[0] + v.comps[2]
+    brackets = counter(monkeypatch, NCSeries, "bracket")
+    for _ in range(4):
+        u.apply_nc(s)
+    # [X_i, u_i] for i = 1..3, on the first call only
+    assert len(brackets) == 3
+    brackets.clear()
+    tder_bracket(u, v)
+    tder_bracket(v, u)
+    # v's three images once, u's none; and [u_i, v_i], [v_i, u_i] each time
+    assert len(brackets) == 3 + 2 * 3
 
 
 def test_antipode_forms_no_product(monkeypatch):
