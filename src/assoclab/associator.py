@@ -23,8 +23,7 @@ from typing import Sequence
 
 from .ncalg import (LieSeries, NCSeries, SeriesError, is_grouplike, lie_to_nc,
                     lie_coords_from_nc, nc_project_lie, relabel)
-from .scalars import (Dual, PolyInT, coeff_abs, is_zero, iterated_word_integral,
-                      s_one_minus_s_power)
+from .scalars import Dual, PolyInT, coeff_abs, iterated_word_integral, s_one_minus_s_power
 from .tangent import (TAutElem, TDerElem, center_decompose_t3, duplicate_slot,
                       exp_tder, exp_tder_pair, log_taut, pad_left, pad_right, pentagon_faces,
                       sym_action, t3_embed, taut_compose, taut_distance, tk_generator)
@@ -44,7 +43,7 @@ class Associator:
     def __post_init__(self):
         if self.series.k != 2:
             raise AssociatorError("associators live in two generators")
-        if not is_zero(self.series.constant_term() - 1):
+        if self.series.constant_term() - 1:
             raise AssociatorError("constant term must be 1")
 
     @property

@@ -19,8 +19,8 @@ from functools import lru_cache
 
 from .associator import GrtElem, nu_extract
 from .ncalg import LieSeries, NCSeries, lie_coords_from_nc, lie_to_nc, lyndon_words
-from .scalars import coeff_abs, eliminate, is_zero
-from .tangent import TDerElem, pentagon_faces, t3_embed
+from .scalars import coeff_abs, eliminate
+from .tangent import TDerElem, pentagon_faces, t3_embed, tder_bracket
 
 Edge = tuple[int, int]
 
@@ -197,7 +197,7 @@ class GraphLinComb:
         self.terms: dict[GCGraph, Fraction] = {}
         if terms:
             for g, c in terms.items():
-                if not is_zero(c):
+                if c:
                     self.terms[g] = c
 
     @staticmethod
@@ -562,14 +562,13 @@ def grt_check(psi: LieSeries) -> tuple[float, float, float]:
 
 
 def ihara_bracket(psi1: LieSeries, psi2: LieSeries) -> LieSeries:
-    """(0,psi1)(psi2) - (0,psi2)(psi1) + [psi1, psi2] in two generators."""
+    """(0,psi1)(psi2) - (0,psi2)(psi1) + [psi1, psi2]: slot 2 of the tder2 bracket."""
     order = min(psi1.order, psi2.order)
     nc1 = lie_to_nc(LieSeries(2, order, psi1.coords))
     nc2 = lie_to_nc(LieSeries(2, order, psi2.coords))
     d1 = TDerElem(2, order, (NCSeries.zero(2, order), nc1))
     d2 = TDerElem(2, order, (NCSeries.zero(2, order), nc2))
-    out = d1.apply_nc(nc2) - d2.apply_nc(nc1) + nc1.bracket(nc2)
-    return lie_coords_from_nc(out)
+    return lie_coords_from_nc(tder_bracket(d1, d2).comps[1])
 
 
 def _grt_residual_vector(psi: LieSeries) -> dict:

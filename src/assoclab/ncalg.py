@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, Mapping, Sequence
 
-from .scalars import add_scaled, coeff_abs, is_zero
+from .scalars import add_scaled, coeff_abs
 
 Word = tuple[int, ...]
 
@@ -111,7 +111,7 @@ class NCSeries:
                     continue
                 if any(not (1 <= a <= k) for a in w):
                     raise AlphabetError(f"letter out of range in {w}")
-                if not is_zero(c):
+                if c:
                     data[w] = c
         self.terms = data
 
@@ -133,7 +133,7 @@ class NCSeries:
         """Series from terms whose words are known to fit; drops exact zeros only."""
         s = NCSeries.__new__(NCSeries)
         s.k, s.order = k, order
-        s.terms = {w: c for w, c in terms.items() if not is_zero(c)}
+        s.terms = {w: c for w, c in terms.items() if c}
         return s
 
     def coefficient(self, w: Word):
@@ -207,7 +207,7 @@ class NCSeries:
         return self * other - other * self
 
     def exp(self) -> "NCSeries":
-        if not is_zero(self.constant_term()):
+        if self.constant_term():
             raise SeriesError("exp needs zero constant term")
         out: dict[Word, object] = {(): 1}
         power = NCSeries.unit(self.k, self.order)
@@ -221,7 +221,7 @@ class NCSeries:
         return NCSeries._nonzero(self.k, self.order, out)
 
     def log(self) -> "NCSeries":
-        if not is_zero(self.constant_term() - 1):
+        if self.constant_term() - 1:
             raise SeriesError("log needs constant term 1")
         x = self - 1
         out: dict[Word, object] = {}
@@ -241,7 +241,7 @@ class NCSeries:
         exact inverse; on any other series it is not.  Raises SeriesError
         unless the constant term is 1.
         """
-        if not is_zero(self.constant_term() - 1):
+        if self.constant_term() - 1:
             raise SeriesError("the antipode inverts group-like series, whose constant term is 1")
         return NCSeries._nonzero(self.k, self.order, {
             w[::-1]: -c if len(w) % 2 else c for w, c in self.terms.items()})
@@ -262,7 +262,7 @@ class NCSeries:
         if self.k != other.k or self.order != other.order:
             return False
         keys = set(self.terms) | set(other.terms)
-        return all(is_zero(self.terms.get(w, 0) - other.terms.get(w, 0)) for w in keys)
+        return not any(self.terms.get(w, 0) - other.terms.get(w, 0) for w in keys)
 
     def __repr__(self):
         if not self.terms:
@@ -387,7 +387,7 @@ class LieSeries:
         data: dict[Word, object] = {}
         if coords:
             for w, c in coords.items():
-                if len(w) > order or is_zero(c):
+                if len(w) > order or not c:
                     continue
                 if not _is_lyndon(tuple(w)):
                     raise SeriesError(f"{w} is not a Lyndon word")
@@ -431,7 +431,7 @@ class LieSeries:
         if not isinstance(other, LieSeries):
             return NotImplemented
         keys = set(self.coords) | set(other.coords)
-        return all(is_zero(self.coords.get(w, 0) - other.coords.get(w, 0)) for w in keys)
+        return not any(self.coords.get(w, 0) - other.coords.get(w, 0) for w in keys)
 
     def __repr__(self):
         parts = [f"({c})*L{''.join(map(str, w))}"
@@ -465,7 +465,7 @@ def nc_project_lie(a: NCSeries, tol: float = 1e-6) -> LieSeries:
     to be Lie.  The projected series is Lie by construction, and the
     rounding it may carry in the Lyndon basis must stay within ``tol``.
     """
-    if not is_zero(a.constant_term()):
+    if a.constant_term():
         raise SeriesError("nonzero constant term")
     projected: dict[Word, object] = {}
     for w, c in a.terms.items():
@@ -493,12 +493,12 @@ def _lyndon_extract(a: NCSeries) -> tuple[dict, float]:
     for d in range(1, a.order + 1):
         for w in lyndon_words(a.k, d):
             c = rest.get(w, 0)
-            if is_zero(c):
+            if not c:
                 continue
             coords[w] = c
             for v, b in lyndon_bracket_nc(a.k, a.order, w).terms.items():
                 rest[v] = rest.get(v, 0) - c * b
-                if is_zero(rest[v]):
+                if not rest[v]:
                     del rest[v]
     residual = max((coeff_abs(c) for c in rest.values()), default=0.0)
     return coords, residual
@@ -538,7 +538,7 @@ def shuffle_words(u: Word, v: Word) -> tuple[tuple[Word, int], ...]:
 
 def is_grouplike(g: NCSeries) -> float:
     """Max shuffle residual |c(u)c(v) - sum_{w in u sh v} c(w)| over word pairs."""
-    if not is_zero(g.constant_term() - 1):
+    if g.constant_term() - 1:
         raise SeriesError("group-like test needs constant term 1")
     worst = 0.0
     words_by_len: dict[int, list[Word]] = {}
@@ -553,7 +553,7 @@ def is_grouplike(g: NCSeries) -> float:
                     acc = cu * cv
                     for w, m in shuffle_words(u, v):
                         cw = g.terms.get(w, 0)
-                        if not is_zero(cw):
+                        if cw:
                             acc = acc - m * cw
                     r = coeff_abs(acc)
                     if r > worst:

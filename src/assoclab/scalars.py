@@ -9,9 +9,9 @@ Four kinds of scalars flow through the package:
   first-order perturbations.
 
 All of them are immutable values supporting ``+``, ``-``, ``*``, division by
-integers and comparison with ``0``, which is the whole interface the series
-code relies on.  Polynomials and duals may be nested over any of the other
-rings.
+integers and a truth value that is false exactly at zero (``bool(x)``),
+which is the whole interface the series code relies on.  Polynomials and
+duals may be nested over any of the other rings.
 """
 
 from __future__ import annotations
@@ -26,13 +26,6 @@ class ScalarError(ValueError):
 
 def _is_plain_number(x) -> bool:
     return isinstance(x, (int, float, complex, Fraction))
-
-
-def is_zero(x) -> bool:
-    """Exact zero test valid for every supported scalar."""
-    if isinstance(x, (PolyInT, Dual)):
-        return x.is_zero()
-    return x == 0
 
 
 def coeff_abs(x) -> float:
@@ -56,7 +49,7 @@ class PolyInT:
 
     def __init__(self, coeffs: Sequence = ()):
         cs = list(coeffs)
-        while cs and is_zero(cs[-1]):
+        while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
 
@@ -67,8 +60,8 @@ class PolyInT:
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for zero polynomial
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
 
     def _coerce(self, other):
         if isinstance(other, PolyInT):
@@ -109,7 +102,7 @@ class PolyInT:
             return PolyInT(())
         out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if is_zero(a):
+            if not a:
                 continue
             for j, b in enumerate(o.coeffs):
                 out[i + j] = out[i + j] + a * b
@@ -118,13 +111,11 @@ class PolyInT:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if isinstance(other, int):
-                other = Fraction(other)
-            return PolyInT(tuple(c / other for c in self.coeffs))
-        if isinstance(other, (float, complex)):
-            return PolyInT(tuple(c / other for c in self.coeffs))
-        return NotImplemented
+        if not _is_plain_number(other):
+            return NotImplemented
+        if isinstance(other, int):
+            other = Fraction(other)
+        return PolyInT(tuple(c / other for c in self.coeffs))
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -171,8 +162,8 @@ class Dual:
         self.primal = primal
         self.tangent = tangent
 
-    def is_zero(self) -> bool:
-        return is_zero(self.primal) and is_zero(self.tangent)
+    def __bool__(self) -> bool:
+        return bool(self.primal) or bool(self.tangent)
 
     def _coerce(self, other):
         if isinstance(other, Dual):
@@ -265,10 +256,10 @@ def add_scaled(acc: dict, terms: Iterable[tuple[Hashable, object]], c) -> None:
     """
     for w, x in terms:
         val = c * x
-        if is_zero(val):
+        if not val:
             continue
         new = acc.get(w, 0) + val
-        if is_zero(new):
+        if not new:
             del acc[w]
         else:
             acc[w] = new
@@ -288,7 +279,7 @@ def eliminate(columns: Sequence[Mapping], rhs: Mapping | None = None):
     pivots = []  # (key, reduced column, 1 / its entry there, combination of columns)
     kernel = []
     for j, column in enumerate(columns):
-        vec = {r: x for r, x in column.items() if x != 0}
+        vec = {r: x for r, x in column.items() if x}
         combo = {j: Fraction(1)}
         for r, pvec, inv, pcombo in pivots:
             if r in vec:

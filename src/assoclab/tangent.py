@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 from .ncalg import (LieSeries, NCSeries, SeriesError, add_scaled, length_views, lyndon_words,
                     relabel, standard_factorization, substitute_many)
-from .scalars import coeff_abs, eliminate, is_zero
+from .scalars import coeff_abs, eliminate
 
 
 class ArityError(ValueError):
@@ -340,7 +340,7 @@ def normalize_tuple_gauge(g: TAutElem) -> TAutElem:
     comps = []
     for i, gi in enumerate(g.comps, start=1):
         c = gi.coefficient((i,))
-        comps.append(gi if is_zero(c) else NCSeries.generator(g.k, g.order, i, -c).exp() * gi)
+        comps.append(NCSeries.generator(g.k, g.order, i, -c).exp() * gi if c else gi)
     return TAutElem(g.k, g.order, tuple(comps))
 
 
@@ -356,7 +356,7 @@ def log_taut(g: TAutElem) -> TDerElem:
     contributions in the same order as at the full order.
     """
     for c in g.comps:
-        if not is_zero(c.constant_term() - 1):
+        if c.constant_term() - 1:
             raise SeriesError("log of a non-unipotent tangential automorphism")
     k, order = g.k, g.order
     gn = normalize_tuple_gauge(g)
@@ -436,15 +436,20 @@ def center_decompose_t3(u: TDerElem, tol: float = 0.0) -> CenterSplit:
         for lab, x in zip(labels, sol):
             if lab is None:
                 alpha = x
-            elif not is_zero(x):
+            elif x:
                 coords[lab] = x
     return CenterSplit(alpha, LieSeries(2, order, coords))
 
 
 def t3_embed(ell: LieSeries, order: int | None = None) -> TDerElem:
-    """Evaluate a two-letter Lie series on (t12, t23) inside tder3."""
+    """Evaluate a two-letter Lie series on (t12, t23) inside tder3.
+
+    The scaled word images are summed into the components in place, as
+    ``lie_to_nc`` sums bracketings.
+    """
     order = ell.order if order is None else order
-    out = TDerElem.zero(3, order)
+    out: tuple[dict, ...] = ({}, {}, {})
     for w, c in LieSeries(2, order, ell.coords).coords.items():
-        out = out + _t3_word_image(w, order).scale(c)
-    return out
+        for acc, comp in zip(out, _t3_word_image(w, order).comps):
+            add_scaled(acc, comp.terms.items(), c)
+    return TDerElem(3, order, [NCSeries._nonzero(3, order, acc) for acc in out])

@@ -5,7 +5,8 @@ term pair and discards the over-long ones, a Leibniz rule that builds
 ``w[:j] * image * w[j+1:]`` as full products, and sums that copy the
 accumulator at every step; a logarithm of tangential automorphisms that
 takes a full-order exponential at every degree, and an embedding into tder3
-that evaluates every bracketing afresh.  The kernels must give equal values
+that evaluates every bracketing afresh and sums whole derivations.  Every
+ring's truth value is its zero test.  The kernels must give equal values
 in the same term order, including when coefficients cancel to exact zeros.
 The antipode and the recurrence for the exponential's components are
 checked on group-like series against a Neumann-series inverse and a sum over
@@ -42,7 +43,7 @@ from assoclab.kz import build_phi_kz
 from assoclab.ncalg import (LieSeries, NCSeries, SeriesError, add_scaled, length_views,
                             lie_coords_from_nc, lie_to_nc, lyndon_bracket_nc, lyndon_words,
                             relabel, standard_factorization, substitute_many)
-from assoclab.scalars import Dual, PolyInT, coeff_abs, is_zero, s_one_minus_s_power
+from assoclab.scalars import Dual, PolyInT, coeff_abs, s_one_minus_s_power
 from assoclab.tangent import (TAutElem, TDerElem, center_decompose_t3, exp_tder,
                               exp_tder_pair, log_taut, normalize_tuple_gauge, t3_embed, taut_compose,
                               taut_distance, tder_bracket, tk_generator)
@@ -233,7 +234,7 @@ def same(got: NCSeries, want: NCSeries):
     """Equal values in the same term order (dict order is what later sums see)."""
     assert (got.k, got.order) == (want.k, want.order)
     assert list(got.terms.items()) == list(want.terms.items())
-    assert not any(is_zero(c) for c in got.terms.values())
+    assert all(got.terms.values())
 
 
 def same_tder(got: TDerElem, want: TDerElem):
@@ -368,6 +369,27 @@ def two_letter_lie(draw):
 def any_series(draw):
     k, order, ring = draw(st.integers(1, 3)), draw(st.integers(0, 5)), draw(RINGS)
     return draw(series(k, order, ring))
+
+
+ZERO_TEST_CASES = [
+    -0.0, complex(-0.0, 0.0), complex(0.0, -0.0), float("nan"), complex(float("nan"), 0.0),
+    PolyInT([1, 0, 0]), PolyInT(()), PolyInT([Fraction(0), 0.0]), Dual(0, 0), Dual(0, 1),
+    Dual(PolyInT(()), PolyInT(())), Dual(PolyInT(()), PolyInT([0j, -0.5j])),
+]
+
+
+@pytest.mark.parametrize("x", ZERO_TEST_CASES, ids=repr)
+def test_truth_value_is_the_zero_test_on_fixed_cases(x):
+    assert bool(x) == (x != 0)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.one_of(RINGS.flatmap(lambda ring: ring), flow_ring),
+       st.one_of(RINGS.flatmap(lambda ring: ring), flow_ring))
+def test_truth_value_is_the_zero_test(x, y):
+    # differences and products reach zero, and Dual(0, b) * Dual(0, c) the zero divisor
+    for z in (x, x - x, x * y, x - y, x * y - y * x):
+        assert bool(z) == (z != 0)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -909,7 +931,7 @@ def grt_candidate(draw):
 def assert_same_residuals(psi):
     """The residual vector equals the tder4-bracket reference, key by key."""
     def nonzero(vec):
-        return {k: c for k, c in vec.items() if not is_zero(c)}
+        return {k: c for k, c in vec.items() if c}
     assert nonzero(graphcx._grt_residual_vector(psi)) == nonzero(ref_grt_residual_vector(psi))
     assert graphcx.grt_check(psi) == ref_grt_check(psi)
 
@@ -927,6 +949,18 @@ def test_grt_check_on_solution_spaces():
             assert graphcx.grt_check(psi) == (0, 0, 0)
 
 
+def ref_ihara_bracket(psi1, psi2):
+    """Slot 2 of the bracket of (0, psi1) and (0, psi2), each keeping its word (2,)."""
+    order = min(psi1.order, psi2.order)
+    nc1, nc2 = (lie_to_nc(LieSeries(2, order, p.coords)) for p in (psi1, psi2))
+    zero = NCSeries.zero(2, order)
+    d1 = SimpleNamespace(k=2, order=order, comps=(zero, nc1))
+    d2 = SimpleNamespace(k=2, order=order, comps=(zero, nc2))
+    slot2 = ref_add(ref_add(ref_apply_nc(d1, nc2), ref_neg(ref_apply_nc(d2, nc1))),
+                    nc1.bracket(nc2))
+    return lie_coords_from_nc(slot2)
+
+
 def test_ihara_bracket_matches_derivations_with_their_y_letter_term():
     # (0, psi) acts on Y by [Y, psi]; the word (2,) of psi adds [Y, Y] = 0
     # there, so TDerElem may drop it without changing the bracket
@@ -934,13 +968,23 @@ def test_ihara_bracket_matches_derivations_with_their_y_letter_term():
     psi = LieSeries(2, order, {**psi3_normalized(order).coords, (2,): Fraction(3)})
     a = LieSeries(2, order, {(2,): Fraction(-1), (1, 2, 2): Fraction(2),
                              (1, 1, 2, 1, 2): Fraction(1, 2)})
-    nc1, nc2 = lie_to_nc(psi), lie_to_nc(a)
-    zero = NCSeries.zero(2, order)
-    d1 = SimpleNamespace(k=2, order=order, comps=(zero, nc1))
-    d2 = SimpleNamespace(k=2, order=order, comps=(zero, nc2))
-    want = ref_add(ref_add(ref_apply_nc(d1, nc2), ref_neg(ref_apply_nc(d2, nc1))),
-                   nc1.bracket(nc2))
-    assert graphcx.ihara_bracket(psi, a) == lie_coords_from_nc(want)
+    assert graphcx.ihara_bracket(psi, a) == ref_ihara_bracket(psi, a)
+
+
+@st.composite
+def ihara_pair(draw):
+    # degrees 1 to 3 at orders 5 and 6, where most brackets survive the truncation
+    order, rng = draw(st.integers(5, 6)), random.Random(draw(st.integers(0, 2**32)))
+    return [LieSeries(2, order, {w: rng.choice(SMALL)
+                                 for w in lie_words(2, 3) if rng.random() < 0.6})
+            for _ in range(2)]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(ihara_pair())
+def test_ihara_bracket_is_the_tder_bracket_on_zero_first_slots(pair):
+    got, want = graphcx.ihara_bracket(*pair), ref_ihara_bracket(*pair)
+    assert list(got.coords.items()) == list(want.coords.items())
 
 
 def test_graph_maps_keep_term_order():
