@@ -194,11 +194,13 @@ def _load_graph(args) -> GraphLinComb:
             vertices, edges = data["vertices"], [tuple(e) for e in data["edges"]]
         except (ValueError, KeyError, TypeError) as e:
             raise IOError(f"cannot read a graph from {args.infile}: {type(e).__name__}: {e}")
-        if not (isinstance(vertices, int) and vertices >= 1) or any(
-                len(e) != 2 or not all(isinstance(v, int) and 1 <= v <= vertices for v in e)
+        # type(...) is int: JSON true and false load as bools, which are ints
+        if not (type(vertices) is int and vertices >= 1) or any(
+                len(e) != 2 or not all(type(v) is int and 1 <= v <= vertices for v in e)
                 for e in edges):
-            raise IOError(f"{args.infile}: need vertices >= 1 and edges between "
-                          f"vertices 1..{vertices}, got {edges}")
+            raise IOError(f"{args.infile}: need integer vertices >= 1 and integer edges "
+                          f"between vertices 1..{vertices}, got vertices {vertices!r}, "
+                          f"edges {edges}")
         return GraphLinComb.single(vertices, edges)
     raise IOError(f"unknown graph {name!r} and no --in file")
 

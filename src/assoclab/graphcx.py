@@ -3,9 +3,14 @@
 Graphs carry an ordered edge list; the orientation is the edge order, so a
 relabeling contributes the parity of the induced edge permutation and a
 graph admitting an automorphism with odd edge permutation is zero.  Double
-edges vanish for the same reason.  The differential is the bracket with the
-one-edge graph; the divergence is the bracket with the one-vertex one-loop
-graph computed in the ambient complex that admits loops.  Graphs with
+edges vanish for the same reason.  The differential is half the bracket
+with the one-edge graph; on GC graphs (connected, loop-free, every vertex
+at least trivalent) its antenna and bivalent terms cancel, so it is formed
+as the unordered splitting of each vertex into two at least trivalent
+vertices, and any other input is bracketed.  The divergence is the bracket
+with the one-vertex one-loop graph computed in the ambient complex that
+admits loops.  Canonical forms try the relabelings inside the classes of
+color refinement, a class of isolated vertices in one order only.  Graphs with
 external legs are the same types with ``ext`` > 0: vertices 1..ext are the
 legs and are never relabeled.
 """
@@ -45,16 +50,13 @@ def _perm_sign(perm: list[int]) -> int:
     return -1 if (len(perm) - cycles) % 2 else 1
 
 
-def _sort_with_parity(edges: list[Edge]) -> tuple[tuple[Edge, ...], int]:
-    """The sorted tuple and the sign of the sorting permutation."""
-    order = sorted(range(len(edges)), key=edges.__getitem__)
-    # from a list, not a generator: tuple() then allocates the exact size once
-    # instead of growing, which held about 1 MB more peak memory
-    return tuple([edges[i] for i in order]), _perm_sign(order)
-
-
 def _colors(n: int, edges: list[Edge], fixed: int) -> list:
-    """Iso-invariant vertex colors; vertices <= fixed keep their own label."""
+    """Iso-invariant vertex colors, indexed by vertex; vertices <= fixed keep their own label.
+
+    Refinement stops at the first round that splits no class.  Each round
+    names the classes by their rank, so the order of the colors is the
+    order of the classes whichever round stops.
+    """
     adj: list[list[int]] = [[] for _ in range(n + 1)]
     loops = [0] * (n + 1)
     for u, v in edges:
@@ -63,37 +65,41 @@ def _colors(n: int, edges: list[Edge], fixed: int) -> list:
         else:
             adj[u].append(v)
             adj[v].append(u)
-    col = {v: (0, v) if v <= fixed else (1, len(adj[v]), loops[v]) for v in range(1, n + 1)}
+    col = [None] + [(0, v) if v <= fixed else (1, len(adj[v]), loops[v]) for v in range(1, n + 1)]
+    count = len(set(col[1:]))
     for _ in range(n):
-        nxt = {v: (col[v], tuple(sorted(col[w] for w in adj[v]))) for v in range(1, n + 1)}
-        names = {c: i for i, c in enumerate(sorted(set(nxt.values())))}
-        new = {v: (0, v) if v <= fixed else (2, names[nxt[v]]) for v in range(1, n + 1)}
-        if new == col:
+        nxt = [None] + [(col[v], tuple(sorted([col[w] for w in adj[v]]))) for v in range(1, n + 1)]
+        names = {c: i for i, c in enumerate(sorted(set(nxt[1:])))}
+        col = [None] + [(0, v) if v <= fixed else (2, names[nxt[v]]) for v in range(1, n + 1)]
+        if len(names) == count:
             break
-        col = new
+        count = len(names)
     return col
 
 
 def _candidate_relabelings(n: int, edges: list[Edge], fixed: int):
-    """Label maps respecting the color classes; fixed vertices stay put."""
+    """Label lists (vertex -> label) respecting the color classes; fixed vertices stay put.
+
+    Class i receives the next block of labels after ``fixed``, in every
+    order of its vertices, except that a class of isolated vertices takes
+    one order: every order gives the same edges.  The one list is reused
+    from candidate to candidate.
+    """
     col = _colors(n, edges, fixed)
     classes: dict = {}
-    for v in range(1, n + 1):
-        if v > fixed:
-            classes.setdefault(col[v], []).append(v)
-    ordered = [classes[c] for c in sorted(classes)]
-    # label blocks: class i receives the next block of labels after `fixed`
-    blocks = []
-    start = fixed + 1
-    for cls in ordered:
-        blocks.append(list(range(start, start + len(cls))))
-        start += len(cls)
-    for perms in itertools.product(*(itertools.permutations(c) for c in ordered)):
-        mapping = {v: v for v in range(1, fixed + 1)}
-        for cls_perm, block in zip(perms, blocks):
-            for v, lbl in zip(cls_perm, block):
-                mapping[v] = lbl
-        yield mapping
+    for v in range(fixed + 1, n + 1):
+        classes.setdefault(col[v], []).append(v)
+    touched = {x for e in edges for x in e}
+    orders = [itertools.permutations(classes[c]) if classes[c][0] in touched else (classes[c],)
+              for c in sorted(classes)]
+    label = list(range(n + 1))
+    for perms in itertools.product(*orders):
+        nxt = fixed + 1
+        for cls_perm in perms:
+            for v in cls_perm:
+                label[v] = nxt
+                nxt += 1
+        yield label
 
 
 def canonical_form(n: int, edges: list[Edge], fixed: int = 0):
@@ -101,24 +107,26 @@ def canonical_form(n: int, edges: list[Edge], fixed: int = 0):
 
     ``fixed`` leading vertices (external legs) are never relabeled.
     Returns (edge tuple, sign) with edges sorted, or None when the graph has
-    a sign-reversing automorphism or a repeated edge.
+    a sign-reversing automorphism or a repeated edge.  The sign (the parity
+    of the sorting permutation) is computed only for a relabeling whose
+    sorted edges tie or beat the least so far.
     """
-    norm = [(min(u, v), max(u, v)) for (u, v) in edges]
-    best_key = None
-    best_sign = 0
-    for mapping in _candidate_relabelings(n, norm, fixed):
-        lab = [(min(mapping[u], mapping[v]), max(mapping[u], mapping[v])) for (u, v) in norm]
-        key, sign = _sort_with_parity(lab)
+    norm = [(u, v) if u <= v else (v, u) for u, v in edges]
+    if len(set(norm)) < len(norm):
+        return None
+    positions = range(len(norm))
+    best_key = best_sign = None
+    for label in _candidate_relabelings(n, norm, fixed):
+        lab = [(a, b) if (a := label[u]) <= (b := label[v]) else (b, a) for u, v in norm]
+        key = sorted(lab)
+        if best_key is not None and key > best_key:
+            continue
+        sign = _perm_sign(sorted(positions, key=lab.__getitem__))
         if best_key is None or key < best_key:
             best_key, best_sign = key, sign
-        elif key == best_key and sign != best_sign:
+        elif sign != best_sign:
             return None
-    if best_key is None:
-        best_key, best_sign = (), 1
-    for i in range(len(best_key) - 1):
-        if best_key[i] == best_key[i + 1]:
-            return None
-    return best_key, best_sign
+    return tuple(best_key), best_sign
 
 
 @dataclass(frozen=True)
@@ -334,10 +342,28 @@ def differential(a: GraphLinComb) -> GraphLinComb:
     The half normalizes the insertion sum to unordered vertex splittings,
     which is the normalization under which the mark-and-delete map
     intertwines the differentials on plain and external-legged graphs.
+    On GC graphs (connected, loop-free, every vertex at least trivalent)
+    the antenna and bivalent terms of the bracket cancel, so only the
+    unordered splits of a vertex into two at least trivalent vertices are
+    formed: the first end stays at the split vertex i, the new edge
+    (i, i + 1) goes last, and each split carries -(-1)^deg(a) times its
+    coefficient.  Any other input is bracketed.
     """
     if a.is_zero():
         return GraphLinComb()
-    return gc_bracket(edge_graph(), a).scale(Fraction(1, 2))
+    if not all(g.is_gc() for g in a.terms):
+        return gc_bracket(edge_graph(), a).scale(Fraction(1, 2))
+    sign = 1 if _homogeneous_degree(a) % 2 else -1
+    raw: list[tuple[int, list[Edge], Fraction]] = []
+    for g, c in a.terms.items():
+        for i, val in enumerate(g.valences(), start=1):
+            for edges in _reassign_ends(g.edges, i, lambda m: [(i,)] + [(i, i + 1)] * (m - 1),
+                                        lambda w: w if w < i else w + 1):
+                # ends moved to the new vertex i + 1 (the old vertices after i are shifted past it)
+                moved = sum(e.count(i + 1) for e in edges)
+                if 2 <= moved <= val - 2:
+                    raw.append((g.n + 1, edges + [(i, i + 1)], sign * c))
+    return GraphLinComb.from_raw(raw)
 
 
 def divergence(a: GraphLinComb) -> GraphLinComb:

@@ -71,6 +71,20 @@ def test_gc_file_input(tmp_path, capsys):
     assert code == EXIT_OK and payload["closed"] is True
 
 
+@pytest.mark.parametrize("graph", [
+    {"vertices": 4, "edges": [[True, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]]},
+    {"vertices": True, "edges": []},
+], ids=["boolean endpoint", "boolean vertex count"])
+def test_gc_file_input_rejects_booleans(tmp_path, capsys, graph):
+    # JSON true loads as a bool, which Python counts as the integer 1
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph))
+    code = main(["gc", "cocycle", "-", "--in", str(path)])
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    assert str(path) in err and "need integer vertices" in err and "True" in err
+
+
 def test_unknown_graph_is_io_error(capsys):
     code, _ = run(capsys, "gc", "cocycle", "nonexistent")
     assert code == EXIT_IO

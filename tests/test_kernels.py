@@ -21,13 +21,17 @@ Relabelling is checked against a summing, validating copy on the letter maps
 the pentagon faces, permutations and the KZ mirror use.
 The exact elimination is checked against the dense Gauss-Jordan reduction
 it replaced, on column sets with kernels of any dimension.
-The graph complex is checked against its earlier routines: a selection sort
-counting swaps for the orientation sign, one loop over edge ends per
-operation, and the grt pentagon from tder4 brackets of the pair generators.
+The graph complex is checked against its earlier routines: a canonical form
+that tries every relabeling inside the color classes and counts selection
+sort swaps for the orientation sign, the differential as half the bracket
+with the one-edge graph, one loop over edge ends per operation, and the grt
+pentagon from tder4 brackets of the pair generators.
 """
 
+import functools
 import itertools
 import random
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
@@ -909,15 +913,156 @@ def distinct_edges(draw):
     return n, edges, draw(st.integers(0, min(2, n)))
 
 
+def ref_colors(n, edges, fixed):
+    """Color refinement until a round changes no color."""
+    adj = {v: [] for v in range(1, n + 1)}
+    loops = dict.fromkeys(range(1, n + 1), 0)
+    for u, v in edges:
+        if u == v:
+            loops[u] += 1
+        else:
+            adj[u].append(v)
+            adj[v].append(u)
+    col = {v: (0, v) if v <= fixed else (1, len(adj[v]), loops[v]) for v in range(1, n + 1)}
+    for _ in range(n):
+        nxt = {v: (col[v], tuple(sorted(col[w] for w in adj[v]))) for v in range(1, n + 1)}
+        names = {c: i for i, c in enumerate(sorted(set(nxt.values())))}
+        new = {v: (0, v) if v <= fixed else (2, names[nxt[v]]) for v in range(1, n + 1)}
+        if new == col:
+            break
+        col = new
+    return col
+
+
+def ref_canonical_form(n, edges, fixed=0):
+    """The least sorted edge list over every relabeling inside the color classes,
+    the sign from a selection sort; a repeated edge shows in the least list."""
+    norm = [(min(u, v), max(u, v)) for u, v in edges]
+    col = ref_colors(n, norm, fixed)
+    classes = {}
+    for v in range(fixed + 1, n + 1):
+        classes.setdefault(col[v], []).append(v)
+    ordered = [classes[c] for c in sorted(classes)]
+    best_key, best_sign = None, 0
+    for perms in itertools.product(*(itertools.permutations(c) for c in ordered)):
+        mapping = {v: v for v in range(1, fixed + 1)}
+        mapping.update(zip(itertools.chain(*perms), range(fixed + 1, n + 1)))
+        lab = [(min(mapping[u], mapping[v]), max(mapping[u], mapping[v])) for u, v in norm]
+        key, sign = ref_sort_with_parity(lab)
+        if best_key is None or key < best_key:
+            best_key, best_sign = key, sign
+        elif key == best_key and sign != best_sign:
+            return None
+    if any(best_key[i] == best_key[i + 1] for i in range(len(best_key) - 1)):
+        return None
+    return best_key, best_sign
+
+
+def ref_differential(a):
+    """Half the bracket with the one-edge graph, both insertions formed."""
+    if a.is_zero():
+        return GraphLinComb()
+    edge = graphcx.edge_graph()
+    sign = Fraction((-1) ** graphcx._homogeneous_degree(a))
+    return (ref_pre_lie(edge, a) - ref_pre_lie(a, edge).scale(sign)).scale(Fraction(1, 2))
+
+
+@functools.lru_cache(maxsize=None)
+def gc_graphs_upto_6():
+    return graphcx.enumerate_gc_graphs(6)
+
+
+def random_gc_graph(rng, max_vertices):
+    """A random connected loop-free graph with every vertex at least trivalent."""
+    while True:
+        n = rng.randint(4, max_vertices)
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        edges = rng.sample(pairs, rng.randint((3 * n + 1) // 2, min(len(pairs), 2 * n + 2)))
+        if graphcx.GCGraph(n, tuple(edges)).is_gc():
+            return n, edges
+
+
+def shuffled(rng, n, edges):
+    """The edges under a random relabeling, in random order and orientation."""
+    perm = rng.sample(range(1, n + 1), n)
+    out = [(perm[u - 1], perm[v - 1]) for u, v in edges]
+    rng.shuffle(out)
+    return [(v, u) if rng.random() < 0.5 else (u, v) for u, v in out]
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(distinct_edges())
 def test_canonical_form_matches_selection_sort(case):
     n, edges, fixed = case
-    norm = [(min(u, v), max(u, v)) for u, v in edges]
-    assert graphcx._sort_with_parity(norm) == ref_sort_with_parity(norm)
-    with mock.patch.object(graphcx, "_sort_with_parity", ref_sort_with_parity):
-        want = graphcx.canonical_form(n, edges, fixed)
-    assert graphcx.canonical_form(n, edges, fixed) == want
+    assert graphcx.canonical_form(n, edges, fixed) == ref_canonical_form(n, edges, fixed)
+
+
+def test_canonical_form_matches_reference_under_relabelings():
+    rng = random.Random(26)
+    graphs = [(g.n, g.edges) for g in gc_graphs_upto_6()]
+    graphs += [random_gc_graph(rng, 7) for _ in range(6)]
+    for n, edges in graphs:
+        for fixed in (0, 0, 0, 1, 2):
+            moved = shuffled(rng, n, edges)
+            assert graphcx.canonical_form(n, moved, fixed) == ref_canonical_form(n, moved, fixed)
+    # a repeated edge, also one whose copies are oriented differently
+    for edges in ([(1, 2), (2, 3), (1, 2)], [(1, 2), (2, 1), (1, 3)], [(1, 1), (1, 1)]):
+        assert graphcx.canonical_form(3, edges) is None is ref_canonical_form(3, edges)
+
+
+def test_isolated_vertices_take_one_order():
+    # each of the k! orders of k isolated vertices gives the same edges
+    start = time.perf_counter()
+    ten = GraphLinComb.single(10, [])
+    graphcx.differential(ten)
+    graphcx.divergence(ten)
+    assert graphcx.canonical_form(10, [(3, 7)], 1) == (((9, 10),), 1)
+    assert time.perf_counter() - start < 1.0
+    for n in range(6):
+        for edges in ([], [(1, 2)], [(2, 2)], [(1, 2), (2, 3), (1, 3)]):
+            if all(v <= n for e in edges for v in e):
+                for fixed in range(min(n, 2) + 1):
+                    want = ref_canonical_form(n, edges, fixed)
+                    assert graphcx.canonical_form(n, edges, fixed) == want
+    k4 = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+    for extra in range(4):
+        gamma = GraphLinComb.single(4 + extra, [(u + extra, v + extra) for u, v in k4])
+        same_graphs(graphcx.differential(gamma), ref_differential(gamma))
+
+
+def test_differential_matches_reference_on_gc_graphs():
+    rng = random.Random(8)
+    graphs = [GraphLinComb({g: Fraction(1)}) for g in gc_graphs_upto_6()]
+    graphs += [graphcx.differential(g) for g in graphs] + [graphcx.wheel(5)]
+    graphs += [GraphLinComb.single(*random_gc_graph(rng, 8)) for _ in range(20)]
+    graphs = [g for g in graphs if not g.is_zero()]
+    combos = [graphs[i] + graphs[j].scale(Fraction(-3, 2)) for i, j in itertools.combinations(
+        range(len(graphs)), 2) if graphcx._homogeneous_degree(graphs[i])
+        == graphcx._homogeneous_degree(graphs[j])]
+    assert len(graphs) > 20 and len(combos) > 5
+    for gamma in graphs + combos[:8]:
+        same_graphs(graphcx.differential(gamma), ref_differential(gamma))
+
+
+def test_differential_brackets_non_gc_input():
+    k4 = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+    # the 5-wheel with the spoke (1, 6) subdivided by vertex 7: the splits into
+    # trivalent vertices alone miss a term of the bracket
+    wheel5 = [(i, i % 5 + 1) for i in range(1, 6)] + [(i, 6) for i in range(2, 6)]
+    inputs = {
+        "edge": graphcx.edge_graph(),
+        "bivalent vertex": GraphLinComb.single(7, wheel5 + [(1, 7), (7, 6)]),
+        "tadpole": GraphLinComb.single(4, k4 + [(1, 1)]),
+        "isolated vertex": GraphLinComb.single(5, k4),
+        "disconnected": GraphLinComb.single(8, k4 + [(u + 4, v + 4) for u, v in k4]),
+    }
+    for name, gamma in inputs.items():
+        assert not gamma.is_zero(), name
+        same_graphs(graphcx.differential(gamma), ref_differential(gamma))
+    # the case the guard is for: splitting into trivalent vertices differs there
+    with mock.patch.object(graphcx.GCGraph, "is_gc", lambda self: True):
+        split = graphcx.differential(inputs["bivalent vertex"])
+    assert split != ref_differential(inputs["bivalent vertex"])
 
 
 @st.composite
@@ -990,9 +1135,7 @@ def test_ihara_bracket_is_the_tder_bracket_on_zero_first_slots(pair):
 def test_graph_maps_keep_term_order():
     graphs = [GraphLinComb({g: Fraction(1)}) for g in graphcx.enumerate_gc_graphs(5)]
     for gamma in graphs + [graphcx.wheel(5)]:
-        with mock.patch.object(graphcx, "_pre_lie", ref_pre_lie):
-            want = graphcx.differential(gamma)
-        same_graphs(graphcx.differential(gamma), want)
+        same_graphs(graphcx.differential(gamma), ref_differential(gamma))
         marked = graphcx.psi_map(gamma)
         same_graphs(marked, ref_psi_map(gamma))
         same_graphs(graphcx.delta_ext(marked), ref_delta_ext(marked))
