@@ -25,8 +25,9 @@ from .ncalg import (LieSeries, NCSeries, SeriesError, is_grouplike, lie_to_nc,
                     lie_coords_from_nc, nc_project_lie, relabel)
 from .scalars import Dual, PolyInT, coeff_abs, iterated_word_integral, s_one_minus_s_power
 from .tangent import (TAutElem, TDerElem, center_decompose_t3, duplicate_slot,
-                      exp_tder, exp_tder_pair, log_taut, pad_left, pad_right, pentagon_faces,
-                      sym_action, t3_embed, taut_compose, taut_distance, tk_generator)
+                      exp_tder, exp_tder_pair, field_of, log_taut, pad_left, pad_right,
+                      pentagon_faces, sym_action, t3_embed, taut_compose, taut_distance,
+                      tk_generator)
 
 
 class AssociatorError(ValueError):
@@ -128,20 +129,22 @@ def check_hexagon(g: TAutElem, g_inv: TAutElem) -> float:
     """Extensional residual of the hexagon equation in arity 3, for (g, g_inv) = to_taut3(Phi).
 
     Phi^{312} is sym_action([2, 3, 1], g) and (Phi^{132})^{-1} is
-    sym_action([1, 3, 2], g_inv).
+    sym_action([1, 3, 2], g_inv).  The braid factors exp(t13/2), exp(t23/2)
+    and exp((t13 + t23)/2) are built in g's field: with 1/2 as the float 0.5
+    when g has float or complex coefficients, exactly otherwise.
     """
     n = g.order
-    t13 = tk_generator(1, 3, 3, n)
-    t23 = tk_generator(2, 3, 3, n)
-    half = Fraction(1, 2)
-    lhs = exp_tder((t13 + t23).scale(half))
+    half = field_of(g.comps)(1, 2)
+    t13 = tk_generator(1, 3, 3, n, half)
+    t23 = tk_generator(2, 3, 3, n, half)
+    lhs = exp_tder(t13 + t23)
     rhs = taut_compose(
         sym_action([2, 3, 1], g),
         taut_compose(
-            exp_tder(t13.scale(half)),
+            exp_tder(t13),
             taut_compose(
                 sym_action([1, 3, 2], g_inv),
-                taut_compose(exp_tder(t23.scale(half)), g))))
+                taut_compose(exp_tder(t23), g))))
     return taut_distance(lhs, rhs)
 
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, Mapping, Sequence
 
-from .scalars import add_scaled, coeff_abs
+from .scalars import add_scaled, coeff_abs, lowered, rational_field
 
 Word = tuple[int, ...]
 
@@ -209,6 +209,7 @@ class NCSeries:
     def exp(self) -> "NCSeries":
         if self.constant_term():
             raise SeriesError("exp needs zero constant term")
+        rational = rational_field(self.terms.values())
         out: dict[Word, object] = {(): 1}
         power = NCSeries.unit(self.k, self.order)
         fact = 1
@@ -217,20 +218,21 @@ class NCSeries:
             if power.is_zero():
                 break
             fact *= n
-            add_scaled(out, power.terms.items(), Fraction(1, fact))
+            add_scaled(out, power.terms.items(), rational(1, fact))
         return NCSeries._nonzero(self.k, self.order, out)
 
     def log(self) -> "NCSeries":
         if self.constant_term() - 1:
             raise SeriesError("log needs constant term 1")
         x = self - 1
+        rational = rational_field(x.terms.values())
         out: dict[Word, object] = {}
         power = NCSeries.unit(self.k, self.order)
         for n in range(1, self.order + 1):
             power = power * x
             if power.is_zero():
                 break
-            add_scaled(out, power.terms.items(), Fraction((-1) ** (n + 1), n))
+            add_scaled(out, power.terms.items(), rational((-1) ** (n + 1), n))
         return NCSeries._nonzero(self.k, self.order, out)
 
     def inverse(self) -> "NCSeries":
@@ -453,7 +455,7 @@ def lie_to_nc(ell: LieSeries, order: int | None = None) -> NCSeries:
     order = ell.order if order is None else order
     out: dict[Word, object] = {}
     for w, c in ell.coords.items():
-        add_scaled(out, lyndon_bracket_nc(ell.k, order, w).terms.items(), c)
+        add_scaled(out, lowered(lyndon_bracket_nc(ell.k, order, w).terms.items(), c), c)
     return NCSeries._nonzero(ell.k, order, out)
 
 
@@ -470,9 +472,9 @@ def nc_project_lie(a: NCSeries, tol: float = 1e-6) -> LieSeries:
     projected: dict[Word, object] = {}
     for w, c in a.terms.items():
         d = len(w)
-        br = _left_bracketing_nc(a.k, a.order, w)
-        add_scaled(projected, br.terms.items(),
-                   c * Fraction(1, d) if isinstance(c, (int, Fraction)) else c / d)
+        scale = c * Fraction(1, d) if isinstance(c, (int, Fraction)) else c / d
+        add_scaled(projected, lowered(_left_bracketing_nc(a.k, a.order, w).terms.items(), scale),
+                   scale)
     coords, residual = _lyndon_extract(NCSeries._nonzero(a.k, a.order, projected))
     if residual > tol:
         raise SeriesError(f"Dynkin projection produced a non-Lie series ({residual:.3e})")
@@ -496,7 +498,7 @@ def _lyndon_extract(a: NCSeries) -> tuple[dict, float]:
             if not c:
                 continue
             coords[w] = c
-            for v, b in lyndon_bracket_nc(a.k, a.order, w).terms.items():
+            for v, b in lowered(lyndon_bracket_nc(a.k, a.order, w).terms.items(), c):
                 rest[v] = rest.get(v, 0) - c * b
                 if not rest[v]:
                     del rest[v]

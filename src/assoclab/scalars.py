@@ -12,12 +12,18 @@ All of them are immutable values supporting ``+``, ``-``, ``*``, division by
 integers and a truth value that is false exactly at zero (``bool(x)``),
 which is the whole interface the series code relies on.  Polynomials and
 duals may be nested over any of the other rings.
+
+A rational constant that meets float or complex data enters as the float
+p/q (``rational_field``, ``lowered``); exact data keeps exact arithmetic.
+``Fraction`` converts itself to that float at every such operation, so one
+product or sum gives the same bits either way, without the conversion.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping, Sequence
+from operator import truediv
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 
 class ScalarError(ValueError):
@@ -36,7 +42,7 @@ def coeff_abs(x) -> float:
         return max(coeff_abs(x.primal), coeff_abs(x.tangent))
     if isinstance(x, Fraction):
         return abs(x.numerator) / x.denominator if x else 0.0
-    return abs(x)
+    return float(abs(x))
 
 
 class PolyInT:
@@ -263,6 +269,26 @@ def add_scaled(acc: dict, terms: Iterable[tuple[Hashable, object]], c) -> None:
             del acc[w]
         else:
             acc[w] = new
+
+
+def rational_field(values: Iterable) -> Callable[[int, int], object]:
+    """The constructor of a constant p/q that is to meet the scalars ``values``.
+
+    Float division if any of them is a float or complex, ``Fraction`` on
+    exact data (ints, rationals, PolyInT, Dual).
+    """
+    return truediv if any(isinstance(x, (float, complex)) for x in values) else Fraction
+
+
+def lowered(terms: Iterable[tuple[Hashable, object]], c) -> Iterable[tuple[Hashable, object]]:
+    """The exact (key, coeff) pairs ``terms`` as they meet the scalar ``c``.
+
+    Each coefficient becomes its float when ``c`` is a float or complex;
+    otherwise ``terms`` is returned as it is.
+    """
+    if isinstance(c, (float, complex)):
+        return ((w, float(x)) for w, x in terms)
+    return terms
 
 
 def eliminate(columns: Sequence[Mapping], rhs: Mapping | None = None):

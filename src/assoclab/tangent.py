@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 from .ncalg import (LieSeries, NCSeries, SeriesError, add_scaled, length_views, lyndon_words,
                     relabel, standard_factorization, substitute_many)
-from .scalars import coeff_abs, eliminate
+from .scalars import coeff_abs, eliminate, lowered, rational_field
 
 
 class ArityError(ValueError):
@@ -126,13 +126,13 @@ class TDerElem:
         return f"TDerElem(k={self.k}, N={self.order}, comps={list(self.comps)!r})"
 
 
-def tk_generator(i: int, j: int, k: int, order: int) -> TDerElem:
-    """The arity-k tangential derivation with X_j in slot i and X_i in slot j."""
+def tk_generator(i: int, j: int, k: int, order: int, c=Fraction(1)) -> TDerElem:
+    """The arity-k tangential derivation with c X_j in slot i and c X_i in slot j."""
     if not (1 <= i <= k and 1 <= j <= k) or i == j:
         raise ArityError(f"bad generator indices ({i},{j}) for arity {k}")
     comps = [NCSeries.zero(k, order) for _ in range(k)]
-    comps[i - 1] = NCSeries.generator(k, order, j, Fraction(1))
-    comps[j - 1] = NCSeries.generator(k, order, i, Fraction(1))
+    comps[i - 1] = NCSeries.generator(k, order, j, c)
+    comps[j - 1] = NCSeries.generator(k, order, i, c)
     return TDerElem(k, order, comps)
 
 
@@ -277,17 +277,24 @@ def sym_action(sigma: Sequence[int], u: TDerElem | TAutElem) -> TDerElem | TAutE
 
 # -- exp and log ---------------------------------------------------------------
 
+def field_of(comps: Sequence[NCSeries]):
+    """``rational_field`` of the coefficients of the series ``comps``."""
+    return rational_field(x for c in comps for x in c.terms.values())
+
+
 def _derivation_powers(u: TDerElem) -> list[list[NCSeries]]:
     """powers[a][i] = u^a(u_i)/a! = A_a for a < order, as documented on exp_tder."""
+    rational = field_of(u.comps)
     powers = [list(u.comps)]
     for a in range(1, u.order):
-        powers.append([u.apply_nc(c).scale(Fraction(1, a)) for c in powers[-1]])
+        powers.append([u.apply_nc(c).scale(rational(1, a)) for c in powers[-1]])
     return powers
 
 
 def _exp_components(powers: list[list[NCSeries]]) -> tuple[NCSeries, ...]:
     """Component tuple of exp(u) from its derivation powers, by the recurrence on exp_tder."""
     k, order = powers[0][0].k, powers[0][0].order
+    rational = field_of(powers[0])
     comps = []
     for i in range(k):
         parts = [NCSeries.unit(k, order)]  # parts[n] = G_n
@@ -295,7 +302,7 @@ def _exp_components(powers: list[list[NCSeries]]) -> tuple[NCSeries, ...]:
             gn = powers[n - 1][i]  # G_0 A_{n-1}, then G_m A_{n-1-m} for 0 < m < n
             for m in range(1, n):
                 gn = gn + parts[m] * powers[n - 1 - m][i]
-            parts.append(gn.scale(Fraction(1, n)))
+            parts.append(gn.scale(rational(1, n)))
         comps.append(sum(parts[1:], parts[0]))
     return tuple(comps)
 
@@ -445,11 +452,12 @@ def t3_embed(ell: LieSeries, order: int | None = None) -> TDerElem:
     """Evaluate a two-letter Lie series on (t12, t23) inside tder3.
 
     The scaled word images are summed into the components in place, as
-    ``lie_to_nc`` sums bracketings.
+    ``lie_to_nc`` sums bracketings; a float or complex coordinate meets its
+    exact image ``lowered`` to floats.
     """
     order = ell.order if order is None else order
     out: tuple[dict, ...] = ({}, {}, {})
     for w, c in LieSeries(2, order, ell.coords).coords.items():
         for acc, comp in zip(out, _t3_word_image(w, order).comps):
-            add_scaled(acc, comp.terms.items(), c)
+            add_scaled(acc, lowered(comp.terms.items(), c), c)
     return TDerElem(3, order, [NCSeries._nonzero(3, order, acc) for acc in out])

@@ -127,6 +127,15 @@ def test_kz_command(tmp_path, capsys):
         assert {k: residuals[k] for k in report} == report
 
 
+@pytest.mark.parametrize("order", ["1", "2"])
+def test_kz_residuals_are_floats(tmp_path, capsys, order):
+    # a cold run, then a cache hit
+    for _ in range(2):
+        code, payload = run(capsys, "kz", "--order", order, "--cache-dir", str(tmp_path))
+        assert code == EXIT_OK
+        assert all(type(v) is float for v in payload["residuals"].values()), payload["residuals"]
+
+
 def test_kz_bad_output_path(tmp_path, capsys):
     code, _ = run(capsys, "kz", "--order", "3", "--series-order", "48",
                   "--tol", "1e-8", "--cache-dir", str(tmp_path),

@@ -21,6 +21,10 @@ Relabelling is checked against a summing, validating copy on the letter maps
 the pentagon faces, permutations and the KZ mirror use.
 The exact elimination is checked against the dense Gauss-Jordan reduction
 it replaced, on column sets with kernels of any dimension.
+The exponentials and logarithms, the embedding into tder3 and the hexagon
+are checked against their forms with every rational constant a Fraction:
+equal reprs on exact and complex data, and no Fraction operation with a
+float or complex operand left on the ``kz`` path.
 The graph complex is checked against its earlier routines: a canonical form
 that tries every relabeling inside the color classes and counts selection
 sort swaps for the orientation sign, the differential as half the bracket
@@ -40,8 +44,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from assoclab import associator, graphcx, ncalg, scalars, tangent
-from assoclab.associator import (Associator, AssociatorError, grt_infinitesimal_act,
-                                 interpolate, pin_lambda)
+from assoclab.associator import (Associator, AssociatorError, check_hexagon, check_pentagon,
+                                 grt_infinitesimal_act, interpolate, pin_lambda, to_taut3)
 from assoclab.graphcx import GraphLinComb, psi3_normalized
 from assoclab.kz import build_phi_kz
 from assoclab.ncalg import (LieSeries, NCSeries, SeriesError, add_scaled, length_views,
@@ -536,6 +540,195 @@ def test_cached_t3_images_are_not_mutated():
     for w in lie_words(2, order):
         fresh = ref_t3_embed(LieSeries(2, order, {w: Fraction(1)}), order)
         same_tder(tangent._t3_word_image(w, order), fresh)
+
+
+# -- rational constants on float data -----------------------------------------------
+
+def ref_rational_powers(u):
+    """``_derivation_powers`` with each factor 1/a a Fraction."""
+    powers = [list(u.comps)]
+    for a in range(1, u.order):
+        powers.append([u.apply_nc(c).scale(Fraction(1, a)) for c in powers[-1]])
+    return powers
+
+
+def ref_rational_exp_components(powers):
+    """``_exp_components`` with each factor 1/n a Fraction."""
+    k, order = powers[0][0].k, powers[0][0].order
+    comps = []
+    for i in range(k):
+        parts = [NCSeries.unit(k, order)]
+        for n in range(1, order + 1):
+            gn = powers[n - 1][i]
+            for m in range(1, n):
+                gn = gn + parts[m] * powers[n - 1 - m][i]
+            parts.append(gn.scale(Fraction(1, n)))
+        comps.append(sum(parts[1:], parts[0]))
+    return tuple(comps)
+
+
+def ref_rational_exp_pair(u):
+    """(exp u, exp -u) from the rational-factor powers."""
+    powers = ref_rational_powers(u)
+    negated = [p if a % 2 else [-c for c in p] for a, p in enumerate(powers)]
+    return tuple(TAutElem(u.k, u.order, ref_rational_exp_components(p))
+                 for p in (powers, negated))
+
+
+def ref_rational_log_taut(g):
+    """``log_taut`` on the rational-factor exponential components."""
+    k, order = g.k, g.order
+    gn = normalize_tuple_gauge(g)
+    u = TDerElem.zero(k, order)
+    for d in range(1, order + 1):
+        partial = TDerElem(k, d, [c.truncate(d) for c in u.comps])
+        e = ref_rational_exp_components(ref_rational_powers(partial))
+        corr = [NCSeries(k, order, (gn.comps[i].truncate(d) - e[i]).degree_part(d).terms)
+                for i in range(k)]
+        delta = TDerElem(k, order, corr)
+        if not delta.is_zero():
+            u = u + delta
+    return u
+
+
+def ref_rational_t3_embed(ell, order):
+    """``t3_embed`` scaling the exact word images as they are."""
+    out = ({}, {}, {})
+    for w, c in LieSeries(2, order, ell.coords).coords.items():
+        for acc, comp in zip(out, tangent._t3_word_image(w, order).comps):
+            add_scaled(acc, comp.terms.items(), c)
+    return TDerElem(3, order, [NCSeries(3, order, acc) for acc in out])
+
+
+def ref_rational_hexagon(g, g_inv):
+    """``check_hexagon`` with exact braid factors exp(t13/2), exp(t23/2), exp((t13+t23)/2)."""
+    n = g.order
+    t13, t23 = tk_generator(1, 3, 3, n), tk_generator(2, 3, 3, n)
+    half = Fraction(1, 2)
+
+    def braid(u):
+        return ref_rational_exp_pair(u.scale(half))[0]
+
+    lhs = braid(t13 + t23)
+    rhs = taut_compose(tangent.sym_action([2, 3, 1], g),
+                       taut_compose(braid(t13),
+                                    taut_compose(tangent.sym_action([1, 3, 2], g_inv),
+                                                 taut_compose(braid(t23), g))))
+    return taut_distance(lhs, rhs)
+
+
+def ref_rational_exp(s):
+    """``NCSeries.exp`` with each factor 1/n! a Fraction."""
+    out = {(): 1}
+    power = NCSeries.unit(s.k, s.order)
+    fact = 1
+    for n in range(1, s.order + 1):
+        power = power * s
+        if power.is_zero():
+            break
+        fact *= n
+        add_scaled(out, power.terms.items(), Fraction(1, fact))
+    return NCSeries(s.k, s.order, out)
+
+
+def ref_rational_log(s):
+    """``NCSeries.log`` with each factor (-1)^(n+1)/n a Fraction."""
+    x = s - 1
+    out = {}
+    power = NCSeries.unit(s.k, s.order)
+    for n in range(1, s.order + 1):
+        power = power * x
+        if power.is_zero():
+            break
+        add_scaled(out, power.terms.items(), Fraction((-1) ** (n + 1), n))
+    return NCSeries(s.k, s.order, out)
+
+
+def same_repr(got: NCSeries, want: NCSeries):
+    """Equal values, term order and signed zeros."""
+    assert (got.k, got.order) == (want.k, want.order)
+    assert repr(list(got.terms.items())) == repr(list(want.terms.items()))
+
+
+# the exact rings keep Fraction constants; complex data gets the same bits from floats
+CONSTANT_RINGS = st.sampled_from([fractions, polys, duals, complexes])
+
+
+@st.composite
+def constant_ring_derivation(draw):
+    k, order = draw(TANGENT_SHAPES)
+    return draw(lie_derivation(k, order, draw(CONSTANT_RINGS)))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(constant_ring_derivation())
+def test_tder_exp_and_log_match_rational_references(u):
+    g = exp_tder(u)
+    for got, want in zip(g.comps, ref_rational_exp_components(ref_rational_powers(u))):
+        same_repr(got, want)
+    for got, want in zip(exp_tder_pair(u), ref_rational_exp_pair(u)):
+        for a, b in zip(got.comps, want.comps):
+            same_repr(a, b)
+    for a, b in zip(log_taut(g).comps, ref_rational_log_taut(g).comps):
+        same_repr(a, b)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 5), CONSTANT_RINGS, st.data())
+def test_series_exp_and_log_match_rational_references(k, order, ring, data):
+    coords = data.draw(st.dictionaries(st.sampled_from(lie_words(k, order)), ring, max_size=6))
+    s = lie_to_nc(LieSeries(k, order, coords), order)
+    g = s.exp()
+    same_repr(g, ref_rational_exp(s))
+    same_repr(g.log(), ref_rational_log(g))
+    shifted = data.draw(series(k, order, ring, min_len=1)) + 1
+    same_repr(shifted.log(), ref_rational_log(shifted))
+
+
+@pytest.mark.parametrize("order", [3, 4, 5])
+def test_kz_realisation_matches_rational_references(monkeypatch, order):
+    phi = build_phi_kz(order, 64)[0]
+    g, g_inv = to_taut3(phi)
+    # the Lie logarithm with its exact word images unlowered, as before the rule
+    with monkeypatch.context() as m:
+        m.setattr(ncalg, "lowered", lambda terms, c: terms)
+        m.setattr(ncalg, "rational_field", lambda values: Fraction)
+        ell = associator._checked_lie_log(phi, 1e-9)
+    want = ref_rational_exp_pair(ref_rational_t3_embed(ell, order))
+    for got_aut, want_aut in zip((g, g_inv), want):
+        for a, b in zip(got_aut.comps, want_aut.comps):
+            same_repr(a, b)
+    assert check_pentagon(g) == check_pentagon(want[0])
+    assert check_hexagon(g, g_inv) == ref_rational_hexagon(*want)
+
+
+def test_hexagon_braids_stay_exact_on_exact_data():
+    g, g_inv = to_taut3(Associator.one(4))
+    assert check_hexagon(g, g_inv) == ref_rational_hexagon(g, g_inv) == 0.125
+    phi = rational_associator(4, 7)
+    g, g_inv = to_taut3(phi)
+    assert check_hexagon(g, g_inv) == ref_rational_hexagon(g, g_inv)
+
+
+FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                      "__truediv__", "__rtruediv__")
+
+
+def test_kz_checks_do_no_rational_arithmetic_on_floats(monkeypatch):
+    phi = build_phi_kz(4, 64)[0]
+    to_taut3(phi)  # builds the exact word images of _t3_word_image
+    mixed = []
+    for name in FRACTION_OPERATORS:
+        def watched(a, b, op=getattr(Fraction, name), name=name):
+            if isinstance(b, (float, complex)):
+                mixed.append(name)
+            return op(a, b)
+        monkeypatch.setattr(Fraction, name, watched)
+    g, g_inv = to_taut3(phi)
+    check_pentagon(g)
+    check_hexagon(g, g_inv)
+    monkeypatch.undo()
+    assert mixed == []
 
 
 # -- work counts -------------------------------------------------------------------

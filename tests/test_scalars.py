@@ -86,3 +86,6 @@ def test_coeff_abs():
     assert coeff_abs(Fraction(-3, 4)) == 0.75
     assert coeff_abs(Dual(Fraction(1), Fraction(-2))) == 2.0
     assert coeff_abs(PolyInT((0.5, -1.5))) == 1.5
+    # a float for every scalar, so residuals are JSON floats
+    for x in (0, -3, Fraction(0), 2.5, -1j, PolyInT((0, 2)), Dual(0, -1), Dual(PolyInT(()), 0)):
+        assert type(coeff_abs(x)) is float, x
