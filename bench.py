@@ -5,7 +5,7 @@
 Run from the root of a checkout.  The file holds:
 
 * ``workloads``: the end-to-end metrics of one ``perfbench/run.py`` run of
-  each workload at a fixed seed (``--seed``, ``--seconds``);
+  each workload with that script's default, fixed seed and time budget;
 * ``tier1``: the wall time and the outcome counts of the tier-1 tests;
 * ``interp7``: the wall seconds and exit code of ``assoclab interp
   --order 7 --t 1`` on an empty cache;
@@ -63,9 +63,8 @@ def env() -> dict:
     return out
 
 
-def workload(name: str, seed: int, seconds: float) -> dict:
-    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", name,
-                           "--seed", str(seed), "--seconds", str(seconds)],
+def workload(name: str) -> dict:
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", name],
                           cwd=ROOT, env=env(), capture_output=True, text=True, check=True)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     return {"metrics": {k: result["metrics"][k]["value"] for k in END_TO_END},
@@ -136,16 +135,13 @@ def reach() -> list[dict]:
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("pr", type=int, help="number in the output file name BENCH_<pr>.json")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--seconds", type=float, default=25.0)
     args = p.parse_args(argv)
     commit = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
                             capture_output=True, text=True).stdout.strip()
     report = {"pr": args.pr, "commit": commit, "python": platform.python_version(),
-              "cpus": os.cpu_count(), "seed": args.seed, "seconds": args.seconds,
-              "workloads": {}}
+              "cpus": os.cpu_count(), "workloads": {}}
     for name in WORKLOADS:
-        report["workloads"][name] = workload(name, args.seed, args.seconds)
+        report["workloads"][name] = workload(name)
         print(f"{name}: {report['workloads'][name]['metrics']}", file=sys.stderr)
     report["tier1"] = tier1()
     print(f"tier-1: {report['tier1']}", file=sys.stderr)

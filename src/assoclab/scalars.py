@@ -15,8 +15,11 @@ duals may be nested over any of the other rings.
 
 A rational constant that meets float or complex data enters as the float
 p/q (``rational_field``, ``lowered``); exact data keeps exact arithmetic.
-``Fraction`` converts itself to that float at every such operation, so one
-product or sum gives the same bits either way, without the conversion.
+Where the constant met a float or complex operand anyway, ``Fraction``
+converted itself to that float at the operation, so those products and sums
+keep their bits.  On a series that mixes exact and float coefficients the
+exact ones now meet the float p/q as well: such a product is rounded where it
+used to stay exact, and is a float.
 """
 
 from __future__ import annotations
@@ -275,7 +278,8 @@ def rational_field(values: Iterable) -> Callable[[int, int], object]:
     """The constructor of a constant p/q that is to meet the scalars ``values``.
 
     Float division if any of them is a float or complex, ``Fraction`` on
-    exact data (ints, rationals, PolyInT, Dual).
+    exact data (ints, rationals, PolyInT, Dual).  On mixed data the exact
+    values meet the float too.
     """
     return truediv if any(isinstance(x, (float, complex)) for x in values) else Fraction
 

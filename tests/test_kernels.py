@@ -685,6 +685,42 @@ def test_series_exp_and_log_match_rational_references(k, order, ring, data):
     same_repr(shifted.log(), ref_rational_log(shifted))
 
 
+# exact and complex coefficients in one series: the exact ones meet the float constants
+# too, so they agree with the references up to rounding, not bit for bit
+mixed = st.one_of(fractions, complexes)
+
+
+def close(got: NCSeries, want: NCSeries):
+    assert got.distance(want) <= 1e-13 * max(1.0, want.max_abs())
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.data())
+def test_tder_exp_and_log_on_mixed_data_match_rational_references(data):
+    k, order = data.draw(TANGENT_SHAPES)
+    u = data.draw(lie_derivation(k, order, mixed))
+    g = exp_tder(u)
+    for got, want in zip(g.comps, ref_rational_exp_components(ref_rational_powers(u))):
+        close(got, want)
+    for got, want in zip(exp_tder_pair(u), ref_rational_exp_pair(u)):
+        for a, b in zip(got.comps, want.comps):
+            close(a, b)
+    for a, b in zip(log_taut(g).comps, ref_rational_log_taut(g).comps):
+        close(a, b)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 5), st.data())
+def test_series_exp_and_log_on_mixed_data_match_rational_references(k, order, data):
+    coords = data.draw(st.dictionaries(st.sampled_from(lie_words(k, order)), mixed, max_size=6))
+    s = lie_to_nc(LieSeries(k, order, coords), order)
+    g = s.exp()
+    close(g, ref_rational_exp(s))
+    close(g.log(), ref_rational_log(g))
+    shifted = data.draw(series(k, order, mixed, min_len=1)) + 1
+    close(shifted.log(), ref_rational_log(shifted))
+
+
 @pytest.mark.parametrize("order", [3, 4, 5])
 def test_kz_realisation_matches_rational_references(monkeypatch, order):
     phi = build_phi_kz(order, 64)[0]
