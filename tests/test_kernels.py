@@ -660,29 +660,37 @@ def constant_ring_derivation(draw):
     return draw(lie_derivation(k, order, draw(CONSTANT_RINGS)))
 
 
+def match_tder_references(u, same):
+    g = exp_tder(u)
+    for got, want in zip(g.comps, ref_rational_exp_components(ref_rational_powers(u))):
+        same(got, want)
+    for got, want in zip(exp_tder_pair(u), ref_rational_exp_pair(u)):
+        for a, b in zip(got.comps, want.comps):
+            same(a, b)
+    for a, b in zip(log_taut(g).comps, ref_rational_log_taut(g).comps):
+        same(a, b)
+
+
+def match_series_references(k, order, ring, data, same):
+    coords = data.draw(st.dictionaries(st.sampled_from(lie_words(k, order)), ring, max_size=6))
+    s = lie_to_nc(LieSeries(k, order, coords), order)
+    g = s.exp()
+    same(g, ref_rational_exp(s))
+    same(g.log(), ref_rational_log(g))
+    shifted = data.draw(series(k, order, ring, min_len=1)) + 1
+    same(shifted.log(), ref_rational_log(shifted))
+
+
 @settings(max_examples=80, derandomize=True, deadline=None)
 @given(constant_ring_derivation())
 def test_tder_exp_and_log_match_rational_references(u):
-    g = exp_tder(u)
-    for got, want in zip(g.comps, ref_rational_exp_components(ref_rational_powers(u))):
-        same_repr(got, want)
-    for got, want in zip(exp_tder_pair(u), ref_rational_exp_pair(u)):
-        for a, b in zip(got.comps, want.comps):
-            same_repr(a, b)
-    for a, b in zip(log_taut(g).comps, ref_rational_log_taut(g).comps):
-        same_repr(a, b)
+    match_tder_references(u, same_repr)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 5), CONSTANT_RINGS, st.data())
 def test_series_exp_and_log_match_rational_references(k, order, ring, data):
-    coords = data.draw(st.dictionaries(st.sampled_from(lie_words(k, order)), ring, max_size=6))
-    s = lie_to_nc(LieSeries(k, order, coords), order)
-    g = s.exp()
-    same_repr(g, ref_rational_exp(s))
-    same_repr(g.log(), ref_rational_log(g))
-    shifted = data.draw(series(k, order, ring, min_len=1)) + 1
-    same_repr(shifted.log(), ref_rational_log(shifted))
+    match_series_references(k, order, ring, data, same_repr)
 
 
 # exact and complex coefficients in one series: the exact ones meet the float constants
@@ -695,30 +703,15 @@ def close(got: NCSeries, want: NCSeries):
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
-@given(st.data())
-def test_tder_exp_and_log_on_mixed_data_match_rational_references(data):
-    k, order = data.draw(TANGENT_SHAPES)
-    u = data.draw(lie_derivation(k, order, mixed))
-    g = exp_tder(u)
-    for got, want in zip(g.comps, ref_rational_exp_components(ref_rational_powers(u))):
-        close(got, want)
-    for got, want in zip(exp_tder_pair(u), ref_rational_exp_pair(u)):
-        for a, b in zip(got.comps, want.comps):
-            close(a, b)
-    for a, b in zip(log_taut(g).comps, ref_rational_log_taut(g).comps):
-        close(a, b)
+@given(TANGENT_SHAPES.flatmap(lambda shape: lie_derivation(*shape, mixed)))
+def test_tder_exp_and_log_on_mixed_data_match_rational_references(u):
+    match_tder_references(u, close)
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 5), st.data())
 def test_series_exp_and_log_on_mixed_data_match_rational_references(k, order, data):
-    coords = data.draw(st.dictionaries(st.sampled_from(lie_words(k, order)), mixed, max_size=6))
-    s = lie_to_nc(LieSeries(k, order, coords), order)
-    g = s.exp()
-    close(g, ref_rational_exp(s))
-    close(g.log(), ref_rational_log(g))
-    shifted = data.draw(series(k, order, mixed, min_len=1)) + 1
-    close(shifted.log(), ref_rational_log(shifted))
+    match_series_references(k, order, mixed, data, close)
 
 
 @pytest.mark.parametrize("order", [3, 4, 5])
