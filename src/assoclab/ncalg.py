@@ -328,7 +328,9 @@ def substitute_many(images: Sequence[NCSeries], series_list: Sequence[NCSeries])
     trie of their words, taken in sorted order, which is what makes group
     computations at desk scale affordable.  Each image's ``length_views``
     are built once, on entry, and serve every prefix product that ends in
-    that letter; they are dropped on return.
+    that letter.  Each word extends its longest cached prefix one letter at
+    a time, with no recursive closure holding the cache, so the prefix
+    products and the views are freed by reference counting on return.
     """
     if not images:
         return [s for s in series_list]
@@ -337,20 +339,17 @@ def substitute_many(images: Sequence[NCSeries], series_list: Sequence[NCSeries])
     k, order = images[0].k, images[0].order
     views = [length_views(img) for img in images]
     prefix_cache: dict[Word, NCSeries] = {(): NCSeries.unit(k, order)}
-
-    def product_for(w):
-        got = prefix_cache.get(w)
-        if got is not None:
-            return got
-        p = _times_views(product_for(w[:-1]), views[w[-1] - 1])
-        prefix_cache[w] = p
-        return p
-
     out = []
     for s in series_list:
         acc: dict[Word, object] = {}
         for w, c in sorted(s.terms.items()):
-            add_scaled(acc, product_for(w).terms.items(), c)
+            n = len(w)
+            while w[:n] not in prefix_cache:
+                n -= 1
+            p = prefix_cache[w[:n]]
+            for i in range(n, len(w)):
+                p = prefix_cache[w[:i + 1]] = _times_views(p, views[w[i] - 1])
+            add_scaled(acc, p.terms.items(), c)
         out.append(NCSeries._nonzero(k, order, acc))
     return out
 

@@ -25,6 +25,9 @@ The exponentials and logarithms, the embedding into tder3 and the hexagon
 are checked against their forms with every rational constant a Fraction:
 equal reprs on exact and complex data, and no Fraction operation with a
 float or complex operand left on the ``kz`` path.
+The pentagon on generator images is checked against the five-term equation
+on composed automorphisms, bit for bit, and the kernels are checked to leave
+no cyclic garbage for the collector.
 The graph complex is checked against its earlier routines: a canonical form
 that tries every relabeling inside the color classes and counts selection
 sort swaps for the orientation sign, the differential as half the bracket
@@ -33,6 +36,7 @@ pentagon from tder4 brackets of the pair generators.
 """
 
 import functools
+import gc
 import itertools
 import random
 import time
@@ -53,8 +57,8 @@ from assoclab.ncalg import (LieSeries, NCSeries, SeriesError, add_scaled, length
                             relabel, standard_factorization, substitute_many)
 from assoclab.scalars import Dual, PolyInT, coeff_abs, s_one_minus_s_power
 from assoclab.tangent import (TAutElem, TDerElem, center_decompose_t3, exp_tder,
-                              exp_tder_pair, log_taut, normalize_tuple_gauge, t3_embed, taut_compose,
-                              taut_distance, tder_bracket, tk_generator)
+                              exp_tder_pair, log_taut, normalize_tuple_gauge, pentagon_faces, t3_embed,
+                              taut_compose, taut_distance, tder_bracket, tk_generator)
 
 from test_tangent import random_tder
 
@@ -737,6 +741,44 @@ def test_hexagon_braids_stay_exact_on_exact_data():
     phi = rational_associator(4, 7)
     g, g_inv = to_taut3(phi)
     assert check_hexagon(g, g_inv) == ref_rational_hexagon(g, g_inv)
+
+
+def ref_check_pentagon(g):
+    """The five-term equation on composed automorphisms, compared through their actions."""
+    (l1, l2), (r1, r2, r3) = pentagon_faces(g)
+    return taut_distance(taut_compose(l1, l2), taut_compose(r1, taut_compose(r2, r3)))
+
+
+@pytest.mark.parametrize("order", [3, 4, 5, 6])
+def test_pentagon_on_generator_images_matches_composed_reference(order):
+    g = to_taut3(build_phi_kz(order, 64)[0])[0]
+    assert check_pentagon(g) == ref_check_pentagon(g)
+
+
+def test_pentagon_on_generator_images_matches_composed_reference_exact():
+    lam = Fraction(1, 3)
+    bracket_exp = NCSeries(2, 5, {(1, 2): lam, (2, 1): -lam}).exp()
+    for phi in (rational_associator(4, 7), Associator.one(4), Associator(bracket_exp)):
+        g = to_taut3(phi)[0]
+        assert check_pentagon(g) == ref_check_pentagon(g)
+
+
+def test_kernels_leave_no_cyclic_garbage():
+    phi = build_phi_kz(4, 64)[0]
+    g, g_inv = to_taut3(phi)
+    steps = (lambda: substitute_many(g.action(), list(g.comps)), lambda: check_pentagon(g),
+             lambda: check_hexagon(g, g_inv), lambda: to_taut3(phi))
+    gc.collect()
+    gc.disable()
+    try:
+        found = []
+        for step in steps:
+            step()
+            found.append(gc.collect())
+    finally:
+        gc.enable()
+    # reference counting alone frees every intermediate, such as the prefix products
+    assert found == [0, 0, 0, 0]
 
 
 FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
