@@ -329,8 +329,8 @@ def substitute_many(images: Sequence[NCSeries], series_list: Sequence[NCSeries])
     computations at desk scale affordable.  Each image's ``length_views``
     are built once, on entry, and serve every prefix product that ends in
     that letter.  Each word extends its longest cached prefix one letter at
-    a time, with no recursive closure holding the cache, so the prefix
-    products and the views are freed by reference counting on return.
+    a time in a loop; nothing outside the call refers to the cache, so
+    reference counting frees the prefix products and the views on return.
     """
     if not images:
         return [s for s in series_list]
