@@ -15,7 +15,7 @@ Run from the root of a checkout.  The file holds:
   ``REACH_SECONDS`` or ``REACH_MB``.  An N is stopped after twice
   ``REACH_SECONDS``, and its address space is capped at 1.25 times
   ``REACH_MB`` (a MemoryError beyond); it is recorded with the stages it
-  finished.
+  finished and, as ``stopped_in``, the stage that was running.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ WORKLOADS = ("associator", "exact-lie", "quadrature")
 END_TO_END = ("primary_s", "secondary_s", "setup_s", "peak_rss_mb")
 REACH_SECONDS = 60.0
 REACH_MB = 2048.0
+REACH_STAGES = ("build", "to_taut3", "pentagon", "hexagon")
 
 # one N of the reach table; prints one JSON line per finished stage
 REACH_CHILD = r"""
@@ -109,7 +110,9 @@ def reach_one(n: int) -> dict:
     for line in out.splitlines():
         stage = json.loads(line)
         row["stages"][stage.pop("stage")] = stage
-    row["finished"] = len(row["stages"]) == 4
+    row["finished"] = len(row["stages"]) == len(REACH_STAGES)
+    if not row["finished"]:
+        row["stopped_in"] = REACH_STAGES[len(row["stages"])]
     if proc.returncode and "stopped_after_s" not in row:
         row["error"] = err.strip().splitlines()[-1] if err.strip() else f"exit {proc.returncode}"
     row["total_s"] = sum(s["s"] for s in row["stages"].values())
@@ -123,7 +126,8 @@ def reach() -> list[dict]:
     while True:
         row = reach_one(n)
         rows.append(row)
-        stop = "" if row["finished"] else f" (stopped: {row.get('error', 'time limit')})"
+        stop = "" if row["finished"] else \
+            f" (stopped in {row['stopped_in']}: {row.get('error', 'time limit')})"
         print(f"reach N={n}: {row['total_s']:.2f} s, {row['peak_rss_mb']:.0f} MB{stop}",
               file=sys.stderr)
         if (not row["finished"] or row["total_s"] > REACH_SECONDS

@@ -124,11 +124,15 @@ def check_pentagon(g: TAutElem) -> float:
 
     Compares the generator images l1(l2(X_i)) with r1(r2(r3(X_i))) for
     i = 1..4, with no composite automorphism built: the residual is the
-    largest distance over the four images.
+    largest distance over the four images.  Each face is dropped, with the
+    action it caches, as soon as its images are used.
     """
     (l1, l2), (r1, r2, r3) = pentagon_faces(g)
     lhs = l1.apply_many(l2.action())
-    rhs = r1.apply_many(r2.apply_many(r3.action()))
+    del l1, l2
+    mid = r2.apply_many(r3.action())
+    del r2, r3
+    rhs = r1.apply_many(mid)
     return max(a.distance(b) for a, b in zip(lhs, rhs))
 
 

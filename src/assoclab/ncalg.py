@@ -324,34 +324,53 @@ def _times_views(a: NCSeries, views: Sequence[Sequence[tuple[Word, object]]]) ->
 def substitute_many(images: Sequence[NCSeries], series_list: Sequence[NCSeries]) -> list[NCSeries]:
     """Apply the algebra endomorphism X_i -> images[i-1] to several series.
 
-    Prefix products are shared across all inputs through one walk over the
-    trie of their words, taken in sorted order, which is what makes group
-    computations at desk scale affordable.  Each image's ``length_views``
-    are built once, on entry, and serve every prefix product that ends in
-    that letter.  Each word extends its longest cached prefix one letter at
-    a time in a loop; nothing outside the call refers to the cache, so
-    reference counting frees the prefix products and the views on return.
+    Horner's rule over each series' word trie: with d_a s the series of the
+    words of s that start with a, with that letter removed,
+    s(img) = c_() + sum_a img_a * (d_a s)(img).  When the shortest word of
+    img_a has length l, (d_a s)(img) is needed only to order N - l, so for
+    images without a constant term depth m of the trie runs at order N - m;
+    a zero image is skipped.  Each image's ``length_views`` are built once,
+    on entry, and serve every product with that image.  Nothing is cached:
+    only the values on the recursion path are alive.
     """
     if not images:
-        return [s for s in series_list]
+        return list(series_list)
     for img in images[1:]:
         images[0]._check_compatible(img)
     k, order = images[0].k, images[0].order
-    views = [length_views(img) for img in images]
-    prefix_cache: dict[Word, NCSeries] = {(): NCSeries.unit(k, order)}
-    out = []
-    for s in series_list:
-        acc: dict[Word, object] = {}
-        for w, c in sorted(s.terms.items()):
-            n = len(w)
-            while w[:n] not in prefix_cache:
-                n -= 1
-            p = prefix_cache[w[:n]]
-            for i in range(n, len(w)):
-                p = prefix_cache[w[:i + 1]] = _times_views(p, views[w[i] - 1])
-            add_scaled(acc, p.terms.items(), c)
-        out.append(NCSeries._nonzero(k, order, acc))
-    return out
+    factors = [(length_views(img), min(map(len, img.terms))) if img.terms else None
+               for img in images]
+    return [NCSeries._nonzero(k, order, _horner(sorted(s.terms.items()), 0, len(s.terms), 0,
+                                                order, factors))
+            for s in series_list]
+
+
+def _horner(items, lo: int, hi: int, depth: int, top: int, factors) -> dict:
+    """The sum of c * img(w[depth:]) over the sorted terms ``items[lo:hi]``, truncated at ``top``.
+
+    The words share their first ``depth`` letters.  Each product
+    img_a * value sums over the value's terms first, and each output word
+    sums its contributions in that order.
+    """
+    acc: dict[Word, object] = {}
+    if lo < hi and len(items[lo][0]) == depth:
+        acc[()] = items[lo][1]
+        lo += 1
+    while lo < hi:
+        a = items[lo][0][depth]
+        end = lo + 1
+        while end < hi and items[end][0][depth] == a:
+            end += 1
+        factor = factors[a - 1]
+        if factor is not None and factor[1] <= top:
+            views, low = factor
+            for v, y in _horner(items, lo, end, depth + 1, top - low, factors).items():
+                if y:
+                    for u, x in views[top - len(v)]:
+                        w = u + v
+                        acc[w] = acc.get(w, 0) + x * y
+        lo = end
+    return acc
 
 
 def relabel(s: NCSeries, k: int, letters: Mapping[int, Sequence[int]]) -> NCSeries:

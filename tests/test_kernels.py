@@ -17,6 +17,10 @@ through tder brackets, into the composition of automorphisms.
 The interpolation flow and the pin of its normalization are checked
 against their forms with the dual-number twist as the tangent, taken at the
 truncation of the input and on the mid-flow associator itself.
+Substitution is checked against Horner's rule on the first letter built
+from the pair-loop product, in the same term order and at the same
+truncation orders, and against the plain product of each word's images in
+value.
 Relabelling is checked against a summing, validating copy on the letter maps
 the pentagon faces, permutations and the KZ mirror use.
 The exact elimination is checked against the dense Gauss-Jordan reduction
@@ -26,8 +30,9 @@ are checked against their forms with every rational constant a Fraction:
 equal reprs on exact and complex data, and no Fraction operation with a
 float or complex operand left on the ``kz`` path.
 The pentagon on generator images is checked against the five-term equation
-on composed automorphisms, bit for bit, and the kernels are checked to leave
-no cyclic garbage for the collector.
+on composed automorphisms, bit for bit, the kernels are checked to leave
+no cyclic garbage for the collector, and the order-6 pentagon's memory peak
+is bounded.
 The graph complex is checked against its earlier routines: a canonical form
 that tries every relabeling inside the color classes and counts selection
 sort swaps for the orientation sign, the differential as half the bracket
@@ -40,6 +45,7 @@ import gc
 import itertools
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
@@ -133,6 +139,31 @@ def ref_substitute_many(images, s):
             p = ref_mul(p, images[a - 1])
         acc = ref_add(acc, ref_scale(c, p))
     return acc
+
+
+def ref_horner_substitute(images, s, top=None, orders=None):
+    """Horner's rule on the first letter, s(img) = c_() + sum_a img_a (d_a s)(img).
+
+    (d_a s)(img) is taken at order top - (the shortest word length of img_a),
+    and each product is summed one term of (d_a s)(img) at a time, as
+    ``ref_mul`` of img_a with that monomial.  ``orders`` collects the order
+    of every value taken, in call order.
+    """
+    k, order = images[0].k, images[0].order
+    top = order if top is None else top
+    if orders is not None:
+        orders.append(top)
+    out = {(): s.terms[()]} if () in s.terms else {}
+    for a, img in enumerate(images, start=1):
+        tail = NCSeries(k, order, {w[1:]: c for w, c in s.terms.items() if w[:1] == (a,)})
+        low = min(map(len, img.terms), default=top + 1)
+        if tail.is_zero() or low > top:
+            continue
+        inner = ref_horner_substitute(images, tail, top - low, orders)
+        for v, y in inner.terms.items():
+            for w, c in ref_mul(img.truncate(top), NCSeries(k, top, {v: y})).terms.items():
+                out[w] = out.get(w, 0) + c
+    return NCSeries(k, top, out)
 
 
 def ref_relabel(s, k, letters):
@@ -444,9 +475,36 @@ def test_add_scaled_matches_copying_sums(case):
 @given(substitution())
 def test_substitutions_match_copying_sums(case):
     images, s = case
-    want = ref_substitute_many(images, s)
-    same(substitute_many(images, [s])[0], want)
+    want = ref_horner_substitute(images, s)
+    got = substitute_many(images, [s])[0]
+    same(got, want)
     same(s.substitute(dict(enumerate(images, start=1))), want)
+    # the product of each word's images: summed in another order, the same
+    # values here, where every coefficient is dyadic or rational
+    assert got == ref_substitute_many(images, s)
+
+
+X1, X2, X3 = (NCSeries.generator(3, 4, i, Fraction(1)) for i in (1, 2, 3))
+# the shortest word of an image sets the order of the values through it
+SHORTEST_WORD_CASES = {
+    "constant term": [X1 * X2 + 1, X3, X2 - X1],
+    "shortest word of length 2": [X2 * X3 - X3 * X1, X1, X2 + X3 * X3],
+    "zero image": [X1 + X2 * X1, NCSeries.zero(3, 4), X3 * X1],
+}
+
+
+@pytest.mark.parametrize("images", SHORTEST_WORD_CASES.values(), ids=SHORTEST_WORD_CASES)
+def test_substitution_truncates_by_each_image_shortest_word(monkeypatch, images):
+    s = NCSeries(3, 4, {w: Fraction(len(w) + 1, 1 + w.count(2)) for d in range(5)
+                        for w in itertools.product((1, 2, 3), repeat=d)})
+    want_orders, got_orders = [], []
+    want = ref_horner_substitute(images, s, orders=want_orders)
+    horner = ncalg._horner
+    monkeypatch.setattr(ncalg, "_horner", lambda *args: got_orders.append(args[4]) or horner(*args))
+    got = substitute_many(images, [s])[0]
+    same(got, want)
+    assert got == ref_substitute_many(images, s)
+    assert got_orders == want_orders
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -777,8 +835,22 @@ def test_kernels_leave_no_cyclic_garbage():
             found.append(gc.collect())
     finally:
         gc.enable()
-    # reference counting alone frees every intermediate, such as the prefix products
+    # reference counting alone frees every intermediate, such as the values of
+    # substitute_many's recursion and the faces' cached actions
     assert found == [0, 0, 0, 0]
+
+
+def test_pentagon_memory_peak_at_order_6():
+    g = to_taut3(build_phi_kz(6, 64)[0])[0]
+    tracemalloc.start()
+    try:
+        check_pentagon(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 11.7 MB; 18.2 MB with the faces and their cached actions kept to the end,
+    # and 23.7 MB with substitute_many's prefix products cached for each call too
+    assert peak < 16e6
 
 
 FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
@@ -850,9 +922,11 @@ def test_substitution_views_each_image_once(monkeypatch):
     views = counter(monkeypatch, ncalg, "length_views")
     products = counter(monkeypatch, NCSeries, "__mul__")
     got = substitute_many(images, [s, s.scale(Fraction(2))])
-    # 62 prefix products, each against the views built on entry
+    # 62 products img_a * (d_a s)(img), one per edge of the word trie,
+    # each against the views built on entry
     assert len(views) == 2 and len(products) == 0
-    same(got[0], ref_substitute_many(images, s))
+    same(got[0], ref_horner_substitute(images, s))
+    assert got[0] == ref_substitute_many(images, s)
 
 
 def test_derivation_brackets_its_letter_images_once(monkeypatch):
