@@ -509,7 +509,7 @@ def _monomial_from_tree(g: GCGraph, root_edge_idx: int, ext_vertex: int,
     def fold(b) -> NCSeries:
         """The Lie monomial of a bracketing, left operand evaluated first."""
         if isinstance(b, int):
-            return NCSeries.generator(2, order, b, Fraction(1))
+            return NCSeries.generator(2, order, b)
         return fold(b[0]).bracket(fold(b[1]))
 
     u, v = g.edges[root_edge_idx]
@@ -625,10 +625,14 @@ def _grt_residual_vector(psi: LieSeries) -> dict:
 
 
 def grt_solution_space(word_length: int, order: int | None = None) -> list[LieSeries]:
-    """Exact rational basis of the grt conditions in one word length."""
+    """Exact rational basis of the grt conditions in one word length.
+
+    Each Lyndon word's residual vector is integer-valued; ``eliminate``
+    returns the kernel vectors as Fractions.
+    """
     order = word_length if order is None else order
     words = lyndon_words(2, word_length)
-    kernel, _, _ = eliminate([_grt_residual_vector(LieSeries(2, order, {w: Fraction(1)}))
+    kernel, _, _ = eliminate([_grt_residual_vector(LieSeries(2, order, {w: 1}))
                               for w in words])
     return [LieSeries(2, order, {words[j]: c for j, c in vec.items()}) for vec in kernel]
 

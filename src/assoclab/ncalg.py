@@ -389,9 +389,9 @@ def relabel(s: NCSeries, k: int, letters: Mapping[int, Sequence[int]]) -> NCSeri
 
 @lru_cache(maxsize=None)
 def lyndon_bracket_nc(k: int, order: int, w: Word) -> NCSeries:
-    """NC expansion of the standard Lyndon bracketing of ``w`` (rational)."""
+    """NC expansion of the standard Lyndon bracketing of ``w``, integer-valued."""
     if len(w) == 1:
-        return NCSeries.generator(k, order, w[0], Fraction(1))
+        return NCSeries.generator(k, order, w[0])
     u, v = standard_factorization(w)
     return lyndon_bracket_nc(k, order, u).bracket(lyndon_bracket_nc(k, order, v))
 
@@ -480,10 +480,12 @@ def lie_to_nc(ell: LieSeries, order: int | None = None) -> NCSeries:
 def nc_project_lie(a: NCSeries, tol: float = 1e-6) -> LieSeries:
     """Dynkin-Specht-Wever projection, expressed in the Lyndon basis.
 
-    A word of length d maps to 1/d times its left-iterated bracketing;
-    Lie elements are fixed, so the projection residual measures failure
-    to be Lie.  The projected series is Lie by construction, and the
-    rounding it may carry in the Lyndon basis must stay within ``tol``.
+    A word of length d maps to 1/d times its integer-valued left-iterated
+    bracketing, the 1/d a Fraction on exact data (``PolyInT`` and ``Dual``
+    divide by an int as by its Fraction); Lie elements are fixed, so the
+    projection residual measures failure to be Lie.  The projected series is
+    Lie by construction, and the rounding it may carry in the Lyndon basis
+    must stay within ``tol``.
     """
     if a.constant_term():
         raise SeriesError("nonzero constant term")
@@ -501,9 +503,9 @@ def nc_project_lie(a: NCSeries, tol: float = 1e-6) -> LieSeries:
 
 @lru_cache(maxsize=None)
 def _left_bracketing_nc(k: int, order: int, w: Word) -> NCSeries:
-    out = NCSeries.generator(k, order, w[0], Fraction(1))
+    out = NCSeries.generator(k, order, w[0])
     for a in w[1:]:
-        out = out.bracket(NCSeries.generator(k, order, a, Fraction(1)))
+        out = out.bracket(NCSeries.generator(k, order, a))
     return out
 
 

@@ -2,7 +2,7 @@
 
 Four kinds of scalars flow through the package:
 
-* exact rationals (``fractions.Fraction``),
+* exact integers and rationals (``int``, ``fractions.Fraction``),
 * double precision floats / complexes for numeric work,
 * :class:`PolyInT`, univariate polynomials in an interpolation parameter,
 * :class:`Dual`, dual numbers ``a + b*eps`` with ``eps**2 = 0`` for
@@ -20,6 +20,13 @@ converted itself to that float at the operation, so those products and sums
 keep their bits.  On a series that mixes exact and float coefficients the
 exact ones now meet the float p/q as well: such a product is rounded where it
 used to stay exact, and is a float.
+
+Integer structure constants stay ``int``: the letters, the pair generators
+and the basis vectors of the exact Lie kernels are seeded with the int 1, so
+their brackets and Lie images hold ints, and ``Fraction`` appears only where
+a division happens (``eliminate``'s pivots, the 1/n! and 1/n of exp and log
+through ``rational_field``, the Dynkin 1/d).  Every true division of exact
+data divides by a ``Fraction``, so no int turns into a float.
 """
 
 from __future__ import annotations
@@ -296,7 +303,7 @@ def lowered(terms: Iterable[tuple[Hashable, object]], c) -> Iterable[tuple[Hasha
 
 
 def eliminate(columns: Sequence[Mapping], rhs: Mapping | None = None):
-    """Exact sparse elimination of rational columns, left to right.
+    """Exact sparse elimination of integer or rational columns, left to right.
 
     Each column is reduced against the earlier pivots, tracking the input
     columns it combines, and pivots on its least remaining key; one that

@@ -12,7 +12,6 @@ and ``TAutElem.action`` is the one formula for the action.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -126,8 +125,12 @@ class TDerElem:
         return f"TDerElem(k={self.k}, N={self.order}, comps={list(self.comps)!r})"
 
 
-def tk_generator(i: int, j: int, k: int, order: int, c=Fraction(1)) -> TDerElem:
-    """The arity-k tangential derivation with c X_j in slot i and c X_i in slot j."""
+def tk_generator(i: int, j: int, k: int, order: int, c=1) -> TDerElem:
+    """The arity-k tangential derivation with c X_j in slot i and c X_i in slot j.
+
+    The default c is the int 1, so brackets of pair generators keep integer
+    coefficients.
+    """
     if not (1 <= i <= k and 1 <= j <= k) or i == j:
         raise ArityError(f"bad generator indices ({i},{j}) for arity {k}")
     comps = [NCSeries.zero(k, order) for _ in range(k)]
@@ -401,7 +404,7 @@ class CenterSplit(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _t3_word_image(w: tuple[int, ...], order: int) -> TDerElem:
-    """Image in tder3 of the Lyndon bracketing of w on (t12, t23), exact.
+    """Image in tder3 of the Lyndon bracketing of w on (t12, t23), integer-valued.
 
     Cached and shared between callers, so the result must never be mutated.
     """
@@ -422,7 +425,7 @@ def center_decompose_t3(u: TDerElem, tol: float = 0.0) -> CenterSplit:
 
     Raises NotInT3Error (with the offending degree) when u is not in the
     image of the pair-generator Lie algebra at the requested tolerance.
-    The columns are exact rational, so the degree-d part of u may have
+    The columns are integer-valued, so the degree-d part of u may have
     coefficients in any ring containing the rationals.
     """
     if u.k != 3:
@@ -453,7 +456,7 @@ def t3_embed(ell: LieSeries, order: int | None = None) -> TDerElem:
 
     The scaled word images are summed into the components in place, as
     ``lie_to_nc`` sums bracketings; a float or complex coordinate meets its
-    exact image ``lowered`` to floats.
+    integer-valued image ``lowered`` to floats.
     """
     order = ell.order if order is None else order
     out: tuple[dict, ...] = ({}, {}, {})

@@ -29,6 +29,9 @@ The exponentials and logarithms, the embedding into tder3 and the hexagon
 are checked against their forms with every rational constant a Fraction:
 equal reprs on exact and complex data, and no Fraction operation with a
 float or complex operand left on the ``kz`` path.
+Integer structure constants are checked to stay ints, the grt kernel
+vectors to come out as Fractions with their former reprs, and every
+division of int data to give Fractions, never floats.
 The pentagon on generator images is checked against the five-term equation
 on composed automorphisms, bit for bit, the kernels are checked to leave
 no cyclic garbage for the collector, and the order-6 pentagon's memory peak
@@ -600,8 +603,75 @@ def test_cached_t3_images_are_not_mutated():
     center_decompose_t3(t3_embed(ell, order))
     center_decompose_t3(t3_embed(ell.scale(0.5 + 0.25j), order), tol=1e-12)
     for w in lie_words(2, order):
-        fresh = ref_t3_embed(LieSeries(2, order, {w: Fraction(1)}), order)
+        fresh = ref_t3_embed(LieSeries(2, order, {w: 1}), order)
         same_tder(tangent._t3_word_image(w, order), fresh)
+
+
+# -- integer structure constants ----------------------------------------------------
+
+def coefficient_types(*series):
+    return {type(c) for s in series for c in s.terms.values()}
+
+
+def test_structure_constants_stay_int():
+    order = 6
+    for w in lie_words(2, order):
+        assert coefficient_types(*tangent._t3_word_image(w, order).comps) == {int}
+        assert coefficient_types(lyndon_bracket_nc(2, order, w)) == {int}
+    for w in lie_words(3, 4):
+        assert coefficient_types(lyndon_bracket_nc(3, 4, w)) == {int}
+    assert coefficient_types(*tangent.center_element(4, 3).comps) == {int}
+
+
+GRT_COORDS = {
+    3: "[((1, 1, 2), Fraction(-1, 1)), ((1, 2, 2), Fraction(1, 1))]",
+    5: "[((1, 1, 1, 1, 2), Fraction(-1, 1)), ((1, 1, 1, 2, 2), Fraction(2, 1)), "
+       "((1, 1, 2, 1, 2), Fraction(-3, 2)), ((1, 1, 2, 2, 2), Fraction(-2, 1)), "
+       "((1, 2, 1, 2, 2), Fraction(-1, 2)), ((1, 2, 2, 2, 2), Fraction(1, 1))]",
+}
+
+
+def test_grt_kernels_come_out_as_fractions():
+    """Integer residual vectors, Fraction kernel vectors with the reprs they always had."""
+    for d, coords in GRT_COORDS.items():
+        (psi,) = graphcx.grt_solution_space(d)
+        assert {type(c) for c in psi.coords.values()} == {Fraction}
+        assert repr(list(psi.coords.items())) == coords
+    psi3 = graphcx.grt_generator(3, 5)
+    assert repr(list(psi3.coords.items())) == \
+        "[((1, 1, 2), Fraction(1, 1)), ((1, 2, 2), Fraction(-1, 1))]"
+    assert repr(psi3) == "LieSeries(k=2, N=5, (1)*L112 + (-1)*L122)"
+
+
+def test_exp_and_log_of_int_data_are_fractions():
+    """The 1/n! and 1/n of exp and log turn int data into Fractions, never floats."""
+    order = 5
+    u = tk_generator(1, 2, 3, order) + tangent.center_element(3, order) + \
+        tangent._t3_word_image((1, 1, 2), order)
+    g = exp_tder(u)
+    for comp in g.comps:
+        assert comp.terms[()] == 1
+        assert {type(c) for w, c in comp.terms.items() if w} == {Fraction}
+    assert coefficient_types(*log_taut(g).comps) == {Fraction}
+    x = lyndon_bracket_nc(2, order, (1, 1, 2)) + NCSeries.generator(2, order, 2, 3)
+    assert coefficient_types(x) == {int}
+    e = x.exp()
+    assert e.terms[()] == 1 and {type(c) for w, c in e.terms.items() if w} == {Fraction}
+    assert coefficient_types(e.log()) == {Fraction}
+    assert coefficient_types((x + 1).log()) == {Fraction}
+
+
+def test_divisions_of_int_data_are_fractions():
+    """Every true division that int data reaches divides by a Fraction."""
+    order = 5
+    assert {type(c) for c in (PolyInT((1, 2, 3)) / 3).coeffs} == {Fraction}
+    assert {type(c) for c in PolyInT((1, 2, 3)).antiderivative().coeffs[1:]} == {Fraction}
+    half = Dual(1, 3) / 2
+    assert (type(half.primal), type(half.tangent)) == (Fraction, Fraction)
+    x = lyndon_bracket_nc(2, order, (1, 1, 2)) * NCSeries.generator(2, order, 1, 2)
+    x = x - NCSeries.generator(2, order, 1, 2) * lyndon_bracket_nc(2, order, (1, 1, 2))
+    coords = ncalg.nc_project_lie(x).coords
+    assert coords and {type(c) for c in coords.values()} == {Fraction}
 
 
 # -- rational constants on float data -----------------------------------------------
