@@ -653,7 +653,7 @@ def grt_generator(degree: int, order: int) -> LieSeries:
     lead = space[0].coords.get((1,) * (degree - 1) + (2,))
     if lead is None:
         raise GraphError(f"degenerate length-{degree} solution")
-    return LieSeries(2, order, space[0].scale(Fraction(1, 1) / Fraction(lead)).coords)
+    return LieSeries(2, order, space[0].scale(1 / lead).coords)
 
 
 def psi3_normalized(order: int = 5) -> LieSeries:
