@@ -21,10 +21,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .associator import GrtElem, nu_extract
 from .ncalg import LieSeries, NCSeries, lie_coords_from_nc, lie_to_nc, lyndon_words
-from .scalars import coeff_abs, eliminate
+from .scalars import add_scaled, coeff_abs, eliminate
 from .tangent import TDerElem, pentagon_faces, t3_embed, tder_bracket
 
 Edge = tuple[int, int]
@@ -580,15 +581,34 @@ def phi_map(a: GraphLinComb, order: int):
 # -- grt membership checks -------------------------------------------------------
 
 def grt_check(psi: LieSeries) -> tuple[float, float, float]:
-    """Residuals of the antisymmetry, hexagon and pentagon conditions."""
-    worst = {"a": 0.0, "h": 0.0, "p": 0.0}
+    """Residuals of the antisymmetry, hexagon and pentagon conditions.
+
+    The residual vector is linear in psi.  With rational coordinates it is
+    computed for D*psi, whose coordinates are ints (D the lcm of their
+    denominators), and its largest entries are divided by D: int by int
+    true division is correctly rounded, so each value is the float of the
+    rational residual, as it is on the plain path that other rings take.
+    """
+    size, denom = coeff_abs, 1
+    if all(isinstance(c, (int, Fraction)) for c in psi.coords.values()):
+        size, denom = abs, lcm(*(c.denominator for c in psi.coords.values()))
+        psi = LieSeries(2, psi.order, {w: c.numerator * (denom // c.denominator)
+                                       for w, c in psi.coords.items()})
+    worst = {"a": 0, "h": 0, "p": 0}
     for key, c in _grt_residual_vector(psi).items():
-        worst[key[0]] = max(worst[key[0]], coeff_abs(c))
-    return worst["a"], worst["h"], worst["p"]
+        worst[key[0]] = max(worst[key[0]], size(c))
+    return worst["a"] / denom, worst["h"] / denom, worst["p"] / denom
 
 
 def ihara_bracket(psi1: LieSeries, psi2: LieSeries) -> LieSeries:
-    """(0,psi1)(psi2) - (0,psi2)(psi1) + [psi1, psi2]: slot 2 of the tder2 bracket."""
+    """(0,psi1)(psi2) - (0,psi2)(psi1) + [psi1, psi2]: slot 2 of the tder2 bracket.
+
+    The bracket is read back in Lyndon coordinates, which needs an exactly
+    Lie result, so float and complex coordinates are refused.
+    """
+    if any(isinstance(c, (float, complex))
+           for psi in (psi1, psi2) for c in psi.coords.values()):
+        raise GraphError("ihara_bracket needs exact coordinates, not float or complex")
     order = min(psi1.order, psi2.order)
     nc1 = lie_to_nc(LieSeries(2, order, psi1.coords))
     nc2 = lie_to_nc(LieSeries(2, order, psi2.coords))
@@ -617,9 +637,12 @@ def _grt_residual_vector(psi: LieSeries) -> dict:
         for w, c in series.terms.items():
             out[(tag, w)] = c
     (l1, l2), (r1, r2, r3) = pentagon_faces(t3_embed(psi))
-    penta = l1 + l2 - r1 - r2 - r3
-    for i, comp in enumerate(penta.comps):
-        for w, c in comp.terms.items():
+    penta = ({}, {}, {}, {})  # summed in place: the dense faces are not copied
+    for face, sign in ((l1, 1), (l2, 1), (r1, -1), (r2, -1), (r3, -1)):
+        for acc, comp in zip(penta, face.comps):
+            add_scaled(acc, comp.terms.items(), sign)
+    for i, acc in enumerate(penta):
+        for w, c in acc.items():
             out[("p", i, w)] = c
     return out
 
@@ -627,8 +650,9 @@ def _grt_residual_vector(psi: LieSeries) -> dict:
 def grt_solution_space(word_length: int, order: int | None = None) -> list[LieSeries]:
     """Exact rational basis of the grt conditions in one word length.
 
-    Each Lyndon word's residual vector is integer-valued; ``eliminate``
-    returns the kernel vectors as Fractions.
+    Each Lyndon word's residual vector is integer-valued and ``eliminate``
+    reduces them in integer arithmetic; only the kernel vectors, divided by
+    their entry on their own column, are Fractions.
     """
     order = word_length if order is None else order
     words = lyndon_words(2, word_length)

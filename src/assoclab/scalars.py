@@ -24,14 +24,16 @@ used to stay exact, and is a float.
 Integer structure constants stay ``int``: the letters, the pair generators
 and the basis vectors of the exact Lie kernels are seeded with the int 1, so
 their brackets and Lie images hold ints, and ``Fraction`` appears only where
-a division happens (``eliminate``'s pivots, the 1/n! and 1/n of exp and log
-through ``rational_field``, the Dynkin 1/d).  Every true division of exact
-data divides by a ``Fraction``, so no int turns into a float.
+a division happens (``eliminate``'s kernel vectors and right-hand-side
+multipliers, its reduction being fraction-free; the 1/n! and 1/n of exp and
+log through ``rational_field``; the Dynkin 1/d).  Every true division of
+exact data divides by a ``Fraction``, so no int turns into a float.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from operator import truediv
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
@@ -305,34 +307,49 @@ def lowered(terms: Iterable[tuple[Hashable, object]], c) -> Iterable[tuple[Hasha
 def eliminate(columns: Sequence[Mapping], rhs: Mapping | None = None):
     """Exact sparse elimination of integer or rational columns, left to right.
 
-    Each column is reduced against the earlier pivots, tracking the input
-    columns it combines, and pivots on its least remaining key; one that
-    reduces to zero is a kernel vector, 1 on itself and supported on earlier
-    pivot columns (the RREF null-space vector).  ``rhs``, with entries in any
-    ring containing the rationals, is reduced with rational multipliers.
-    Returns the kernel vectors (dicts column -> Fraction), the coefficient of
-    each column in ``rhs`` (0 off the pivots) and the remainder of ``rhs``.
+    Fraction-free: column j is scaled to integers by the lcm D_j of its
+    denominators, its combination of input columns starting at {j: D_j}.
+    It is reduced against each earlier pivot entry p by
+    vec <- (p/g)*vec - (a/g)*pivot column, a its own entry there and
+    g = gcd(p, a), the combination alongside, then divided by the gcd of
+    all their entries; it pivots on its least remaining key.  One that
+    reduces to zero is a kernel vector, divided by its entry on itself:
+    1 there and supported on earlier pivot columns (the RREF null-space
+    vector).  ``rhs``, with entries in any ring containing the rationals, is
+    reduced with rational multipliers.  Returns the kernel vectors (dicts
+    column -> Fraction), the coefficient of each column in ``rhs`` (0 off
+    the pivots) and the remainder of ``rhs``.
     """
-    pivots = []  # (key, reduced column, 1 / its entry there, combination of columns)
+    pivots = []  # (key, reduced integer column, its entry there, combination of columns)
     kernel = []
     for j, column in enumerate(columns):
-        vec = {r: x for r, x in column.items() if x}
-        combo = {j: Fraction(1)}
-        for r, pvec, inv, pcombo in pivots:
-            if r in vec:
-                f = -vec[r] * inv
-                add_scaled(vec, pvec.items(), f)
-                add_scaled(combo, pcombo.items(), f)
+        scale = lcm(*(x.denominator for x in column.values()))
+        vec = {r: x.numerator * (scale // x.denominator) for r, x in column.items() if x}
+        combo = {j: scale}
+        for r, pvec, p, pcombo in pivots:
+            a = vec.get(r)
+            if a:
+                g = gcd(p, a)
+                p_g, a_g = p // g, a // g
+                if p_g != 1:
+                    vec = {k: p_g * x for k, x in vec.items()}
+                    combo = {k: p_g * x for k, x in combo.items()}
+                add_scaled(vec, pvec.items(), -a_g)
+                add_scaled(combo, pcombo.items(), -a_g)
+        g = gcd(*vec.values(), *combo.values())
+        if g != 1:
+            vec = {k: x // g for k, x in vec.items()}
+            combo = {k: x // g for k, x in combo.items()}
         if vec:
             r = min(vec)
-            pivots.append((r, vec, Fraction(1) / vec[r], combo))
+            pivots.append((r, vec, vec[r], combo))
         else:
-            kernel.append(dict(sorted(combo.items())))
+            kernel.append({i: Fraction(x, combo[j]) for i, x in sorted(combo.items())})
     rest = dict(rhs or {})
     solution = {}
-    for r, pvec, inv, pcombo in pivots:
+    for r, pvec, p, pcombo in pivots:
         if r in rest:
-            f = rest[r] * inv
+            f = rest[r] * Fraction(1, p)
             add_scaled(rest, pvec.items(), -f)
             add_scaled(solution, pcombo.items(), f)
     return kernel, [solution.get(j, Fraction(0)) for j in range(len(columns))], rest

@@ -211,3 +211,13 @@ def test_ihara():
            + ihara_bracket(b, ihara_bracket(c, a))
            + ihara_bracket(c, ihara_bracket(a, b)))
     assert jac.is_zero()
+
+
+@pytest.mark.parametrize("factor", [0.1, 0.5, 0.3 + 0.1j])
+def test_ihara_refuses_inexact_coordinates(factor):
+    # scaled by 0.1 or 0.3 + 0.1j, the bracket's rounding leaves the Lie
+    # algebra and used to fail deep inside ("series is not Lie")
+    sigma3, sigma5 = grt_generator(3, 8), grt_generator(5, 8)
+    for pair in ((sigma3.scale(factor), sigma5), (sigma3, sigma5.scale(factor))):
+        with pytest.raises(GraphError, match="needs exact coordinates"):
+            ihara_bracket(*pair)
