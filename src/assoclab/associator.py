@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from . import CheckError
 from .ncalg import (LieSeries, NCSeries, SeriesError, is_grouplike, lie_to_nc,
                     lie_coords_from_nc, nc_project_lie, relabel)
 from .scalars import Dual, PolyInT, coeff_abs, iterated_word_integral, s_one_minus_s_power
@@ -30,7 +31,7 @@ from .tangent import (TAutElem, TDerElem, center_decompose_t3, duplicate_slot,
                       tk_generator)
 
 
-class AssociatorError(ValueError):
+class AssociatorError(CheckError):
     pass
 
 
@@ -305,8 +306,8 @@ def interpolate(phi_init: Associator, t0: Fraction, t1: Fraction,
         increment = rhs.map_coefficients(
             lambda p: (lambda q: q - PolyInT.constant(q(t0)))(p.antiderivative()))
         poly_phi = poly_phi + increment
-    value = poly_phi.map_coefficients(lambda p: p(t1) if isinstance(p, PolyInT) else p)
-    return Associator(value, origin=f"interpolated(t={t1})")
+    return Associator(poly_phi.map_coefficients(lambda p: p(t1)),
+                      origin=f"interpolated(t={t1})")
 
 
 def pin_lambda(phi: Associator, sigma: LieSeries,

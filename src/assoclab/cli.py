@@ -6,10 +6,9 @@ held.  ``main`` is the one boundary.  It stamps ``command``, ``version``,
 ``passed`` and ``seconds`` on the report, writes the report to ``--out`` and
 to stdout, prints the table, and maps the outcome to an exit code: 0
 success, 1 an internal error (with its traceback), 2 a requested check or
-tolerance was not met (a failed check, an unconverged quadrature, an MZV or
-KZ expansion that cannot reach its tolerance, a degree outside t_3, an
-associator check such as a log that is not Lie within tolerance, a graph
-outside the domain of ``phi_map``), 3 an input/output or environment
+tolerance was not met (a report that did not pass, or an
+``assoclab.CheckError`` such as an MZV that cannot reach its tolerance or a
+log that is not Lie within tolerance), 3 an input/output or environment
 problem.
 """
 
@@ -26,32 +25,19 @@ import traceback
 from fractions import Fraction
 from pathlib import Path
 
-from . import __version__
-from .associator import (Associator, AssociatorError, check_hexagon, check_pentagon,
-                         etingof_coefficients, interpolate, pin_lambda, to_taut3)
+from . import CheckError, __version__
+from .associator import (Associator, check_hexagon, check_pentagon, etingof_coefficients,
+                         interpolate, pin_lambda, to_taut3)
 from .graphcx import (NAMED_GRAPHS, GraphError, GraphLinComb, differential, divergence,
                       gc_bracket, grt_check, grt_generator, ihara_bracket, phi_map,
                       psi3_normalized, tetrahedron)
-from .kz import KZError, MzvError, build_phi_kz, mzv
+from .kz import build_phi_kz, mzv
 from .ncalg import lyndon_words, witt_dimension
-from .tangent import NotInT3Error
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_CHECK = 2
 EXIT_IO = 3
-
-CHECK_ERRORS = (MzvError, KZError, NotInT3Error, AssociatorError, GraphError)
-
-
-def _check_errors() -> tuple[type[Exception], ...]:
-    """The exceptions that exit 2.
-
-    ``confint`` loads numpy, so it is imported only by ``weights``; its
-    ``QuadratureError`` can only have been raised once it is loaded.
-    """
-    confint = sys.modules.get(f"{__package__}.confint")
-    return CHECK_ERRORS + ((confint.QuadratureError,) if confint else ())
 
 
 def _ratio(q: Fraction) -> list[str]:
@@ -68,19 +54,6 @@ def _cache_dir(args) -> Path:
     return p
 
 
-def _read_cached(path: Path, *keys: str) -> dict | None:
-    """The cached payload at ``path``; None when it is missing or unreadable.
-
-    A truncated or corrupt file counts as missing, so the caller computes
-    the value again and overwrites it.
-    """
-    try:
-        data = json.loads(path.read_text())
-    except (FileNotFoundError, ValueError):
-        return None
-    return data if isinstance(data, dict) and all(k in data for k in keys) else None
-
-
 def _write_cached(path: Path, payload: dict) -> None:
     """Write ``payload`` so that readers see either the old file or all of the new one."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
@@ -93,16 +66,19 @@ def _write_cached(path: Path, payload: dict) -> None:
         raise
 
 
-def _cached(path: Path, keys: tuple[str, ...], compute, decode):
+def _cached(path: Path, compute, decode):
     """``decode`` of the payload cached at ``path``, or else a fresh value.
 
-    ``compute`` returns the value and its payload; the payload is written to
-    ``path`` and the value itself is returned, so a miss hands back exactly
-    what was computed.
+    A missing or unparsable file is a miss, and so is a payload that
+    ``decode`` rejects with ``KeyError``, ``TypeError`` or ``ValueError``.
+    On a miss ``compute`` returns the value and its payload; the payload
+    overwrites ``path`` and the value itself is returned, so a miss hands
+    back exactly what was computed.
     """
-    data = _read_cached(path, *keys)
-    if data is not None:
-        return decode(data)
+    try:
+        return decode(json.loads(path.read_text()))
+    except (FileNotFoundError, KeyError, TypeError, ValueError):
+        pass
     value, payload = compute()
     _write_cached(path, payload)
     return value
@@ -113,9 +89,14 @@ def _phi_kz_cached(order: int, m_order: int, tol: float, cache: Path):
         phi, report = build_phi_kz(order, m_order, tol)
         return (phi, report), {"associator": phi.to_json(), "report": report}
 
+    def decode(data):
+        phi = Associator.from_json(data["associator"])
+        if phi.order != order:
+            raise ValueError(f"cached associator has order {phi.order}, not {order}")
+        return phi, {name: float(v) for name, v in dict(data["report"]).items()}
+
     return _cached(cache / f"phi-kz-N{order}-v{__version__}-M{m_order}-tol{tol:.1e}.json",
-                   ("associator", "report"), compute,
-                   lambda data: (Associator.from_json(data["associator"]), data["report"]))
+                   compute, decode)
 
 
 def _mzv_cached(index: tuple[int, ...], tol: float, cache: Path) -> float:
@@ -124,7 +105,7 @@ def _mzv_cached(index: tuple[int, ...], tol: float, cache: Path) -> float:
         return value, {"index": list(index), "value": value}
 
     name = "mzv-" + "-".join(map(str, index)) + f"-v{__version__}-tol{tol:.1e}.json"
-    return _cached(cache / name, ("value",), compute, lambda data: data["value"])
+    return _cached(cache / name, compute, lambda data: float(data["value"]))
 
 
 def cmd_kz(args):
@@ -395,10 +376,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
+    except CheckError as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_CHECK
     except Exception as e:  # noqa: BLE001 - the CLI boundary reports and exits
-        if isinstance(e, _check_errors()):
-            print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-            return EXIT_CHECK
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         traceback.print_exc()
         return EXIT_INTERNAL

@@ -19,16 +19,18 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
+
+from . import CheckError
 
 TWO_PI = 2.0 * math.pi
 PI = math.pi
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(CheckError):
     pass
 
 
@@ -214,8 +216,7 @@ def tetra_type1_integral(spec: QuadratureSpec = QuadratureSpec()) -> WeightResul
         w = 1.0 / u
         return dilog_F(w) * _angle_measure_density(w) * r / (r ** 4)
 
-    half = QuadratureSpec(tol=spec.tol / 2, max_cells=spec.max_cells // 2,
-                          order=spec.order, order_fine=spec.order_fine)
+    half = replace(spec, tol=spec.tol / 2, max_cells=spec.max_cells // 2)
     v1, e1, c1 = adaptive_quad_2d(disk, 1e-14, 1.0, -PI, PI, half)
     v2, e2, c2 = adaptive_quad_2d(outside, 1e-14, 1.0, -PI, PI, half)
     return WeightResult(value=v1 + v2, error=e1 + e2, cells=c1 + c2,
@@ -388,8 +389,7 @@ def _cauchy_weighted_integral(z: complex, spec: QuadratureSpec) -> tuple[complex
     a third of the tolerance and of the cell budget.
     """
     points = (0.0, 1.0, complex(z))
-    third = QuadratureSpec(tol=spec.tol / 3, max_cells=spec.max_cells // 3,
-                           order=spec.order, order_fine=spec.order_fine)
+    third = replace(spec, tol=spec.tol / 3, max_cells=spec.max_cells // 3)
     value, err, cells = 0.0, 0.0, 0
     for p in points:
         radius = min(abs(p - q) for q in points if q != p)

@@ -23,6 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
+from . import CheckError
 from .associator import GrtElem, nu_extract
 from .ncalg import LieSeries, NCSeries, lie_coords_from_nc, lie_to_nc, lyndon_words
 from .scalars import add_scaled, coeff_abs, eliminate
@@ -31,7 +32,7 @@ from .tangent import TDerElem, pentagon_faces, t3_embed, tder_bracket
 Edge = tuple[int, int]
 
 
-class GraphError(ValueError):
+class GraphError(CheckError):
     pass
 
 

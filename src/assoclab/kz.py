@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import CheckError
 from .associator import Associator
 from .ncalg import NCSeries, add_scaled, relabel
 
@@ -26,11 +27,11 @@ TWO_PI_I = 2j * math.pi
 ALPHA = 1.0 / TWO_PI_I
 
 
-class KZError(ValueError):
+class KZError(CheckError):
     pass
 
 
-class MzvError(ValueError):
+class MzvError(CheckError):
     pass
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
+from . import CheckError
 from .ncalg import (LieSeries, NCSeries, SeriesError, add_scaled, length_views, lyndon_words,
                     relabel, standard_factorization, substitute_many)
 from .scalars import coeff_abs, eliminate, lowered, rational_field
@@ -388,7 +389,7 @@ def taut_inverse(g: TAutElem) -> TAutElem:
 
 # -- the center decomposition in arity 3 ---------------------------------------
 
-class NotInT3Error(ValueError):
+class NotInT3Error(CheckError):
     def __init__(self, degree: int, residual: float):
         super().__init__(f"not in the t3 image at degree {degree} (residual {residual:.3e})")
         self.degree = degree

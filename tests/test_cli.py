@@ -6,10 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from assoclab import __version__, cli, confint
-from assoclab.associator import Associator
-from assoclab.kz import build_phi_kz
-from assoclab.ncalg import NCSeries
+from assoclab import CheckError, __version__, cli, confint
+from assoclab.associator import Associator, AssociatorError
+from assoclab.graphcx import GraphError
+from assoclab.kz import KZError, MzvError, build_phi_kz
+from assoclab.ncalg import NCSeries, SeriesError
+from assoclab.tangent import NotInT3Error
 from assoclab.cli import EXIT_CHECK, EXIT_INTERNAL, EXIT_IO, EXIT_OK, main
 
 
@@ -368,28 +370,48 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
 
 def test_truncated_cache_is_recomputed(tmp_path, capsys):
     cache = str(tmp_path)
-    code, first = run(capsys, "mzv", "2,1", "--cache-dir", cache)
+    mzv_argv = ["mzv", "2,1", "--cache-dir", cache]
+    kz_argv = ["kz", "--order", "3", "--series-order", "48", "--tol", "1e-8", "--cache-dir", cache]
+    code, first = run(capsys, *mzv_argv)
     assert code == EXIT_OK
-    code, first_kz = run(capsys, "kz", "--order", "3", "--series-order", "48",
-                         "--tol", "1e-8", "--cache-dir", cache)
+    code, first_kz = run(capsys, *kz_argv)
     assert code == EXIT_OK
     files = sorted(p.name for p in tmp_path.iterdir())
     assert len(files) == 2 and not any(n.endswith(".tmp") for n in files)
     assert all(f"-v{__version__}-" in n for n in files)
+    (mzv_file,), (kz_file,) = tmp_path.glob("mzv-*.json"), tmp_path.glob("phi-kz-*.json")
+    whole = {p: json.loads(p.read_text()) for p in (mzv_file, kz_file)}
     for p in tmp_path.iterdir():
         text = p.read_text()
         p.write_text(text[: len(text) // 2])
-    code, again = run(capsys, "mzv", "2,1", "--cache-dir", cache)
+    code, again = run(capsys, *mzv_argv)
     assert code == EXIT_OK
-    code, again_kz = run(capsys, "kz", "--order", "3", "--series-order", "48",
-                         "--tol", "1e-8", "--cache-dir", cache)
+    code, again_kz = run(capsys, *kz_argv)
     assert code == EXIT_OK
     for payload in (first, again, first_kz, again_kz):
         payload.pop("seconds")
     assert again == first and again_kz == first_kz
     # the repaired files are whole again
     for p in tmp_path.iterdir():
-        json.loads(p.read_text())
+        assert json.loads(p.read_text()) == whole[p]
+    # a payload that parses but does not decode is a miss too
+    for path, bad, argv, cold in [
+        (kz_file, {"associator": {"alphabet": 2}, "report": {}}, kz_argv, first_kz),
+        # the zero series fails the associator's own check: its constant term is not 1
+        (kz_file, {"associator": {"alphabet": 2, "order": 3, "terms": []}, "report": {}},
+         kz_argv, first_kz),
+        (kz_file, {**whole[kz_file], "report": "x"}, kz_argv, first_kz),
+        # a whole associator, but of another order than the one asked for
+        (kz_file, {**whole[kz_file], "associator": Associator.one(2).to_json()},
+         kz_argv, first_kz),
+        (mzv_file, {"index": [2, 1], "value": "abc"}, mzv_argv, first),
+    ]:
+        path.write_text(json.dumps(bad))
+        code, payload = run(capsys, *argv)
+        assert code == EXIT_OK
+        payload.pop("seconds")
+        assert payload == cold
+        assert json.loads(path.read_text()) == whole[path]
 
 
 @pytest.mark.parametrize("argv", [
@@ -449,6 +471,28 @@ def test_quadrature_error_exits_check(capsys, monkeypatch):
     code = main(["weights"])
     assert code == EXIT_CHECK
     assert capsys.readouterr().err.startswith("error: QuadratureError: z must avoid")
+
+
+@pytest.mark.parametrize("error, exit_code", [
+    (MzvError("refused"), EXIT_CHECK),
+    (KZError("refused"), EXIT_CHECK),
+    (NotInT3Error(4, 1e-3), EXIT_CHECK),
+    (AssociatorError("refused"), EXIT_CHECK),
+    (GraphError("refused"), EXIT_CHECK),
+    (confint.QuadratureError("refused"), EXIT_CHECK),
+    (SeriesError("refused"), EXIT_INTERNAL),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+def test_exit_code_is_decided_by_the_error_class(capsys, monkeypatch, error, exit_code):
+    # every error that exits 2 is a CheckError; any other error is internal
+    assert isinstance(error, CheckError) == (exit_code == EXIT_CHECK)
+
+    def refused():
+        raise error
+
+    monkeypatch.setattr(cli, "etingof_coefficients", refused)
+    assert main(["etingof"]) == exit_code
+    prefix = "error" if exit_code == EXIT_CHECK else "internal error"
+    assert capsys.readouterr().err.startswith(f"{prefix}: {type(error).__name__}: ")
 
 
 def test_algebra_commands_do_not_load_numpy():
