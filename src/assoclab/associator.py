@@ -263,6 +263,52 @@ def drinfeld_tangent(psi: NCSeries, phi: NCSeries) -> NCSeries:
     return d.apply_nc(phi) - phi * psi
 
 
+def _flow(phi_init: Associator, t0: Fraction, t1: Fraction,
+          generators: Sequence[LieSeries], tol: float, pin=None) -> Associator:
+    """``interpolate``, or with ``pin`` the one pass of ``pin_lambda``.
+
+    With ``pin`` the generators are bare sigma_d of rising degree d, the pass
+    runs even where t0 == t1, and it swaps sigma_d for ``pin(d, sigma_d, part)``
+    on first reaching d, ``part`` the degree-d part of Phi^t from those below d.
+    """
+    order = phi_init.order
+    gens = []
+    for ell in generators:
+        degrees = {len(w) for w in ell.coords}
+        if len(degrees) > 1:
+            raise AssociatorError("family generators must be homogeneous")
+        for deg in degrees:  # none for the zero series, which contributes nothing
+            if deg < 3 or deg % 2 == 0:
+                raise AssociatorError("family degrees must be odd and >= 3")
+            if deg > order:
+                raise AssociatorError("truncation too small for the family degrees")
+            gens.append([deg, s_one_minus_s_power(deg - 1), ell if pin else lie_to_nc(ell, order)])
+    if pin and [g[0] for g in gens] != sorted(g[0] for g in gens):
+        raise AssociatorError("pinned generators must rise in degree")
+    _checked_lie_log(phi_init, tol)
+
+    def integrated(rhs: NCSeries) -> NCSeries:
+        return rhs.map_coefficients(
+            lambda p: (lambda q: q - PolyInT.constant(q(t0)))(p.antiderivative()))
+
+    poly_phi = phi_init.series.map_coefficients(lambda c: PolyInT((c,)))
+    lowest = min((deg for deg, _, _ in gens if pin or t0 != t1), default=order + 1)
+    for n in range(lowest, order + 1):
+        rhs = NCSeries.zero(2, order)
+        for i, (deg, tpoly, psi) in enumerate(gens):
+            if deg > n:
+                continue
+            if pin and deg == n:
+                psi = gens[i][2] = pin(n, psi, poly_phi.degree_part(n) + integrated(rhs))
+            tangent = drinfeld_tangent(psi, poly_phi.degree_part(n - deg))
+            rhs = rhs + tangent.map_coefficients(lambda c: tpoly * c)
+        poly_phi = poly_phi + integrated(rhs)
+    if lowest > order or t0 == t1:
+        return Associator(phi_init.series, origin=phi_init.origin)
+    return Associator(poly_phi.map_coefficients(lambda p: p(t1)),
+                      origin=f"interpolated(t={t1})")
+
+
 def interpolate(phi_init: Associator, t0: Fraction, t1: Fraction,
                 generators: Sequence[LieSeries], tol: float = 1e-9) -> Associator:
     """Solve d/dt Phi^t = tau^t . Phi^t exactly and evaluate at t1.
@@ -277,64 +323,34 @@ def interpolate(phi_init: Associator, t0: Fraction, t1: Fraction,
     exact polynomial integration per degree produces the flow.  The input is
     checked once to have a Lie logarithm within ``tol``.
     """
-    order = phi_init.order
-    gens = []
-    for ell in generators:
-        degrees = {len(w) for w in ell.coords}
-        if not degrees:
-            continue
-        deg = degrees.pop()
-        if degrees:
-            raise AssociatorError("family generators must be homogeneous")
-        if deg < 3 or deg % 2 == 0:
-            raise AssociatorError("family degrees must be odd and >= 3")
-        if deg > order:
-            raise AssociatorError("truncation too small for the family degrees")
-        gens.append((deg, s_one_minus_s_power(deg - 1), lie_to_nc(ell, order)))
-    _checked_lie_log(phi_init, tol)
-    if not gens or t0 == t1:
-        return Associator(phi_init.series, origin=phi_init.origin)
-
-    poly_phi = phi_init.series.map_coefficients(lambda c: PolyInT((c,)))
-    for n in range(min(deg for deg, _, _ in gens), order + 1):
-        rhs = NCSeries.zero(2, order)
-        for deg, tpoly, psi in gens:
-            if deg > n:
-                continue
-            tangent = drinfeld_tangent(psi, poly_phi.degree_part(n - deg))
-            rhs = rhs + tangent.map_coefficients(lambda c: tpoly * c)
-        increment = rhs.map_coefficients(
-            lambda p: (lambda q: q - PolyInT.constant(q(t0)))(p.antiderivative()))
-        poly_phi = poly_phi + increment
-    return Associator(poly_phi.map_coefficients(lambda p: p(t1)),
-                      origin=f"interpolated(t={t1})")
+    return _flow(phi_init, t0, t1, generators, tol)
 
 
-def pin_lambda(phi: Associator, sigma: LieSeries,
-               flow: Associator | None = None) -> tuple[complex, float]:
-    """Normalize tau_d = lambda * sigma by matching Phi^1 to the sign flip at degree d.
+def pin_lambda(phi: Associator, sigmas: Sequence[LieSeries], t1: Fraction,
+               tol: float) -> tuple[Associator, list[tuple[complex, float]]]:
+    """Phi^t1 of the family tau_d = lambda_d sigma_d from Phi, and each (lambda_d, residual).
 
-    ``sigma`` is a generator of odd degree d, and ``flow`` is Phi^1 of the
-    family with the generators below degree d pinned; without one (d = 3)
-    it is ``phi`` itself.  The degree-d tangent of sigma reads only the
-    constant term 1 of the associator, where Drinfeld's formula gives
-    -sigma, so lambda is one division of the flow's degree-d miss on its
-    largest coefficient (the first, on ties); the returned residual
-    measures its consistency across all degree-d words.
+    The ``sigmas`` rise in odd degree d, and a zero one is dropped.  One flow
+    fixes lambda_d on first reaching degree d, so that Phi^1 meets the sign
+    flip of ``phi`` there.  The degree-d tangent of sigma_d reads only the
+    constant term 1, where Drinfeld's formula gives -sigma_d, so lambda_d is
+    one division of the degree-d miss on its largest coefficient (the first,
+    on ties); the residual measures its consistency across all degree-d words.
     """
-    flow = phi if flow is None else flow
-    d = max((len(w) for w in sigma.coords), default=3)
-    at_one = -lie_to_nc(sigma, d).degree_part(d)
-    base = s_one_minus_s_power(d - 1).integral(Fraction(0), Fraction(1))  # 1/30 at d = 3
-    target = (phi.flip_signs().series - flow.series).degree_part(d).truncate(d)
-    best_w = max(at_one.terms, key=lambda w: coeff_abs(at_one.terms[w]), default=None)
-    if best_w is None:
-        raise AssociatorError(f"degree-{d} action vanishes; cannot pin the normalization")
-    lam = (complex(target.coefficient(best_w))
-           / (complex(base) * complex(at_one.coefficient(best_w))))
-    resid = at_one.map_coefficients(lambda c: lam * complex(base) * c).distance(
-        target.map_coefficients(complex))
-    return lam, resid
+    anti = phi.flip_signs().series
+    pins = []
+
+    def pin(d: int, sigma: LieSeries, part: NCSeries) -> NCSeries:
+        at_one = -lie_to_nc(sigma, d).degree_part(d)
+        base = complex(s_one_minus_s_power(d - 1).integral(Fraction(0), Fraction(1)))
+        target = (anti - part.map_coefficients(lambda p: p(1))).degree_part(d).truncate(d)
+        best_w = max(at_one.terms, key=lambda w: coeff_abs(at_one.terms[w]))
+        lam = complex(target.coefficient(best_w)) / (base * complex(at_one.coefficient(best_w)))
+        pins.append((lam, at_one.map_coefficients(lambda c: lam * base * c).distance(
+            target.map_coefficients(complex))))
+        return lie_to_nc(sigma.scale(lam), phi.order)
+
+    return _flow(phi, Fraction(0), t1, sigmas, tol, pin), pins
 
 
 # -- exact path-ordered exponential coefficients --------------------------------

@@ -22,12 +22,13 @@ import sys
 import tempfile
 import time
 import traceback
+import zlib
 from fractions import Fraction
 from pathlib import Path
 
 from . import CheckError, __version__
 from .associator import (Associator, check_hexagon, check_pentagon, etingof_coefficients,
-                         interpolate, pin_lambda, to_taut3)
+                         pin_lambda, to_taut3)
 from .graphcx import (NAMED_GRAPHS, GraphError, GraphLinComb, differential, divergence,
                       gc_bracket, grt_check, grt_generator, ihara_bracket, phi_map,
                       psi3_normalized, tetrahedron)
@@ -38,6 +39,9 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_CHECK = 2
 EXIT_IO = 3
+# names the cache files, so other code never reads them (crc32: hashlib loads OpenSSL)
+SOURCE_DIGEST = "%08x" % zlib.crc32(b"".join(
+    p.read_bytes() for p in sorted(Path(__file__).parent.glob("*.py"))))
 
 
 def _ratio(q: Fraction) -> list[str]:
@@ -95,7 +99,7 @@ def _phi_kz_cached(order: int, m_order: int, tol: float, cache: Path):
             raise ValueError(f"cached associator has order {phi.order}, not {order}")
         return phi, {name: float(v) for name, v in dict(data["report"]).items()}
 
-    return _cached(cache / f"phi-kz-N{order}-v{__version__}-M{m_order}-tol{tol:.1e}.json",
+    return _cached(cache / f"phi-kz-N{order}-{SOURCE_DIGEST}-M{m_order}-tol{tol:.1e}.json",
                    compute, decode)
 
 
@@ -104,7 +108,7 @@ def _mzv_cached(index: tuple[int, ...], tol: float, cache: Path) -> float:
         value = mzv(index, tol)
         return value, {"index": list(index), "value": value}
 
-    name = "mzv-" + "-".join(map(str, index)) + f"-v{__version__}-tol{tol:.1e}.json"
+    name = "mzv-" + "-".join(map(str, index)) + f"-{SOURCE_DIGEST}-tol{tol:.1e}.json"
     return _cached(cache / name, compute, lambda data: float(data["value"]))
 
 
@@ -131,19 +135,15 @@ def _zeta_gap(lam: complex, d: int) -> float:
 
 def cmd_interp(args):
     phi, _ = _phi_kz_cached(args.order, args.series_order, args.tol, _cache_dir(args))
-    family = []
+    t_target = Fraction(args.t).limit_denominator(10**6)
+    degrees = range(3, args.order + 1, 2)
+    phi_t, pinned = pin_lambda(phi, [grt_generator(d, args.order) for d in degrees],
+                               t_target, args.tol)
     pins, checks = {}, {}
-    for d in range(3, args.order + 1, 2):
-        # sigma_d first acts in degree d, where the lower generators fix the miss
-        flow = interpolate(phi, Fraction(0), Fraction(1), family, args.tol) if family else None
-        sigma = grt_generator(d, args.order)
-        lam, checks[f"pin-degree{d}-residual"] = pin_lambda(phi, sigma, flow)
-        family.append(sigma.scale(lam))
+    for d, (lam, checks[f"pin-degree{d}-residual"]) in zip(degrees, pinned):
         pins["lambda" if d == 3 else f"lambda-degree{d}"] = {"re": lam.real, "im": lam.imag}
         if d > 3:  # the test suite checks the d = 3 closed form
             checks[f"zeta-closed-form-degree{d}"] = _zeta_gap(lam, d)
-    t_target = Fraction(args.t).limit_denominator(10**6)
-    phi_t = interpolate(phi, Fraction(0), t_target, family, args.tol)
     if t_target == 1:
         target = phi.flip_signs()
         for d in range(4, args.order + 1):

@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, Mapping, Sequence
 
-from .scalars import add_scaled, coeff_abs, lowered, rational_field
+from .scalars import add_scaled, coeff_abs, rational_field
 
 Word = tuple[int, ...]
 
@@ -473,7 +473,7 @@ def lie_to_nc(ell: LieSeries, order: int | None = None) -> NCSeries:
     order = ell.order if order is None else order
     out: dict[Word, object] = {}
     for w, c in ell.coords.items():
-        add_scaled(out, lowered(lyndon_bracket_nc(ell.k, order, w).terms.items(), c), c)
+        add_scaled(out, lyndon_bracket_nc(ell.k, order, w).terms.items(), c)
     return NCSeries._nonzero(ell.k, order, out)
 
 
@@ -491,10 +491,8 @@ def nc_project_lie(a: NCSeries, tol: float = 1e-6) -> LieSeries:
         raise SeriesError("nonzero constant term")
     projected: dict[Word, object] = {}
     for w, c in a.terms.items():
-        d = len(w)
-        scale = c * Fraction(1, d) if isinstance(c, (int, Fraction)) else c / d
-        add_scaled(projected, lowered(_left_bracketing_nc(a.k, a.order, w).terms.items(), scale),
-                   scale)
+        scale = c * Fraction(1, len(w)) if isinstance(c, (int, Fraction)) else c / len(w)
+        add_scaled(projected, _left_bracketing_nc(a.k, a.order, w).terms.items(), scale)
     coords, residual = _lyndon_extract(NCSeries._nonzero(a.k, a.order, projected))
     if residual > tol:
         raise SeriesError(f"Dynkin projection produced a non-Lie series ({residual:.3e})")
@@ -518,7 +516,7 @@ def _lyndon_extract(a: NCSeries) -> tuple[dict, float]:
             if not c:
                 continue
             coords[w] = c
-            for v, b in lowered(lyndon_bracket_nc(a.k, a.order, w).terms.items(), c):
+            for v, b in lyndon_bracket_nc(a.k, a.order, w).terms.items():
                 rest[v] = rest.get(v, 0) - c * b
                 if not rest[v]:
                     del rest[v]

@@ -14,12 +14,9 @@ which is the whole interface the series code relies on.  Polynomials and
 duals may be nested over any of the other rings.
 
 A rational constant that meets float or complex data enters as the float
-p/q (``rational_field``, ``lowered``); exact data keeps exact arithmetic.
-Where the constant met a float or complex operand anyway, ``Fraction``
-converted itself to that float at the operation, so those products and sums
-keep their bits.  On a series that mixes exact and float coefficients the
-exact ones now meet the float p/q as well: such a product is rounded where it
-used to stay exact, and is a float.
+p/q (``rational_field``), which is what a ``Fraction`` meeting a float turns
+into; exact data keeps exact arithmetic, and on mixed data the exact
+coefficients meet the float p/q too.
 
 Integer structure constants stay ``int``: the letters, the pair generators
 and the basis vectors of the exact Lie kernels are seeded with the int 1, so
@@ -27,7 +24,8 @@ their brackets and Lie images hold ints, and ``Fraction`` appears only where
 a division happens (``eliminate``'s kernel vectors and right-hand-side
 multipliers, its reduction being fraction-free; the 1/n! and 1/n of exp and
 log through ``rational_field``; the Dynkin 1/d).  Every true division of
-exact data divides by a ``Fraction``, so no int turns into a float.
+exact data divides by a ``Fraction``, so no int turns into a float, and an
+int meets a float or complex with the bits of its float.
 """
 
 from __future__ import annotations
@@ -291,17 +289,6 @@ def rational_field(values: Iterable) -> Callable[[int, int], object]:
     values meet the float too.
     """
     return truediv if any(isinstance(x, (float, complex)) for x in values) else Fraction
-
-
-def lowered(terms: Iterable[tuple[Hashable, object]], c) -> Iterable[tuple[Hashable, object]]:
-    """The exact (key, coeff) pairs ``terms`` as they meet the scalar ``c``.
-
-    Each coefficient becomes its float when ``c`` is a float or complex;
-    otherwise ``terms`` is returned as it is.
-    """
-    if isinstance(c, (float, complex)):
-        return ((w, float(x)) for w, x in terms)
-    return terms
 
 
 def eliminate(columns: Sequence[Mapping], rhs: Mapping | None = None):

@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 from . import CheckError
 from .ncalg import (LieSeries, NCSeries, SeriesError, add_scaled, length_views, lyndon_words,
                     relabel, standard_factorization, substitute_many)
-from .scalars import coeff_abs, eliminate, lowered, rational_field
+from .scalars import coeff_abs, eliminate, rational_field
 
 
 class ArityError(ValueError):
@@ -456,12 +456,11 @@ def t3_embed(ell: LieSeries, order: int | None = None) -> TDerElem:
     """Evaluate a two-letter Lie series on (t12, t23) inside tder3.
 
     The scaled word images are summed into the components in place, as
-    ``lie_to_nc`` sums bracketings; a float or complex coordinate meets its
-    integer-valued image ``lowered`` to floats.
+    ``lie_to_nc`` sums bracketings.
     """
     order = ell.order if order is None else order
     out: tuple[dict, ...] = ({}, {}, {})
     for w, c in LieSeries(2, order, ell.coords).coords.items():
         for acc, comp in zip(out, _t3_word_image(w, order).comps):
-            add_scaled(acc, lowered(comp.terms.items(), c), c)
+            add_scaled(acc, comp.terms.items(), c)
     return TDerElem(3, order, [NCSeries._nonzero(3, order, acc) for acc in out])

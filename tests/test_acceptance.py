@@ -65,7 +65,7 @@ def pinned(kz5):
     phi5, _ = kz5
     phi4 = Associator(phi5.series.truncate(4), origin="kz")
     psi3 = psi3_normalized(4)
-    lam, resid = pin_lambda(phi4, psi3)
+    _, [(lam, resid)] = pin_lambda(phi4, [psi3], Fraction(1), 1e-9)
     return phi4, psi3, lam, resid
 
 

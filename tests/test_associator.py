@@ -170,16 +170,15 @@ def test_interpolate_is_grouplike_exact():
 def test_pin_lambda_and_degree4_prediction():
     phi, _ = build_phi_kz(order=4, m_order=64)
     psi3 = psi3_normalized(4)
-    lam, resid = pin_lambda(phi, psi3)
+    phi1, [(lam, resid)] = pin_lambda(phi, [psi3], Fraction(1), 1e-9)
     assert resid < 1e-15
     assert abs(lam.real) < 1e-15  # imaginary in these conventions
-    phi1 = interpolate(phi, Fraction(0), Fraction(1), [psi3.scale(lam)])
     target = phi.flip_signs()
     assert phi1.series.degree_part(3).distance(target.series.degree_part(3)) < 1e-12
     assert phi1.series.degree_part(4).distance(target.series.degree_part(4)) < 1e-12
     # the pin reads the unit tangent at truncation 3, whatever the order of Phi
     phi5, _ = build_phi_kz(order=5, m_order=64)
-    lam5, resid5 = pin_lambda(phi5, psi3_normalized(5))
+    _, [(lam5, resid5)] = pin_lambda(phi5, [psi3_normalized(5)], Fraction(1), 1e-9)
     assert resid5 < 1e-15
     assert abs(lam5 - lam) < 1e-15
 
@@ -188,15 +187,14 @@ def test_pin_lambda_is_the_zeta3_closed_form():
     # lambda * int_0^1 (t(1-t))^2 dt = -i zeta(3) / (4 pi^3), and the integral is 1/30
     from assoclab.kz import build_phi_kz, mzv
     phi, _ = build_phi_kz(order=3, m_order=64)
-    lam, _ = pin_lambda(phi, psi3_normalized(3))
+    _, [(lam, _)] = pin_lambda(phi, [psi3_normalized(3)], Fraction(1), 1e-9)
     expected = -30j * mzv((3,)) / (4 * math.pi ** 3)
     assert abs(lam - expected) <= 1e-14 * abs(expected)
     # c_5 * int_0^1 (t(1-t))^4 dt = i zeta(5) / (16 pi^5), pinned on the degree-5
     # miss of the sigma_3 flow, and the integral is 1/630
     phi5, _ = build_phi_kz(order=5, m_order=64)
-    lam3, _ = pin_lambda(phi5, psi3_normalized(5))
-    flow = interpolate(phi5, Fraction(0), Fraction(1), [psi3_normalized(5).scale(lam3)])
-    c5, resid = pin_lambda(phi5, grt_generator(5, 5), flow)
+    sigmas = [psi3_normalized(5), grt_generator(5, 5)]
+    _, [_, (c5, resid)] = pin_lambda(phi5, sigmas, Fraction(1), 1e-9)
     expected = 630j * mzv((5,)) / (16 * math.pi ** 5)
     assert resid < 1e-15
     assert abs(c5 - expected) <= 1e-14 * abs(expected)
@@ -225,8 +223,7 @@ def test_drinfeld_formula_matches_the_twist_tangent():
     kz5 = Associator(kz6.series.truncate(5), origin="kz")
     psi3 = psi3_normalized(5)
     sigma5 = grt_solution_space(5, 5)[0]
-    lam, _ = pin_lambda(kz5, psi3)
-    mid = interpolate(kz5, Fraction(0), Fraction(1, 3), [psi3.scale(lam)])
+    mid, _ = pin_lambda(kz5, [psi3], Fraction(1, 3), 1e-9)
     off = grt_twist_act(sigma5.scale(0.3), kz5)
     cases = [("kz4", Associator(kz6.series.truncate(4)), [psi3]),
              ("kz5", kz5, [psi3, sigma5]),

@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from assoclab import CheckError, __version__, cli, confint
-from assoclab.associator import Associator, AssociatorError
-from assoclab.graphcx import GraphError
+from assoclab import CheckError, __version__, associator, cli, confint
+from assoclab.associator import Associator, AssociatorError, interpolate
+from assoclab.graphcx import GraphError, grt_generator
 from assoclab.kz import KZError, MzvError, build_phi_kz
 from assoclab.ncalg import NCSeries, SeriesError
 from assoclab.tangent import NotInT3Error
@@ -278,6 +278,37 @@ def test_passed_is_every_check_within_tol(shared_cache, capsys, argv, tol):
         assert code == EXIT_CHECK  # zeta-closed-form-degree5 reads about 5e-16
 
 
+def test_interp_runs_one_flow(tmp_path, capsys, monkeypatch):
+    calls = []
+    tangent = associator.drinfeld_tangent
+    monkeypatch.setattr(associator, "drinfeld_tangent",
+                        lambda *args: calls.append(1) or tangent(*args))
+    code, payload = run(capsys, "interp", "--order", "7", "--t", "1", "--cache-dir", str(tmp_path))
+    assert code == EXIT_OK and "lambda-degree7" in payload
+    pinned = len(calls)
+    calls.clear()
+    sigmas = [grt_generator(d, 7) for d in (3, 5, 7)]
+    interpolate(Associator.one(7), Fraction(0), Fraction(1), sigmas)
+    # degrees 3..7 take 1, 1, 2, 2 and 3 tangents: one pass, where a flow per pin took 22
+    assert pinned == len(calls) == 9
+
+
+def test_cache_of_other_source_is_not_served(tmp_path, capsys, monkeypatch):
+    argv = ["mzv", "2", "--cache-dir", str(tmp_path)]
+    code, fresh = run(capsys, *argv)
+    assert code == EXIT_OK
+    (own,) = tmp_path.iterdir()
+    other = "0" * 8
+    # a payload that decodes, cached by another source
+    (tmp_path / own.name.replace(cli.SOURCE_DIGEST, other)).write_text(
+        json.dumps({"index": [2], "value": 1.5}))
+    code, again = run(capsys, *argv)
+    assert code == EXIT_OK and again["value"] == fresh["value"] != 1.5
+    # that source itself is served it
+    monkeypatch.setattr(cli, "SOURCE_DIGEST", other)
+    assert run(capsys, *argv)[1]["value"] == 1.5
+
+
 def test_interp_order6_reaches_degree6(tmp_path, capsys):
     # sigma_3 and sigma_5 carry Phi^1 to anti-KZ in degrees 4 to 6 (grt has
     # no degree-6 element)
@@ -378,7 +409,7 @@ def test_truncated_cache_is_recomputed(tmp_path, capsys):
     assert code == EXIT_OK
     files = sorted(p.name for p in tmp_path.iterdir())
     assert len(files) == 2 and not any(n.endswith(".tmp") for n in files)
-    assert all(f"-v{__version__}-" in n for n in files)
+    assert all(f"-{cli.SOURCE_DIGEST}-" in n for n in files)
     (mzv_file,), (kz_file,) = tmp_path.glob("mzv-*.json"), tmp_path.glob("phi-kz-*.json")
     whole = {p: json.loads(p.read_text()) for p in (mzv_file, kz_file)}
     for p in tmp_path.iterdir():

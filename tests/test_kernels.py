@@ -59,7 +59,7 @@ from hypothesis import example, given, settings, strategies as st
 from assoclab import associator, graphcx, ncalg, scalars, tangent
 from assoclab.associator import (Associator, AssociatorError, check_hexagon, check_pentagon,
                                  grt_infinitesimal_act, interpolate, pin_lambda, to_taut3)
-from assoclab.graphcx import GraphLinComb, psi3_normalized
+from assoclab.graphcx import GraphLinComb, grt_generator, psi3_normalized
 from assoclab.kz import build_phi_kz
 from assoclab.ncalg import (LieSeries, NCSeries, SeriesError, add_scaled, length_views,
                             lie_coords_from_nc, lie_to_nc, lyndon_bracket_nc, lyndon_words,
@@ -850,9 +850,8 @@ def test_series_exp_and_log_on_mixed_data_match_rational_references(k, order, da
 def test_kz_realisation_matches_rational_references(monkeypatch, order):
     phi = build_phi_kz(order, 64)[0]
     g, g_inv = to_taut3(phi)
-    # the Lie logarithm with its exact word images unlowered, as before the rule
+    # the Lie logarithm with exact rational constants, as before the rule
     with monkeypatch.context() as m:
-        m.setattr(ncalg, "lowered", lambda terms, c: terms)
         m.setattr(ncalg, "rational_field", lambda values: Fraction)
         ell = associator._checked_lie_log(phi, 1e-9)
     want = ref_rational_exp_pair(ref_rational_t3_embed(ell, order))
@@ -1658,6 +1657,24 @@ def ref_pin_lambda(phi_kz, psi3):
     return lam, resid
 
 
+def ref_pinned_family(phi, sigmas, t):
+    """The family pinned one generator at a time: a whole flow per pin, then one more to t."""
+    fam, pins = [], []
+    for sigma in sigmas:
+        flow = interpolate(phi, Fraction(0), Fraction(1), fam) if fam else phi
+        d = len(next(iter(sigma.coords)))
+        at_one = -lie_to_nc(sigma, d).degree_part(d)
+        base = s_one_minus_s_power(d - 1).integral(Fraction(0), Fraction(1))
+        target = (phi.flip_signs().series - flow.series).degree_part(d).truncate(d)
+        best_w = max(at_one.terms, key=lambda w: coeff_abs(at_one.terms[w]))
+        lam = (complex(target.coefficient(best_w))
+               / (complex(base) * complex(at_one.coefficient(best_w))))
+        pins.append((lam, at_one.map_coefficients(lambda c: lam * complex(base) * c).distance(
+            target.map_coefficients(complex))))
+        fam.append(sigma.scale(lam))
+    return interpolate(phi, Fraction(0), t, fam), pins
+
+
 def same_associator(got: Associator, want: Associator):
     assert got.to_json() == want.to_json()
     assert repr(got) == repr(want)
@@ -1697,7 +1714,7 @@ def test_flow_matches_full_order_reference_exact(order, seed):
 def test_flow_matches_full_order_reference_on_kz(kz5, t):
     phi = Associator(kz5.series.truncate(4), origin="kz")
     psi3 = psi3_normalized(4)
-    lam, _ = pin_lambda(phi, psi3)
+    _, [(lam, _)] = pin_lambda(phi, [psi3], Fraction(1), 1e-9)
     fam = [psi3.scale(lam)]
     same_associator(interpolate(phi, Fraction(0), t, fam),
                     ref_interpolate(phi, Fraction(0), t, fam))
@@ -1716,7 +1733,27 @@ def test_pin_matches_reference(kz5):
     for order in (3, 4, 5):
         phi = Associator(kz5.series.truncate(order), origin="kz")
         psi3 = psi3_normalized(order)
-        assert repr(pin_lambda(phi, psi3)) == repr(ref_pin_lambda(phi, psi3))
+        _, [pin] = pin_lambda(phi, [psi3], Fraction(1), 1e-9)
+        assert repr(pin) == repr(ref_pin_lambda(phi, psi3))
+
+
+@pytest.mark.parametrize("order", [5, 7])
+def test_pinned_family_is_one_flow_of_the_scaled_generators(order):
+    # the pins, and Phi^t = interpolate(phi, 0, t, [lambda_d sigma_d]), bit for bit;
+    # at t = 0 every lambda is still pinned
+    phi = build_phi_kz(order, 64)[0]
+    sigmas = [grt_generator(d, order) for d in range(3, order + 1, 2)]
+    for t in (Fraction(0), Fraction(3, 10), Fraction(1, 2), Fraction(1)):
+        got, pins = pin_lambda(phi, sigmas, t, 1e-9)
+        want, want_pins = ref_pinned_family(phi, sigmas, t)
+        same_associator(got, want)
+        assert len(pins) == len(sigmas)
+        assert repr(pins) == repr(want_pins)
+
+
+def test_pinned_generators_must_rise_in_degree(kz5):
+    with pytest.raises(AssociatorError, match="rise in degree"):
+        pin_lambda(kz5, [grt_generator(5, 5), psi3_normalized(5)], Fraction(1), 1e-9)
 
 
 def test_flow_and_pin_make_no_twist(monkeypatch, kz5):
@@ -1726,9 +1763,8 @@ def test_flow_and_pin_make_no_twist(monkeypatch, kz5):
     duals = counter(monkeypatch, Dual, "__init__")
     applies = counter(monkeypatch, TDerElem, "apply_nc")
     psi3 = psi3_normalized(5)
-    lam, _ = pin_lambda(kz5, psi3)
-    interpolate(kz5, Fraction(0), Fraction(1), [psi3.scale(lam)])
+    pin_lambda(kz5, [psi3], Fraction(1), 1e-9)
     assert [len(c) for c in twists] == [0, 0, 0, 0, 0]
     assert len(duals) == 0
-    # the pin is one division, and each flow degree 3..5 one Drinfeld tangent
+    # the pin is one division inside the flow, and each degree 3..5 one Drinfeld tangent
     assert len(applies) == 3
