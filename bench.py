@@ -4,6 +4,8 @@
 
 Run from the root of a checkout.  The file holds:
 
+* ``src_lines``: the line count of each ``src/assoclab/*.py`` file and
+  their ``total``;
 * ``workloads``: the end-to-end metrics of one ``perfbench/run.py`` run of
   each workload with that script's default, fixed seed and time budget;
 * ``tier1``: the wall time and the outcome counts of the tier-1 tests;
@@ -66,6 +68,12 @@ def env() -> dict:
     out = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     out["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + out.get("PYTHONPATH", "")
     return out
+
+
+def src_lines() -> dict:
+    counts = {path.name: len(path.read_text().splitlines())
+              for path in sorted((ROOT / "src" / "assoclab").glob("*.py"))}
+    return {**counts, "total": sum(counts.values())}
 
 
 def workload(name: str) -> dict:
@@ -147,7 +155,8 @@ def main(argv=None):
     commit = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
                             capture_output=True, text=True).stdout.strip()
     report = {"pr": args.pr, "commit": commit, "python": platform.python_version(),
-              "cpus": os.cpu_count(), "workloads": {}}
+              "cpus": os.cpu_count(), "src_lines": src_lines(), "workloads": {}}
+    print(f"src lines: {report['src_lines']['total']}", file=sys.stderr)
     for name in WORKLOADS:
         report["workloads"][name] = workload(name)
         print(f"{name}: {report['workloads'][name]['metrics']}", file=sys.stderr)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import CheckError
 from .ncalg import (LieSeries, NCSeries, SeriesError, is_grouplike, lie_to_nc,
@@ -162,8 +162,7 @@ def check_hexagon(g: TAutElem, g_inv: TAutElem) -> float:
 
 # -- the grt side --------------------------------------------------------------
 
-@dataclass
-class GrtElem:
+class GrtElem(NamedTuple):
     """Candidate element psi(X, Y) of the associator symmetry Lie algebra.
 
     Carries the special-derivation avatar it was computed from.
@@ -171,10 +170,6 @@ class GrtElem:
 
     psi: LieSeries
     pair: TDerElem
-
-    def __post_init__(self):
-        if self.psi.k != 2:
-            raise AssociatorError("grt elements live in two generators")
 
 
 def nu_embedding(psi: LieSeries) -> TDerElem:

@@ -478,91 +478,60 @@ def delta_ext(a: GraphLinComb) -> GraphLinComb:
 
 # -- the projection to sder_2 ----------------------------------------------------
 
-def _monomial_from_tree(g: GCGraph, root_edge_idx: int, ext_vertex: int,
-                        order: int):
-    """Lie monomial read off the internally trivalent tree hanging at an edge.
+def _read_tree(g: GCGraph, root_idx: int, leg: int, order: int):
+    """The tree hanging from external vertex ``leg`` at edge ``root_idx``, as a Lie monomial.
 
-    Returns (NCSeries Lie monomial, parity sign) or None if the graph does
-    not orient as a rooted tree from this leg.
+    One depth-first walk from the other end of the edge reads an external
+    vertex j as X_j and brackets the two subtrees below each internal
+    vertex, the one through its lower-numbered edge on the left.  Returns
+    (monomial, parity sign of the graph's edge order against the walk's),
+    or None if the walk meets an internal vertex twice or misses an edge.
+    The graph must be loop-free with every internal vertex trivalent.
     """
     adj: dict[int, list[tuple[int, int]]] = {}
     for idx, (u, v) in enumerate(g.edges):
         adj.setdefault(u, []).append((idx, v))
         adj.setdefault(v, []).append((idx, u))
+    walked: list[int] = []
+    seen: set[int] = set()
 
-    dfs_edges: list[int] = []
-    visited_internal: set[int] = set()
-
-    def walk(vertex: int, via_idx: int):
-        """The tree below ``vertex`` as a bracketing of external vertices."""
-        dfs_edges.append(via_idx)
+    def walk(vertex: int, via: int):
+        walked.append(via)
         if vertex <= g.ext:
-            return vertex
-        if vertex in visited_internal:
-            raise GraphError("internal cycle")
-        visited_internal.add(vertex)
-        children = sorted((idx, w) for idx, w in adj.get(vertex, ()) if idx != via_idx)
-        if len(children) != 2:
-            raise GraphError("not trivalent")
-        left = walk(children[0][1], children[0][0])
-        right = walk(children[1][1], children[1][0])
-        return (left, right)
+            return NCSeries.generator(2, order, vertex)
+        if vertex in seen:
+            return None
+        seen.add(vertex)
+        (i, x), (j, y) = sorted((idx, w) for idx, w in adj[vertex] if idx != via)
+        left = walk(x, i)
+        right = None if left is None else walk(y, j)
+        return None if right is None else left.bracket(right)
 
-    def fold(b) -> NCSeries:
-        """The Lie monomial of a bracketing, left operand evaluated first."""
-        if isinstance(b, int):
-            return NCSeries.generator(2, order, b)
-        return fold(b[0]).bracket(fold(b[1]))
-
-    u, v = g.edges[root_edge_idx]
-    other = v if u == ext_vertex else u
-    try:
-        tree = walk(other, root_edge_idx)
-    except GraphError:
+    u, v = g.edges[root_idx]
+    mono = walk(v if u == leg else u, root_idx)
+    if mono is None or len(walked) != len(g.edges):
         return None
-    if len(dfs_edges) != len(g.edges):
-        return None
-    mono = fold(tree)
-    # parity of (graph edge order -> DFS order)
-    return mono, _perm_sign(dfs_edges)
+    return mono, _perm_sign(walked)
 
 
 def pi_project(a: GraphLinComb, order: int) -> TDerElem:
     """Project onto internally trivalent trees, read as an sder_2 element.
 
-    Graphs with a non-trivalent internal vertex, an internal cycle, or a
-    disconnected hanging structure are sent to zero.
+    Graphs with a loop, a non-trivalent internal vertex, an internal cycle,
+    or a disconnected hanging structure are sent to zero.
     """
     if a.ext != 2:
         raise GraphError("pi_project expects two external vertices")
     comps = [NCSeries.zero(2, order), NCSeries.zero(2, order)]
     for g, c in a.terms.items():
-        if any(val != 3 for val in g.valences()[g.ext:]):
+        if g.has_tadpole() or any(val != 3 for val in g.valences()[g.ext:]):
             continue
-        n_int = g.n - 2
-        if len(g.edges) != 2 * n_int + 1:
+        trees = [(leg, _read_tree(g, idx, leg, order))
+                 for leg in (1, 2) for idx, edge in enumerate(g.edges) if leg in edge]
+        if any(tree is None for _, tree in trees):
             continue
-        contributions = []
-        ok = True
-        for ext_vertex in (1, 2):
-            for idx, (u, v) in enumerate(g.edges):
-                if ext_vertex not in (u, v):
-                    continue
-                if u == v:
-                    ok = False
-                    break
-                res = _monomial_from_tree(g, idx, ext_vertex, order)
-                if res is None:
-                    ok = False
-                    break
-                mono, sign = res
-                contributions.append((ext_vertex, mono.scale(sign * c)))
-            if not ok:
-                break
-        if not ok:
-            continue
-        for ext_vertex, term in contributions:
-            comps[ext_vertex - 1] = comps[ext_vertex - 1] + term
+        for leg, (mono, sign) in trees:
+            comps[leg - 1] = comps[leg - 1] + mono.scale(sign * c)
     return TDerElem(2, order, tuple(comps))
 
 

@@ -118,6 +118,24 @@ def test_pi_project():
     assert (a + b).is_zero()
 
 
+def test_pi_project_zero_cases():
+    tree = [(1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+    k4 = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+    cases = {
+        # 2·n_int + 1 edges, so only the cycle and the missed edge send it to zero
+        "triangle with legs and (1, 2)":
+            (5, [(1, 2), (1, 3), (2, 4), (1, 5), (3, 4), (4, 5), (3, 5)]),
+        "loop at an internal vertex":
+            (5, [(1, 2), (1, 3), (2, 3), (3, 4), (1, 4), (4, 5), (5, 5)]),
+        "separate internal component": (8, tree + [(u + 4, v + 4) for u, v in k4]),
+        "(1, 2) beside a tree": (4, tree + [(1, 2)]),
+    }
+    for name, (n, edges) in cases.items():
+        a = GraphLinComb.from_raw([(n, edges, Fraction(1))], ext=2)
+        assert not a.is_zero(), name
+        assert pi_project(a, 5).is_zero(), name
+
+
 def test_pi_after_delta_vanishes():
     x = psi_map(tetrahedron())
     assert pi_project(delta_ext(x), 5).is_zero()

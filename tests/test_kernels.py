@@ -39,8 +39,9 @@ is bounded.
 The graph complex is checked against its earlier routines: a canonical form
 that tries every relabeling inside the color classes and counts selection
 sort swaps for the orientation sign, the differential as half the bracket
-with the one-edge graph, one loop over edge ends per operation, and the grt
-pentagon from tder4 brackets of the pair generators.
+with the one-edge graph, one loop over edge ends per operation, the grt
+pentagon from tder4 brackets of the pair generators, and the projection to
+sder_2 that built each leg's tree as nested tuples and folded it after.
 """
 
 import functools
@@ -1440,9 +1441,10 @@ def random_gc_graph(rng, max_vertices):
             return n, edges
 
 
-def shuffled(rng, n, edges):
-    """The edges under a random relabeling, in random order and orientation."""
-    perm = rng.sample(range(1, n + 1), n)
+def shuffled(rng, n, edges, fixed=0):
+    """The edges under a random relabeling that keeps the first ``fixed``
+    vertices, in random order and orientation."""
+    perm = [*range(1, fixed + 1), *rng.sample(range(fixed + 1, n + 1), n - fixed)]
     out = [(perm[u - 1], perm[v - 1]) for u, v in edges]
     rng.shuffle(out)
     return [(v, u) if rng.random() < 0.5 else (u, v) for u, v in out]
@@ -1603,6 +1605,141 @@ def test_graph_maps_keep_term_order():
         same_graphs(one, ref_mark_one_external(gamma))
         same_graphs(graphcx.delta_ext(one), ref_delta_ext(one))
         same_graphs(graphcx.duplicate_external(one), ref_duplicate_external(one))
+
+
+def ref_monomial_from_tree(g, root_edge_idx, ext_vertex, order):
+    """The tree at a leg as nested tuples by a raising walk, then folded into brackets."""
+    adj = {}
+    for idx, (u, v) in enumerate(g.edges):
+        adj.setdefault(u, []).append((idx, v))
+        adj.setdefault(v, []).append((idx, u))
+
+    dfs_edges = []
+    visited_internal = set()
+
+    def walk(vertex, via_idx):
+        dfs_edges.append(via_idx)
+        if vertex <= g.ext:
+            return vertex
+        if vertex in visited_internal:
+            raise graphcx.GraphError("internal cycle")
+        visited_internal.add(vertex)
+        children = sorted((idx, w) for idx, w in adj.get(vertex, ()) if idx != via_idx)
+        if len(children) != 2:
+            raise graphcx.GraphError("not trivalent")
+        left = walk(children[0][1], children[0][0])
+        right = walk(children[1][1], children[1][0])
+        return (left, right)
+
+    def fold(b):
+        if isinstance(b, int):
+            return NCSeries.generator(2, order, b)
+        return fold(b[0]).bracket(fold(b[1]))
+
+    u, v = g.edges[root_edge_idx]
+    other = v if u == ext_vertex else u
+    try:
+        tree = walk(other, root_edge_idx)
+    except graphcx.GraphError:
+        return None
+    if len(dfs_edges) != len(g.edges):
+        return None
+    return fold(tree), graphcx._perm_sign(dfs_edges)
+
+
+def ref_pi_project(a, order):
+    """Trivalence and the edge count first, then every leg's tree, the graph
+    dropped at the first leg that does not read."""
+    comps = [NCSeries.zero(2, order), NCSeries.zero(2, order)]
+    for g, c in a.terms.items():
+        if any(val != 3 for val in g.valences()[g.ext:]):
+            continue
+        if len(g.edges) != 2 * (g.n - 2) + 1:
+            continue
+        contributions = []
+        ok = True
+        for ext_vertex in (1, 2):
+            for idx, (u, v) in enumerate(g.edges):
+                if ext_vertex not in (u, v):
+                    continue
+                if u == v:
+                    ok = False
+                    break
+                res = ref_monomial_from_tree(g, idx, ext_vertex, order)
+                if res is None:
+                    ok = False
+                    break
+                mono, sign = res
+                contributions.append((ext_vertex, mono.scale(sign * c)))
+            if not ok:
+                break
+        if not ok:
+            continue
+        for ext_vertex, term in contributions:
+            comps[ext_vertex - 1] = comps[ext_vertex - 1] + term
+    return TDerElem(2, order, tuple(comps))
+
+
+def random_leg_tree(rng, max_internal):
+    """A random tree with trivalent internal vertices and every leaf on 1 or 2.
+
+    Grown from the edge (1, 2): each step puts a new vertex on a random
+    edge and hangs a new edge to 1 or 2 from it.
+    """
+    edges = [(1, 2)]
+    for w in range(3, rng.randint(0, max_internal) + 3):
+        u, v = edges.pop(rng.randrange(len(edges)))
+        edges += [(u, w), (w, v), (w, rng.randint(1, 2))]
+    return len({x for e in edges for x in e}), edges
+
+
+def random_ext2_graph(rng, max_internal):
+    """Internal vertices of three edge ends each and a random number of leg
+    ends on 1 and 2, paired at random: loops, double edges, cycles, separate
+    components and trees all occur."""
+    n_int = rng.randint(1, max_internal)
+    legs = max(0, n_int + 2 + rng.choice((-2, 0, 0, 2)))
+    ends = [rng.randint(1, 2) for _ in range(legs)]
+    ends += [v for v in range(3, n_int + 3) for _ in range(3)]
+    rng.shuffle(ends)
+    return n_int + 2, list(zip(ends[::2], ends[1::2]))
+
+
+def same_pi_project(a, order):
+    got = graphcx.pi_project(a, order)
+    same_tder(got, ref_pi_project(a, order))
+    return not got.is_zero()
+
+
+def test_pi_project_matches_reference_on_marked_gc_graphs():
+    graphs = [GraphLinComb({g: Fraction(1)}) for g in gc_graphs_upto_6()]
+    nonzero = 0
+    for gamma in graphs + [graphcx.tetrahedron(), graphcx.wheel(5)]:
+        for order in (4, 6):
+            nonzero += same_pi_project(graphcx.psi_map(gamma), order)
+    assert nonzero > 5
+
+
+def test_pi_project_matches_reference_on_moved_trees():
+    rng = random.Random(34)
+    nonzero = 0
+    for _ in range(300):
+        n, edges = random_leg_tree(rng, 5)
+        g = graphcx.GCGraph(n, tuple(shuffled(rng, n, edges, fixed=2)), 2)
+        nonzero += same_pi_project(GraphLinComb({g: rng.choice(SMALL)}, ext=2), 6)
+    assert nonzero > 50
+
+
+def test_pi_project_matches_reference_on_random_ext2_graphs():
+    rng = random.Random(35)
+    nonzero = 0
+    for _ in range(400):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            n, edges = random_ext2_graph(rng, 5)
+            terms[graphcx.GCGraph(n, tuple(edges), 2)] = rng.choice(SMALL)
+        nonzero += same_pi_project(GraphLinComb(terms, ext=2), rng.choice((4, 6)))
+    assert nonzero > 5
 
 
 # -- the interpolation flow ------------------------------------------------------
