@@ -11,6 +11,9 @@ Run from the root of a checkout.  The file holds:
 * ``tier1``: the wall time and the outcome counts of the tier-1 tests;
 * ``interp7``: the wall seconds and exit code of ``assoclab interp
   --order 7 --t 1`` on an empty cache;
+* ``gc_bracket_self``: the wall seconds and exit code of ``assoclab gc
+  bracket-self wheel5``, which canonicalises every reconnection of the
+  wheel into itself;
 * ``reach``: for N = 5, 6, ... the seconds of ``build_phi_kz(N, 64)``,
   ``to_taut3``, ``check_pentagon`` and ``check_hexagon`` and the peak RSS,
   each N in its own interpreter, stopping after the first N over
@@ -103,6 +106,13 @@ def cold_interp7() -> dict:
         return {"wall_s": perf_counter() - t0, "exit_code": proc.returncode}
 
 
+def gc_bracket_self() -> dict:
+    t0 = perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "assoclab.cli", "gc", "bracket-self", "wheel5"],
+                          cwd=ROOT, env=env(), capture_output=True, text=True)
+    return {"wall_s": perf_counter() - t0, "exit_code": proc.returncode}
+
+
 def limit_memory():
     cap = int(1.25 * REACH_MB * 2**20)
     resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
@@ -164,6 +174,8 @@ def main(argv=None):
     print(f"tier-1: {report['tier1']}", file=sys.stderr)
     report["interp7"] = cold_interp7()
     print(f"interp --order 7 --t 1: {report['interp7']}", file=sys.stderr)
+    report["gc_bracket_self"] = gc_bracket_self()
+    print(f"gc bracket-self wheel5: {report['gc_bracket_self']}", file=sys.stderr)
     report["reach"] = reach()
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(report, indent=2) + "\n")

@@ -9,8 +9,11 @@ at least trivalent) its antenna and bivalent terms cancel, so it is formed
 as the unordered splitting of each vertex into two at least trivalent
 vertices, and any other input is bracketed.  The divergence is the bracket
 with the one-vertex one-loop graph computed in the ambient complex that
-admits loops.  Canonical forms try the relabelings inside the classes of
-color refinement, a class of isolated vertices in one order only.  Graphs with
+admits loops.  A canonical form is the least relabeling inside the classes
+of color refinement (a class of isolated vertices in one order only), found
+by a depth-first search that hands out the labels in increasing order and
+prunes a prefix by a bound on its key and a child by the automorphisms found
+at tied leaves, which also decide whether the graph is zero.  Graphs with
 external legs are the same types with ``ext`` > 0: vertices 1..ext are the
 legs and are never relabeled.
 """
@@ -52,12 +55,14 @@ def _perm_sign(perm: list[int]) -> int:
     return -1 if (len(perm) - cycles) % 2 else 1
 
 
-def _colors(n: int, edges: list[Edge], fixed: int) -> list:
-    """Iso-invariant vertex colors, indexed by vertex; vertices <= fixed keep their own label.
+def _colors(n: int, edges: list[Edge], fixed: int) -> list[int]:
+    """Iso-invariant int vertex colors, indexed by vertex; vertex v <= fixed has color v - 1.
 
-    Refinement stops at the first round that splits no class.  Each round
-    names the classes by their rank, so the order of the colors is the
-    order of the classes whichever round stops.
+    The first colors rank (valence, loops); each round ranks the signatures
+    (color, sorted neighbor colors) and stops at the first round that splits
+    no class, or once every class is one vertex.  A signature starts with the
+    color before, so the order of the colors is the order of the classes
+    whichever round stops.
     """
     adj: list[list[int]] = [[] for _ in range(n + 1)]
     loops = [0] * (n + 1)
@@ -67,41 +72,18 @@ def _colors(n: int, edges: list[Edge], fixed: int) -> list:
         else:
             adj[u].append(v)
             adj[v].append(u)
-    col = [None] + [(0, v) if v <= fixed else (1, len(adj[v]), loops[v]) for v in range(1, n + 1)]
-    count = len(set(col[1:]))
-    for _ in range(n):
-        nxt = [None] + [(col[v], tuple(sorted([col[w] for w in adj[v]]))) for v in range(1, n + 1)]
-        names = {c: i for i, c in enumerate(sorted(set(nxt[1:])))}
-        col = [None] + [(0, v) if v <= fixed else (2, names[nxt[v]]) for v in range(1, n + 1)]
-        if len(names) == count:
+    start = [(len(adj[v]), loops[v]) for v in range(fixed + 1, n + 1)]
+    names = {c: i for i, c in enumerate(sorted(set(start)), fixed)}
+    col = [*range(-1, fixed), *[names[c] for c in start]]  # index 0 is a placeholder
+    count = fixed + len(names)
+    while count < n:
+        sig = [(col[v], tuple(sorted([col[w] for w in adj[v]]))) for v in range(n + 1)]
+        names = {c: i for i, c in enumerate(sorted(set(sig)), -1)}
+        col = [names[c] for c in sig]
+        if len(names) - 1 == count:
             break
-        count = len(names)
+        count = len(names) - 1
     return col
-
-
-def _candidate_relabelings(n: int, edges: list[Edge], fixed: int):
-    """Label lists (vertex -> label) respecting the color classes; fixed vertices stay put.
-
-    Class i receives the next block of labels after ``fixed``, in every
-    order of its vertices, except that a class of isolated vertices takes
-    one order: every order gives the same edges.  The one list is reused
-    from candidate to candidate.
-    """
-    col = _colors(n, edges, fixed)
-    classes: dict = {}
-    for v in range(fixed + 1, n + 1):
-        classes.setdefault(col[v], []).append(v)
-    touched = {x for e in edges for x in e}
-    orders = [itertools.permutations(classes[c]) if classes[c][0] in touched else (classes[c],)
-              for c in sorted(classes)]
-    label = list(range(n + 1))
-    for perms in itertools.product(*orders):
-        nxt = fixed + 1
-        for cls_perm in perms:
-            for v in cls_perm:
-                label[v] = nxt
-                nxt += 1
-        yield label
 
 
 def canonical_form(n: int, edges: list[Edge], fixed: int = 0):
@@ -109,26 +91,160 @@ def canonical_form(n: int, edges: list[Edge], fixed: int = 0):
 
     ``fixed`` leading vertices (external legs) are never relabeled.
     Returns (edge tuple, sign) with edges sorted, or None when the graph has
-    a sign-reversing automorphism or a repeated edge.  The sign (the parity
-    of the sorting permutation) is computed only for a relabeling whose
-    sorted edges tie or beat the least so far.
+    a sign-reversing automorphism or a repeated edge.  The representative is
+    the least sorted edge list over the relabelings that give each color
+    class of ``_colors``, in color order, the next block of labels after
+    ``fixed`` (a class of isolated vertices in one order only).
+
+    A depth-first search hands out those labels one at a time, in increasing
+    order, each to a vertex of the class whose block holds it.  Row a of a key
+    is the sorted list of labels b >= a adjacent to label a; a row only grows
+    by appends, and it is complete once its vertex has no unlabeled neighbor.
+    The rows below the least label a* with an unlabeled neighbor are complete
+    and the rest of row a* is at least the next label m + 1 (with no a*, the
+    next key entry is at least (m + 1, m + 1), a loop), so a prefix is pruned
+    when every completion is worse than the least key so far.  Two leaves
+    with equal keys differ by an automorphism: one of odd edge parity makes
+    the graph zero; the others are kept, and a child in the orbit of an
+    explored sibling under the kept automorphisms fixing the labeled prefix
+    is skipped, as is the rest of a subtree once its leaf ties the least one.
+    The bound drops only leaves worse than one seen, the automorphisms only
+    images of searched subtrees, and the automorphisms found generate the
+    automorphism group (McKay-Piperno, *Practical graph isomorphism, II*,
+    2014), so the key, the sign and the zero test are those of the whole
+    product of class orders.  The sign is computed for the least leaf only.
     """
     norm = [(u, v) if u <= v else (v, u) for u, v in edges]
     if len(set(norm)) < len(norm):
         return None
-    positions = range(len(norm))
-    best_key = best_sign = None
-    for label in _candidate_relabelings(n, norm, fixed):
-        lab = [(a, b) if (a := label[u]) <= (b := label[v]) else (b, a) for u, v in norm]
-        key = sorted(lab)
-        if best_key is not None and key > best_key:
-            continue
-        sign = _perm_sign(sorted(positions, key=lab.__getitem__))
-        if best_key is None or key < best_key:
-            best_key, best_sign = key, sign
-        elif sign != best_sign:
-            return None
-    return tuple(best_key), best_sign
+    col = _colors(n, norm, fixed)
+    adj: list[list[int]] = [[] for _ in range(n + 1)]
+    loop = [False] * (n + 1)
+    for u, v in norm:
+        if u == v:
+            loop[u] = True
+        else:
+            adj[u].append(v)
+            adj[v].append(u)
+    classes: dict[int, list[int]] = {}
+    for v in range(fixed + 1, n + 1):
+        classes.setdefault(col[v], []).append(v)
+    cands: list[list[int]] = []  # the vertices that may take label fixed + 1 + i
+    for c in sorted(classes):
+        cls = classes[c]
+        cands += [cls] * len(cls) if adj[cls[0]] or loop[cls[0]] else [[v] for v in cls]
+    depth = len(cands)
+    end = n + 1  # closes a complete row, so a complete row that is a prefix sorts last
+    lab = [*range(fixed + 1), *[0] * (n - fixed)]  # vertex -> label, 0 if unlabeled
+    free = [0] * (n + 1)  # label -> unlabeled neighbors of its vertex
+    rows: list[list[int]] = [[] for _ in range(n + 1)]
+    for u, v in norm:
+        if v <= fixed:
+            rows[u].append(v)
+    for v in range(1, fixed + 1):
+        rows[v].sort()
+        free[v] = sum(w > fixed for w in adj[v])
+        if not free[v]:
+            rows[v].append(end)
+    path: list[int] = []  # the labeled vertices after the legs, in label order
+    best_rows: list[list[int]] = []  # the rows and path of the least leaf so far
+    best_path: list[int] = []
+    gens: list[list[int]] = []  # automorphisms as vertex maps, all of even edge parity
+    edge_index = {e: i for i, e in enumerate(norm)}
+    odd = False
+
+    def node(level: int) -> int:
+        """Search below ``path``; returns the level whose loop goes on."""
+        nonlocal best_rows, best_path, odd
+        m = fixed + level
+        cmp = -1  # against the least key: -1 less, 0 undecided or equal, 1 greater
+        if best_rows:
+            cmp = 0
+            for a in range(1, m + 1):
+                r, br = rows[a], best_rows[a]
+                if free[a]:
+                    head = br[:len(r)]
+                    if r != head:
+                        cmp = 1 if r > head else -1
+                    elif br[len(r)] <= m:
+                        cmp = 1
+                    break
+                if r != br:
+                    cmp = 1 if r > br else -1
+                    break
+            if cmp > 0:
+                return level - 1
+        if level == depth:
+            if cmp < 0:
+                best_rows, best_path = [r[:] for r in rows], path[:]
+                return level - 1
+            g = list(range(n + 1))
+            for x, y in zip(best_path, path):
+                g[x] = y
+            perm = [edge_index[(x, y) if (x := g[u]) <= (y := g[v]) else (y, x)]
+                    for u, v in norm]
+            if _perm_sign(perm) < 0:
+                odd = True
+                return -1
+            gens.append(g)
+            # below the first difference, g maps the least leaf's searched subtree onto this one
+            return next(i for i, (x, y) in enumerate(zip(best_path, path)) if x != y)
+        explored: list[int] = []
+        covered: set[int] = set()
+        t = m + 1
+        row = rows[t]
+        for v in cands[level]:
+            if lab[v] or v in covered:
+                continue
+            lab[v] = t
+            if loop[v]:
+                row.append(t)
+            k = 0
+            for w in adj[v]:
+                if a := lab[w]:
+                    rows[a].append(t)
+                    free[a] -= 1
+                    if not free[a]:
+                        rows[a].append(end)
+                else:
+                    k += 1
+            free[t] = k
+            if not k:
+                row.append(end)
+            path.append(v)
+            jump = node(level + 1)
+            path.pop()
+            lab[v] = 0
+            row.clear()
+            for w in adj[v]:
+                if a := lab[w]:
+                    if not free[a]:
+                        rows[a].pop()
+                    rows[a].pop()
+                    free[a] += 1
+            if jump < level:
+                return jump
+            explored.append(v)
+            stab = [g for g in gens if all(g[x] == x for x in path)]
+            if stab:
+                covered = set(explored)
+                stack = explored[:]
+                while stack:
+                    x = stack.pop()
+                    for g in stab:
+                        if g[x] not in covered:
+                            covered.add(g[x])
+                            stack.append(g[x])
+        return level - 1
+
+    node(0)
+    if odd:
+        return None
+    for t, v in enumerate(best_path, fixed + 1):
+        lab[v] = t
+    lab_edges = [(a, b) if (a := lab[u]) <= (b := lab[v]) else (b, a) for u, v in norm]
+    sign = _perm_sign(sorted(range(len(norm)), key=lab_edges.__getitem__))
+    return tuple(sorted(lab_edges)), sign
 
 
 @dataclass(frozen=True)

@@ -1490,6 +1490,73 @@ def test_isolated_vertices_take_one_order():
         same_graphs(graphcx.differential(gamma), ref_differential(gamma))
 
 
+def ordered_classes(col, n):
+    classes = {}
+    for v in range(1, n + 1):
+        classes.setdefault(col[v], []).append(v)
+    return [classes[c] for c in sorted(classes)]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(distinct_edges())
+def test_colors_keep_the_ordered_partition(case):
+    n, edges, fixed = case
+    norm = [(min(u, v), max(u, v)) for u, v in edges]
+    assert ordered_classes(graphcx._colors(n, norm, fixed), n) == \
+        ordered_classes(ref_colors(n, norm, fixed), n)
+
+
+def cycle(m, first=1):
+    return [(first + i, first + (i + 1) % m) for i in range(m)]
+
+
+def wheel_edges(m):
+    return [*cycle(m), *((i, m + 1) for i in range(1, m + 1))]
+
+
+SYMMETRIC_GRAPHS = {
+    "K33": (6, [(u, v) for u in (1, 2, 3) for v in (4, 5, 6)]),
+    "prism": (6, [*cycle(3), *cycle(3, 4), (1, 4), (2, 5), (3, 6)]),
+    "K6": (6, [(u, v) for u in range(1, 7) for v in range(u + 1, 7)]),
+    "cube": (8, [*cycle(4), *cycle(4, 5), *((i, i + 4) for i in range(1, 5))]),
+    "W4": (5, wheel_edges(4)),
+    "W5": (6, wheel_edges(5)),
+    "W6": (7, wheel_edges(6)),
+}
+
+
+def test_canonical_form_matches_reference_on_symmetric_graphs():
+    # refinement leaves the search large classes, where automorphisms prune ties
+    rng = random.Random(35)
+    for name, (n, edges) in SYMMETRIC_GRAPHS.items():
+        for fixed in (0, 0, 0, 1, 1, 2, 2):
+            moved = shuffled(rng, n, edges, fixed)
+            want = ref_canonical_form(n, moved, fixed)
+            assert graphcx.canonical_form(n, moved, fixed) == want, (name, fixed)
+            if fixed == 0:  # only K6 and W5 have no automorphism of odd edge parity
+                assert (want is None) == (name not in ("K6", "W5")), name
+
+
+def test_petersen_graph_is_searched_quickly():
+    # refinement leaves one class of all 10 vertices: 10! class orders
+    n = 10
+    edges = [*cycle(5), *((i, i + 5) for i in range(1, 6)),
+             *((6 + i, 6 + (i + 2) % 5) for i in range(5))]
+    rng = random.Random(10)
+    start = time.perf_counter()
+    base = graphcx.canonical_form(n, edges)
+    for _ in range(10):
+        perm = [0, *rng.sample(range(1, n + 1), n)]
+        order = rng.sample(range(len(edges)), len(edges))
+        moved = [(perm[edges[i][0]], perm[edges[i][1]]) for i in order]
+        got = graphcx.canonical_form(n, moved)
+        if base is None:
+            assert got is None
+        else:
+            assert got == (base[0], base[1] * graphcx._perm_sign(order))
+    assert time.perf_counter() - start < 1.0
+
+
 def test_differential_matches_reference_on_gc_graphs():
     rng = random.Random(8)
     graphs = [GraphLinComb({g: Fraction(1)}) for g in gc_graphs_upto_6()]
