@@ -97,20 +97,16 @@ def tier1() -> dict:
     return {"wall_s": seconds, "exit_code": proc.returncode, **counts}
 
 
-def cold_interp7() -> dict:
-    with tempfile.TemporaryDirectory() as cache:
-        t0 = perf_counter()
-        proc = subprocess.run([sys.executable, "-m", "assoclab.cli", "interp", "--order", "7",
-                               "--t", "1", "--cache-dir", cache],
-                              cwd=ROOT, env=env(), capture_output=True, text=True)
-        return {"wall_s": perf_counter() - t0, "exit_code": proc.returncode}
-
-
-def gc_bracket_self() -> dict:
+def cli_run(*argv: str) -> dict:
     t0 = perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "assoclab.cli", "gc", "bracket-self", "wheel5"],
+    proc = subprocess.run([sys.executable, "-m", "assoclab.cli", *argv],
                           cwd=ROOT, env=env(), capture_output=True, text=True)
     return {"wall_s": perf_counter() - t0, "exit_code": proc.returncode}
+
+
+def cold_interp7() -> dict:
+    with tempfile.TemporaryDirectory() as cache:
+        return cli_run("interp", "--order", "7", "--t", "1", "--cache-dir", cache)
 
 
 def limit_memory():
@@ -174,7 +170,7 @@ def main(argv=None):
     print(f"tier-1: {report['tier1']}", file=sys.stderr)
     report["interp7"] = cold_interp7()
     print(f"interp --order 7 --t 1: {report['interp7']}", file=sys.stderr)
-    report["gc_bracket_self"] = gc_bracket_self()
+    report["gc_bracket_self"] = cli_run("gc", "bracket-self", "wheel5")
     print(f"gc bracket-self wheel5: {report['gc_bracket_self']}", file=sys.stderr)
     report["reach"] = reach()
     path = ROOT / f"BENCH_{args.pr}.json"
