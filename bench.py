@@ -14,6 +14,9 @@ Run from the root of a checkout.  The file holds:
 * ``gc_bracket_self``: the wall seconds and exit code of ``assoclab gc
   bracket-self wheel5``, which canonicalises every reconnection of the
   wheel into itself;
+* ``exact_brackets``: the wall seconds of one seeded Ihara Jacobi sum at
+  order 9 on rational Lie series, timed in its own interpreter after the
+  imports, and its exit code (1 if the sum is not zero);
 * ``reach``: for N = 5, 6, ... the seconds of ``build_phi_kz(N, 64)``,
   ``to_taut3``, ``check_pentagon`` and ``check_hexagon`` and the peak RSS,
   each N in its own interpreter, stopping after the first N over
@@ -66,6 +69,24 @@ t0 = time.perf_counter(); r = check_pentagon(g); done("pentagon", t0, residual=r
 t0 = time.perf_counter(); r = check_hexagon(g, g_inv); done("hexagon", t0, residual=r)
 """
 
+# one Ihara Jacobi sum of seeded rational Lie series at order 9; prints its seconds
+BRACKETS_CHILD = r"""
+import random, time
+from fractions import Fraction
+from assoclab.graphcx import ihara_bracket
+from assoclab.ncalg import LieSeries, lyndon_words
+
+rng = random.Random(9)
+p, q, r = (LieSeries(2, 9, {w: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)))
+                            for d in range(2, 10) for w in lyndon_words(2, d)
+                            if rng.random() < 0.5}) for _ in range(3))
+t0 = time.perf_counter()
+jacobi = (ihara_bracket(p, ihara_bracket(q, r)) + ihara_bracket(q, ihara_bracket(r, p))
+          + ihara_bracket(r, ihara_bracket(p, q)))
+print(time.perf_counter() - t0)
+assert jacobi.is_zero()
+"""
+
 
 def env() -> dict:
     out = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
@@ -107,6 +128,13 @@ def cli_run(*argv: str) -> dict:
 def cold_interp7() -> dict:
     with tempfile.TemporaryDirectory() as cache:
         return cli_run("interp", "--order", "7", "--t", "1", "--cache-dir", cache)
+
+
+def exact_brackets() -> dict:
+    proc = subprocess.run([sys.executable, "-c", BRACKETS_CHILD], cwd=ROOT, env=env(),
+                          capture_output=True, text=True)
+    out = proc.stdout.split()
+    return {"wall_s": float(out[0]) if out else None, "exit_code": proc.returncode}
 
 
 def limit_memory():
@@ -172,6 +200,8 @@ def main(argv=None):
     print(f"interp --order 7 --t 1: {report['interp7']}", file=sys.stderr)
     report["gc_bracket_self"] = cli_run("gc", "bracket-self", "wheel5")
     print(f"gc bracket-self wheel5: {report['gc_bracket_self']}", file=sys.stderr)
+    report["exact_brackets"] = exact_brackets()
+    print(f"Ihara Jacobi at order 9: {report['exact_brackets']}", file=sys.stderr)
     report["reach"] = reach()
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(report, indent=2) + "\n")

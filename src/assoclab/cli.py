@@ -189,7 +189,7 @@ def _load_graph(args) -> GraphLinComb:
 def cmd_gc(args):
     g = _load_graph(args)
     fields: dict = {"action": args.action, "graph": args.graph}
-    passed = True
+    passed, rows = True, []
     if args.action == "cocycle":
         d = differential(g)
         fields["closed"] = passed = d.is_zero()
@@ -214,7 +214,13 @@ def cmd_gc(args):
         fields["psi"] = elem.psi.to_json()
         fields["grt_residuals"] = dict(zip(("antisymmetry", "hexagon", "pentagon"), res))
         passed = all(r == 0 for r in res)
-    return fields, [], passed
+        if elem.psi.is_zero():
+            # a zero image meets the three conditions without testing them
+            passed = False
+            rows.append(("error", "psi is zero, which checks nothing: phi (pi after psi) also "
+                                  "sends the loop-8 class [gamma3, gamma5], which is not exact, "
+                                  "to zero, so a zero image does not tell the class"))
+    return fields, rows, passed
 
 
 def cmd_weights(args):

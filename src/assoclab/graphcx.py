@@ -24,12 +24,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from . import CheckError
 from .associator import GrtElem, nu_extract
 from .ncalg import LieSeries, NCSeries, lie_coords_from_nc, lie_to_nc, lyndon_words
-from .scalars import add_scaled, coeff_abs, eliminate
+from .scalars import add_scaled, coeff_abs, eliminate, integer_operands, over_one_denominator
 from .tangent import TDerElem, pentagon_faces, t3_embed, tder_bracket
 
 Edge = tuple[int, int]
@@ -55,24 +54,30 @@ def _perm_sign(perm: list[int]) -> int:
     return -1 if (len(perm) - cycles) % 2 else 1
 
 
-def _colors(n: int, edges: list[Edge], fixed: int) -> list[int]:
-    """Iso-invariant int vertex colors, indexed by vertex; vertex v <= fixed has color v - 1.
-
-    The first colors rank (valence, loops); each round ranks the signatures
-    (color, sorted neighbor colors) and stops at the first round that splits
-    no class, or once every class is one vertex.  A signature starts with the
-    color before, so the order of the colors is the order of the classes
-    whichever round stops.
-    """
+def _adjacency(n: int, edges: list[Edge]) -> tuple[list[list[int]], list[bool]]:
+    """The neighbor lists (loops left out) and the loop flags of distinct edges, by vertex."""
     adj: list[list[int]] = [[] for _ in range(n + 1)]
-    loops = [0] * (n + 1)
+    loop = [False] * (n + 1)
     for u, v in edges:
         if u == v:
-            loops[u] += 1
+            loop[u] = True
         else:
             adj[u].append(v)
             adj[v].append(u)
-    start = [(len(adj[v]), loops[v]) for v in range(fixed + 1, n + 1)]
+    return adj, loop
+
+
+def _colors(n: int, adj: list[list[int]], loop: list[bool], fixed: int) -> list[int]:
+    """Iso-invariant int vertex colors, indexed by vertex; vertex v <= fixed has color v - 1.
+
+    ``adj`` and ``loop`` are the ``_adjacency`` of the graph.  The first
+    colors rank (valence, loop); each round ranks the signatures (color,
+    sorted neighbor colors) and stops at the first round that splits no
+    class, or once every class is one vertex.  A signature starts with the
+    color before, so the order of the colors is the order of the classes
+    whichever round stops.
+    """
+    start = [(len(adj[v]), loop[v]) for v in range(fixed + 1, n + 1)]
     names = {c: i for i, c in enumerate(sorted(set(start)), fixed)}
     col = [*range(-1, fixed), *[names[c] for c in start]]  # index 0 is a placeholder
     count = fixed + len(names)
@@ -117,15 +122,8 @@ def canonical_form(n: int, edges: list[Edge], fixed: int = 0):
     norm = [(u, v) if u <= v else (v, u) for u, v in edges]
     if len(set(norm)) < len(norm):
         return None
-    col = _colors(n, norm, fixed)
-    adj: list[list[int]] = [[] for _ in range(n + 1)]
-    loop = [False] * (n + 1)
-    for u, v in norm:
-        if u == v:
-            loop[u] = True
-        else:
-            adj[u].append(v)
-            adj[v].append(u)
+    adj, loop = _adjacency(n, norm)
+    col = _colors(n, adj, loop, fixed)
     classes: dict[int, list[int]] = {}
     for v in range(fixed + 1, n + 1):
         classes.setdefault(col[v], []).append(v)
@@ -652,7 +650,14 @@ def pi_project(a: GraphLinComb, order: int) -> TDerElem:
 
 
 def phi_map(a: GraphLinComb, order: int):
-    """pi after psi, with the cocycle and irreducibility preconditions."""
+    """pi after psi, with the cocycle and irreducibility preconditions.
+
+    Checked on the loop-3, 5 and 7 classes, which it sends to -24 sigma_3,
+    10 sigma_5 and -14 sigma_7 (sigma_d the normalized ``grt_generator``).
+    It sends the loop-8 class [gamma_3, gamma_5], which is closed and not
+    exact, to 0: pi after psi is only the first step of Willwacher's
+    zig-zag, so a zero image says nothing about the class.
+    """
     if not differential(a).is_zero():
         raise GraphError("phi_map needs a closed combination")
     for g in a.terms:
@@ -677,9 +682,8 @@ def grt_check(psi: LieSeries) -> tuple[float, float, float]:
     """
     size, denom = coeff_abs, 1
     if all(isinstance(c, (int, Fraction)) for c in psi.coords.values()):
-        size, denom = abs, lcm(*(c.denominator for c in psi.coords.values()))
-        psi = LieSeries(2, psi.order, {w: c.numerator * (denom // c.denominator)
-                                       for w, c in psi.coords.items()})
+        (coords,), denom = over_one_denominator([psi.coords])
+        size, psi = abs, LieSeries(2, psi.order, coords)
     worst = {"a": 0, "h": 0, "p": 0}
     for key, c in _grt_residual_vector(psi).items():
         worst[key[0]] = max(worst[key[0]], size(c))
@@ -690,17 +694,26 @@ def ihara_bracket(psi1: LieSeries, psi2: LieSeries) -> LieSeries:
     """(0,psi1)(psi2) - (0,psi2)(psi1) + [psi1, psi2]: slot 2 of the tder2 bracket.
 
     The bracket is read back in Lyndon coordinates, which needs an exactly
-    Lie result, so float and complex coordinates are refused.
+    Lie result, so float and complex coordinates are refused.  It is
+    bilinear, so on rational operands (``integer_operands``) the Lie images,
+    the bracket and the Lyndon coordinates are those of their integer
+    multiples, and each coordinate is divided once at the end.
     """
     if any(isinstance(c, (float, complex))
            for psi in (psi1, psi2) for c in psi.coords.values()):
         raise GraphError("ihara_bracket needs exact coordinates, not float or complex")
     order = min(psi1.order, psi2.order)
-    nc1 = lie_to_nc(LieSeries(2, order, psi1.coords))
-    nc2 = lie_to_nc(LieSeries(2, order, psi2.coords))
-    d1 = TDerElem(2, order, (NCSeries.zero(2, order), nc1))
-    d2 = TDerElem(2, order, (NCSeries.zero(2, order), nc2))
-    return lie_coords_from_nc(tder_bracket(d1, d2).comps[1])
+    psi1, psi2 = LieSeries(2, order, psi1.coords), LieSeries(2, order, psi2.coords)
+    scaled = integer_operands([psi1.coords], [psi2.coords])
+    if scaled is not None:
+        (c1,), (c2,), denom = scaled
+        psi1, psi2 = LieSeries(2, order, c1), LieSeries(2, order, c2)
+    d1 = TDerElem(2, order, (NCSeries.zero(2, order), lie_to_nc(psi1)))
+    d2 = TDerElem(2, order, (NCSeries.zero(2, order), lie_to_nc(psi2)))
+    out = lie_coords_from_nc(tder_bracket(d1, d2).comps[1])
+    if scaled is None:
+        return out
+    return LieSeries(2, order, {w: Fraction(n, denom) for w, n in out.coords.items()})
 
 
 def _grt_residual_vector(psi: LieSeries) -> dict:

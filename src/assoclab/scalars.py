@@ -26,6 +26,11 @@ multipliers, its reduction being fraction-free; the 1/n! and 1/n of exp and
 log through ``rational_field``; the Dynkin 1/d).  Every true division of
 exact data divides by a ``Fraction``, so no int turns into a float, and an
 int meets a float or complex with the bits of its float.
+
+Rational brackets run over integers too: a bilinear map of rational
+operands is taken on their integer multiples over one denominator each
+(``integer_operands``) and divided once per output coefficient, so no
+``Fraction`` arithmetic happens per term pair.
 """
 
 from __future__ import annotations
@@ -279,6 +284,36 @@ def add_scaled(acc: dict, terms: Iterable[tuple[Hashable, object]], c) -> None:
             del acc[w]
         else:
             acc[w] = new
+
+
+def over_one_denominator(maps: Sequence[Mapping]) -> tuple[list[dict], int]:
+    """Maps of int or Fraction values as ints over one denominator: (the maps times D, D).
+
+    D is the lcm of the denominators of all the values.  Scaling by a
+    positive int keeps every exact zero, so any sum of the scaled values
+    cancels where the sum of the values does.
+    """
+    denom = lcm(*(x.denominator for m in maps for x in m.values()))
+    return [{key: x.numerator * (denom // x.denominator) for key, x in m.items()}
+            for m in maps], denom
+
+
+def integer_operands(a: Sequence[Mapping], b: Sequence[Mapping]):
+    """The coefficient maps of two operands of a bilinear map, scaled to ints, or None.
+
+    Returns (a over its denominator D_a, b over D_b, D_a * D_b): the map of
+    the rational operands is its map of the scaled ones over D_a * D_b.
+    That is taken only when every value is an int or a Fraction and one
+    operand's values are all Fractions; then every term pair of the map has
+    a Fraction factor, so each output value is a Fraction on either path.
+    Otherwise (a float, complex, PolyInT or Dual value, or no operand all
+    Fractions) None: the map runs on the values as they are.
+    """
+    ka, kb = ({type(x) for m in ops for x in m.values()} for ops in (a, b))
+    if not ka | kb <= {int, Fraction} or not (ka <= {Fraction} or kb <= {Fraction}):
+        return None
+    (sa, da), (sb, db) = over_one_denominator(a), over_one_denominator(b)
+    return sa, sb, da * db
 
 
 def rational_field(values: Iterable) -> Callable[[int, int], object]:

@@ -12,13 +12,14 @@ and ``TAutElem.action`` is the one formula for the action.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from . import CheckError
 from .ncalg import (LieSeries, NCSeries, SeriesError, add_scaled, length_views, lyndon_words,
                     relabel, standard_factorization, substitute_many)
-from .scalars import coeff_abs, eliminate, rational_field
+from .scalars import coeff_abs, eliminate, integer_operands, rational_field
 
 
 class ArityError(ValueError):
@@ -150,7 +151,22 @@ def center_element(k: int, order: int) -> TDerElem:
 
 
 def tder_bracket(u: TDerElem, v: TDerElem) -> TDerElem:
+    """The bracket of tangential derivations: slot i is u(v_i) - v(u_i) + [u_i, v_i].
+
+    It is bilinear, so on rational operands (``integer_operands``) it is the
+    bracket of their integer multiples, each output coefficient divided once.
+    """
     u._check(v)
+    scaled = integer_operands([c.terms for c in u.comps], [c.terms for c in v.comps])
+    if scaled is None:
+        return _bracket(u, v)
+    a, b, denom = scaled
+    k, order = u.k, u.order
+    u, v = (TDerElem(k, order, [NCSeries._nonzero(k, order, t) for t in ts]) for ts in (a, b))
+    return _bracket(u, v).map_coefficients(lambda n: Fraction(n, denom))
+
+
+def _bracket(u: TDerElem, v: TDerElem) -> TDerElem:
     comps = []
     for i in range(u.k):
         comps.append(u.apply_nc(v.comps[i]) - v.apply_nc(u.comps[i])

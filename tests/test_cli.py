@@ -10,8 +10,8 @@ from assoclab import CheckError, __version__, associator, cli, confint
 from assoclab.associator import Associator, AssociatorError, interpolate
 from assoclab.graphcx import GraphError, grt_generator
 from assoclab.kz import KZError, MzvError, build_phi_kz
-from assoclab.ncalg import NCSeries, SeriesError
-from assoclab.tangent import NotInT3Error
+from assoclab.ncalg import LieSeries, NCSeries, SeriesError
+from assoclab.tangent import NotInT3Error, TDerElem
 from assoclab.cli import EXIT_CHECK, EXIT_INTERNAL, EXIT_IO, EXIT_OK, main
 
 
@@ -481,6 +481,18 @@ def test_gc_phi_rejects_order_below_loop_order(capsys):
     assert captured.err.startswith("error: GraphError: --order 2 is below the loop order 3")
     code, payload = run(capsys, "gc", "phi", "tetrahedron", "--order", "3")
     assert code == EXIT_OK and payload["passed"] is True
+
+
+def test_gc_phi_fails_on_a_zero_image(capsys, monkeypatch):
+    # no named graph maps to zero, so phi_map is replaced by one that does
+    zero = associator.GrtElem(psi=LieSeries.zero(2, 3), pair=TDerElem.zero(2, 3))
+    monkeypatch.setattr(cli, "phi_map", lambda g, order: zero)
+    code = main(["gc", "phi", "tetrahedron", "--order", "3"])
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert code == EXIT_CHECK and payload["passed"] is False
+    assert set(payload["grt_residuals"].values()) == {0}
+    assert "psi is zero" in captured.err and "loop-8" in captured.err
 
 
 @pytest.mark.parametrize("index", ["2,x", "3,,1", ""])

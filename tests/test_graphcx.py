@@ -152,6 +152,34 @@ def test_phi_map_tetrahedron():
     assert nu_extract(pair) == psi
 
 
+@pytest.fixture(scope="module")
+def loop8_bracket():
+    """B = [gamma3, gamma5], gamma3 the tetrahedron and gamma5 = w5 + (5/2) G'.
+
+    w5 and G' are the two 6-vertex, 10-edge graphs, with d(w5) = 5 H and
+    d(G') = -2 H, so gamma5 is the loop-5 cocycle with wheel coefficient 1.
+    """
+    w5, other = [GraphLinComb({g: Fraction(1)}) for g in enumerate_gc_graphs(6)
+                 if len(g.edges) == 10]
+    assert w5 == wheel(5)
+    h = differential(other).scale(Fraction(-1, 2))
+    assert len(h.terms) == 1 and differential(w5) == h.scale(5)
+    return gc_bracket(tetrahedron(), w5 + other.scale(Fraction(5, 2)))
+
+
+def test_loop8_bracket_is_closed(loop8_bracket):
+    assert len(loop8_bracket.terms) == 68
+    assert differential(loop8_bracket).is_zero()
+
+
+@pytest.mark.xfail(strict=True, reason="phi (pi after psi) sends the loop-8 class "
+                                       "[gamma3, gamma5], which is not exact, to 0")
+def test_phi_map_reads_the_loop8_class(loop8_bracket):
+    psi = phi_map(loop8_bracket, 8).psi
+    assert grt_check(psi) == (0, 0, 0)
+    assert not psi.is_zero()
+
+
 def test_phi_map_rejects_bad_inputs():
     with pytest.raises(GraphError):
         phi_map(edge_graph(), 4)  # degree 1, not 0

@@ -36,6 +36,10 @@ The pentagon on generator images is checked against the five-term equation
 on composed automorphisms, bit for bit, the kernels are checked to leave
 no cyclic garbage for the collector, and the order-6 pentagon's memory peak
 is bounded.
+The brackets of rational derivations and Lie series, which run over
+integers, are checked against the same brackets on the values as given:
+equal values, types and term order, on all-Fraction, int and mixed operands,
+with no Fraction operation per term pair.
 The graph complex is checked against its earlier routines: a canonical form
 that tries every relabeling inside the color classes and counts selection
 sort swaps for the orientation sign, the differential as half the bracket
@@ -44,6 +48,7 @@ pentagon from tder4 brackets of the pair generators, and the projection to
 sder_2 that built each leg's tree as nested tuples and folded it after.
 """
 
+import contextlib
 import functools
 import gc
 import itertools
@@ -1502,7 +1507,7 @@ def ordered_classes(col, n):
 def test_colors_keep_the_ordered_partition(case):
     n, edges, fixed = case
     norm = [(min(u, v), max(u, v)) for u, v in edges]
-    assert ordered_classes(graphcx._colors(n, norm, fixed), n) == \
+    assert ordered_classes(graphcx._colors(n, *graphcx._adjacency(n, norm), fixed), n) == \
         ordered_classes(ref_colors(n, norm, fixed), n)
 
 
@@ -1659,6 +1664,84 @@ def ihara_pair(draw):
 def test_ihara_bracket_is_the_tder_bracket_on_zero_first_slots(pair):
     got, want = graphcx.ihara_bracket(*pair), ref_ihara_bracket(*pair)
     assert list(got.coords.items()) == list(want.coords.items())
+
+
+# -- brackets of rational data over integers ---------------------------------------
+
+INTS = st.sampled_from([-2, -1, 1, 2])
+# all Fractions, all ints, or both: only a bracket with an all-Fraction
+# operand and no other ring runs over integers
+EXACT_RINGS = st.sampled_from([fractions, INTS, st.one_of(fractions, INTS)])
+
+
+@contextlib.contextmanager
+def generic_path():
+    """The brackets with their integer path switched off: the bodies on the values as given."""
+    with mock.patch.object(tangent, "integer_operands", lambda a, b: None), \
+            mock.patch.object(graphcx, "integer_operands", lambda a, b: None):
+        yield
+
+
+def all_coefficients(x):
+    if isinstance(x, LieSeries):
+        return list(x.coords.values())
+    return [c for comp in x.comps for c in comp.terms.values()]
+
+
+def assert_integer_path_keeps(got, want, *operands):
+    """Equal values, types and term order; Fractions wherever an operand is all Fractions."""
+    if isinstance(got, LieSeries):
+        assert repr(list(got.coords.items())) == repr(list(want.coords.items()))
+    else:
+        same_tder(got, want)
+    if any(all_coefficients(x) and {type(c) for c in all_coefficients(x)} == {Fraction}
+           for x in operands):
+        assert {type(c) for c in all_coefficients(got)} <= {Fraction}
+
+
+@st.composite
+def exact_derivation_pair(draw):
+    k, order = draw(st.sampled_from([(2, 3), (2, 5), (3, 3), (3, 4), (4, 3), (4, 4)]))
+    return tuple(draw(lie_derivation(k, order, draw(EXACT_RINGS))) for _ in range(2))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(exact_derivation_pair())
+def test_tder_bracket_over_integers_is_the_generic_bracket(pair):
+    got = tder_bracket(*pair)
+    with generic_path():
+        want = tder_bracket(*pair)
+    assert_integer_path_keeps(got, want, *pair)
+
+
+@st.composite
+def exact_lie_pair(draw):
+    order = draw(st.integers(3, 7))
+    words = st.sampled_from(lie_words(2, order))
+    return tuple(LieSeries(2, order, draw(st.dictionaries(words, draw(EXACT_RINGS), max_size=8)))
+                 for _ in range(2))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(exact_lie_pair())
+def test_ihara_bracket_over_integers_is_the_generic_bracket(pair):
+    got = graphcx.ihara_bracket(*pair)
+    with generic_path():
+        want = graphcx.ihara_bracket(*pair)
+    assert_integer_path_keeps(got, want, *pair)
+
+
+def test_ihara_bracket_of_rationals_makes_no_fraction_operation(monkeypatch):
+    rng = random.Random(7)
+    psi1, psi2 = (LieSeries(2, 7, {w: rng.choice(SMALL) for w in lie_words(2, 7)
+                                   if rng.random() < 0.5}) for _ in range(2))
+    ops = [counter(monkeypatch, Fraction, name)
+           for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__")]
+    got = graphcx.ihara_bracket(psi1, psi2)
+    assert len(got.coords) > 10 and sum(map(len, ops)) == 0
+    with generic_path():
+        assert graphcx.ihara_bracket(psi1, psi2) == got
+    assert sum(map(len, ops)) > 1000  # the same bracket on Fraction values, per term pair
 
 
 def test_graph_maps_keep_term_order():
