@@ -17,6 +17,10 @@ Run from the root of a checkout.  The file holds:
 * ``exact_brackets``: the wall seconds of one seeded Ihara Jacobi sum at
   order 9 on rational Lie series, timed in its own interpreter after the
   imports, and its exit code (1 if the sum is not zero);
+* ``exact_roundtrip``: the wall seconds of ``log_taut(exp_tder(u))`` for
+  one seeded rational tangential derivation u of arity 3 at order 7, timed
+  the same way, and its exit code (1 unless the round trip gives u back
+  exactly);
 * ``reach``: for N = 5, 6, ... the seconds of ``build_phi_kz(N, 64)``,
   ``to_taut3``, ``check_pentagon`` and ``check_hexagon`` and the peak RSS,
   each N in its own interpreter, stopping after the first N over
@@ -88,6 +92,27 @@ assert jacobi.is_zero()
 """
 
 
+# log_taut(exp_tder(u)) of one seeded rational arity-3 derivation at order 7, drawn as the
+# exact-lie workload draws its round-trip element: the support from its fixed generator
+# (seed 2024), the values from a second one; prints its seconds
+ROUNDTRIP_CHILD = r"""
+import random, time
+from fractions import Fraction
+from assoclab.ncalg import LieSeries, lie_to_nc, lyndon_words
+from assoclab.tangent import TDerElem, exp_tder, log_taut
+
+support, values = random.Random(2024), random.Random(7)
+u = TDerElem(3, 7, [lie_to_nc(LieSeries(3, 7, {w: Fraction(values.choice((-2, -1, 1, 2)))
+                                               for d in range(1, 8) for w in lyndon_words(3, d)
+                                               if support.random() < 0.3}), 7)
+                    for _ in range(3)])
+t0 = time.perf_counter()
+back = log_taut(exp_tder(u))
+print(time.perf_counter() - t0)
+assert (back - u).is_zero()
+"""
+
+
 def env() -> dict:
     out = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     out["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + out.get("PYTHONPATH", "")
@@ -130,8 +155,9 @@ def cold_interp7() -> dict:
         return cli_run("interp", "--order", "7", "--t", "1", "--cache-dir", cache)
 
 
-def exact_brackets() -> dict:
-    proc = subprocess.run([sys.executable, "-c", BRACKETS_CHILD], cwd=ROOT, env=env(),
+def timed_child(script: str) -> dict:
+    """The seconds a child script prints, and its exit code."""
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env(),
                           capture_output=True, text=True)
     out = proc.stdout.split()
     return {"wall_s": float(out[0]) if out else None, "exit_code": proc.returncode}
@@ -200,8 +226,10 @@ def main(argv=None):
     print(f"interp --order 7 --t 1: {report['interp7']}", file=sys.stderr)
     report["gc_bracket_self"] = cli_run("gc", "bracket-self", "wheel5")
     print(f"gc bracket-self wheel5: {report['gc_bracket_self']}", file=sys.stderr)
-    report["exact_brackets"] = exact_brackets()
+    report["exact_brackets"] = timed_child(BRACKETS_CHILD)
     print(f"Ihara Jacobi at order 9: {report['exact_brackets']}", file=sys.stderr)
+    report["exact_roundtrip"] = timed_child(ROUNDTRIP_CHILD)
+    print(f"log_taut(exp_tder(u)) at order 7: {report['exact_roundtrip']}", file=sys.stderr)
     report["reach"] = reach()
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(report, indent=2) + "\n")

@@ -103,13 +103,15 @@ def _phi_kz_cached(order: int, m_order: int, tol: float, cache: Path):
                    compute, decode)
 
 
-def _mzv_cached(index: tuple[int, ...], tol: float, cache: Path) -> float:
+def _mzv_cached(index: tuple[int, ...], tol: float, cache: Path) -> tuple[float, float]:
+    """``mzv``'s (value, error bound), both kept in the cache file."""
     def compute():
-        value = mzv(index, tol)
-        return value, {"index": list(index), "value": value}
+        value, bound = mzv(index, tol)
+        return (value, bound), {"index": list(index), "value": value, "error_bound": bound}
 
     name = "mzv-" + "-".join(map(str, index)) + f"-{SOURCE_DIGEST}-tol{tol:.1e}.json"
-    return _cached(cache / name, compute, lambda data: float(data["value"]))
+    return _cached(cache / name, compute,
+                   lambda data: (float(data["value"]), float(data["error_bound"])))
 
 
 def cmd_kz(args):
@@ -128,7 +130,7 @@ def _zeta_gap(lam: complex, d: int) -> float:
     Here d = 2j + 1, the integral is the Beta value ((d-1)!)^2 / (2d-1)!, and
     zeta(d) comes from ``mzv``, which shares no code with the flow.
     """
-    want = (-0.25) ** (d // 2) * 1j * mzv((d,)) / math.pi ** d
+    want = (-0.25) ** (d // 2) * 1j * mzv((d,))[0] / math.pi ** d
     got = lam * (math.factorial(d - 1) ** 2 / math.factorial(2 * d - 1))
     return abs(got - want) / abs(want)
 
@@ -264,8 +266,11 @@ def cmd_check(args):
 
 
 def cmd_mzv(args):
-    value = _mzv_cached(args.index, args.tol, _cache_dir(args))
-    return {"index": list(args.index), "tol": args.tol, "value": value}, [], True
+    value, bound = _mzv_cached(args.index, args.tol, _cache_dir(args))
+    converged = bound <= args.tol
+    fields = {"index": list(args.index), "tol": args.tol, "value": value,
+              "error_bound": bound, "converged": converged}
+    return fields, [("value", repr(value)), ("error bound", f"{bound:.1e}")], converged
 
 
 def _int_at_least(lo: int):

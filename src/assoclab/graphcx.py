@@ -28,7 +28,8 @@ from functools import lru_cache
 from . import CheckError
 from .associator import GrtElem, nu_extract
 from .ncalg import LieSeries, NCSeries, lie_coords_from_nc, lie_to_nc, lyndon_words
-from .scalars import add_scaled, coeff_abs, eliminate, integer_operands, over_one_denominator
+from .scalars import (add_scaled, coeff_abs, eliminate, integer_operands, over_integers,
+                      over_one_denominator)
 from .tangent import TDerElem, pentagon_faces, t3_embed, tder_bracket
 
 Edge = tuple[int, int]
@@ -704,7 +705,7 @@ def ihara_bracket(psi1: LieSeries, psi2: LieSeries) -> LieSeries:
         raise GraphError("ihara_bracket needs exact coordinates, not float or complex")
     order = min(psi1.order, psi2.order)
     psi1, psi2 = LieSeries(2, order, psi1.coords), LieSeries(2, order, psi2.coords)
-    scaled = integer_operands([psi1.coords], [psi2.coords])
+    scaled = integer_operands(over_integers([psi1.coords]), over_integers([psi2.coords]))
     if scaled is not None:
         (c1,), (c2,), denom = scaled
         psi1, psi2 = LieSeries(2, order, c1), LieSeries(2, order, c2)

@@ -91,8 +91,8 @@ def _polylog_half_rest(depth: int, terms: int) -> float:
     return 2.0 ** -m * (1.0 + math.log(m)) ** k / math.factorial(k) / (1.0 - rho)
 
 
-def mzv(index: tuple[int, ...], tol: float = 1e-12) -> float:
-    """zeta(s1, ..., sk) = sum over n1 > ... > nk >= 1 of prod nj^-sj.
+def mzv(index: tuple[int, ...], tol: float = 1e-12) -> tuple[float, float]:
+    """(zeta(s1, ..., sk), its error bound): zeta = sum over n1 > ... > nk >= 1 of prod nj^-sj.
 
     Hoelder convolution at 1/2 (Borwein, Bradley and Broadhurst,
     arXiv:math/9910045): the iterated integral of the word w over (0, 1) is
@@ -101,7 +101,8 @@ def mzv(index: tuple[int, ...], tol: float = 1e-12) -> float:
     exchanges x0 <-> x1 (the substitution t -> 1 - t).  Each L converges
     like 2^-n at any depth.  The truncated sums are exact rationals, so the
     error bound is the omitted tails plus one rounding to float; MzvError
-    is raised when it cannot meet ``tol``.
+    is raised when it cannot meet ``tol``, so a returned bound is at most
+    ``tol``.
     """
     index = tuple(int(s) for s in index)
     if not index or index[0] < 2 or any(s < 1 for s in index):
@@ -126,7 +127,7 @@ def mzv(index: tuple[int, ...], tol: float = 1e-12) -> float:
     err = 3 * (n + 1) * rest(terms) + _EPS * value
     if err > tol:
         raise MzvError(f"cannot reach tolerance {tol} for {index} (error bound {err:.1e})")
-    return value
+    return value, err
 
 
 # -- Frobenius series for the KZ equation ---------------------------------------

@@ -192,13 +192,13 @@ class NCSeries:
         """Concatenation product, truncated; scalars multiply coefficientwise.
 
         The right operand's ``length_views`` are built for this one product;
-        ``_times_views`` pairs each left word only with the right terms that
+        ``times_views`` pairs each left word only with the right terms that
         fit, so no pair is formed to be discarded.
         """
         if not isinstance(other, NCSeries):
             return self.scale(other)
         self._check_compatible(other)
-        return _times_views(self, length_views(other))
+        return times_views(self, length_views(other))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -295,8 +295,9 @@ def length_views(s: NCSeries) -> list[list[tuple[Word, object]]]:
 
     Built in one pass over the terms.  The views belong to whoever reuses
     the operand and live as long as that reuse: one product in
-    ``NCSeries.__mul__``, one call of ``substitute_many``, and the lifetime
-    of a derivation for its letter images (``TDerElem.apply_nc``).
+    ``NCSeries.__mul__``, one call of ``substitute_many``, one component of
+    an exponential of a derivation for its powers, and the lifetime of a
+    derivation for its letter images (``TDerElem.apply_nc``).
     """
     views: list[list[tuple[Word, object]]] = [[] for _ in range(s.order + 1)]
     for t in s.terms.items():
@@ -305,7 +306,7 @@ def length_views(s: NCSeries) -> list[list[tuple[Word, object]]]:
     return views
 
 
-def _times_views(a: NCSeries, views: Sequence[Sequence[tuple[Word, object]]]) -> NCSeries:
+def times_views(a: NCSeries, views: Sequence[Sequence[tuple[Word, object]]]) -> NCSeries:
     """The truncated product ``a * b``, given ``views = length_views(b)``.
 
     A left word u only meets the right terms of length <= N - len(u), in the

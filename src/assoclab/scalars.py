@@ -29,8 +29,10 @@ int meets a float or complex with the bits of its float.
 
 Rational brackets run over integers too: a bilinear map of rational
 operands is taken on their integer multiples over one denominator each
-(``integer_operands``) and divided once per output coefficient, so no
-``Fraction`` arithmetic happens per term pair.
+(``over_integers``, ``integer_operands``) and divided once per output
+coefficient, so no ``Fraction`` arithmetic happens per term pair.  The
+exponential and logarithm of rational tangential derivations run on the
+same multiples, with one division per output coefficient.
 """
 
 from __future__ import annotations
@@ -271,9 +273,9 @@ def iterated_word_integral(polys: Sequence[PolyInT], a, b):
 def add_scaled(acc: dict, terms: Iterable[tuple[Hashable, object]], c) -> None:
     """In place, ``acc += c * terms``, dropping keys whose sum is exactly zero.
 
-    ``terms`` yields (key, coeff) pairs with distinct keys.  This gives the
-    values and the key order of ``acc = acc + series.scale(c)`` without
-    copying the accumulator.
+    ``terms`` yields (key, coeff) pairs, added one after the other.  With
+    distinct keys this gives the values and the key order of
+    ``acc = acc + series.scale(c)`` without copying the accumulator.
     """
     for w, x in terms:
         val = c * x
@@ -298,22 +300,35 @@ def over_one_denominator(maps: Sequence[Mapping]) -> tuple[list[dict], int]:
             for m in maps], denom
 
 
-def integer_operands(a: Sequence[Mapping], b: Sequence[Mapping]):
-    """The coefficient maps of two operands of a bilinear map, scaled to ints, or None.
+def over_integers(maps: Sequence[Mapping]):
+    """Rational maps as ints over one denominator: (scaled maps, D, all Fractions?), or None.
 
-    Returns (a over its denominator D_a, b over D_b, D_a * D_b): the map of
-    the rational operands is its map of the scaled ones over D_a * D_b.
-    That is taken only when every value is an int or a Fraction and one
-    operand's values are all Fractions; then every term pair of the map has
-    a Fraction factor, so each output value is a Fraction on either path.
-    Otherwise (a float, complex, PolyInT or Dual value, or no operand all
-    Fractions) None: the map runs on the values as they are.
+    None unless every value is an int or a Fraction: float, complex, PolyInT
+    and Dual data run as they are.  Int values alone need no scaling, so
+    then D is 1 and ``maps`` comes back itself.  The flag says whether every
+    value is a Fraction (vacuously so for no values).
     """
-    ka, kb = ({type(x) for m in ops for x in m.values()} for ops in (a, b))
-    if not ka | kb <= {int, Fraction} or not (ka <= {Fraction} or kb <= {Fraction}):
+    kinds = {type(x) for m in maps for x in m.values()}
+    if not kinds <= {int, Fraction}:
         return None
-    (sa, da), (sb, db) = over_one_denominator(a), over_one_denominator(b)
-    return sa, sb, da * db
+    scaled, denom = (maps, 1) if kinds <= {int} else over_one_denominator(maps)
+    return scaled, denom, kinds <= {Fraction}
+
+
+def integer_operands(a, b):
+    """The scaled operands of a bilinear map and the one denominator of its value, or None.
+
+    ``a`` and ``b`` are the ``over_integers`` of the two operands.  Returns
+    (scaled a, scaled b, D_a * D_b): the map of the rational operands is its
+    map of the scaled ones over D_a * D_b.  That is taken only when both are
+    rational and one operand's values are all Fractions; then every term
+    pair of the map has a Fraction factor, so each output value is a
+    Fraction on either path.  Otherwise None: the map runs on the values as
+    they are.
+    """
+    if a is None or b is None or not (a[2] or b[2]):
+        return None
+    return a[0], b[0], a[1] * b[1]
 
 
 def rational_field(values: Iterable) -> Callable[[int, int], object]:

@@ -2,24 +2,26 @@
 
 A tangential derivation of the free Lie algebra on X_1..X_k acts by
 ``u(X_i) = [X_i, u_i]`` and is stored as the k-tuple of its components
-(normalized so that u_i has no X_i term).  The pro-unipotent group
-integrating them is realized by tuples of group-like series ``g_i`` acting
-as ``X_i -> g_i^{-1} X_i g_i``; group elements are compared extensionally,
-by their action on the generators.  Every component is group-like, so its
-inverse is the antipode (``NCSeries.inverse``, a word map with no products),
-and ``TAutElem.action`` is the one formula for the action.
+(normalized so that u_i has no X_i term and no constant term).  The
+pro-unipotent group integrating them is realized by tuples of group-like
+series ``g_i`` acting as ``X_i -> g_i^{-1} X_i g_i``; group elements are
+compared extensionally, by their action on the generators.  Every component
+is group-like, so its inverse is the antipode (``NCSeries.inverse``, a word
+map with no products), and ``TAutElem.action`` is the one formula for the
+action.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, factorial
 from typing import NamedTuple, Sequence
 
 from . import CheckError
 from .ncalg import (LieSeries, NCSeries, SeriesError, add_scaled, length_views, lyndon_words,
-                    relabel, standard_factorization, substitute_many)
-from .scalars import coeff_abs, eliminate, integer_operands, rational_field
+                    relabel, standard_factorization, substitute_many, times_views)
+from .scalars import coeff_abs, eliminate, integer_operands, over_integers, rational_field
 
 
 class ArityError(ValueError):
@@ -27,11 +29,12 @@ class ArityError(ValueError):
 
 
 def _strip_gauge(comps: Sequence[NCSeries]) -> tuple[NCSeries, ...]:
-    """Drop the word (i,) from component i, which adds [X_i, X_i] = 0 to the action."""
+    """Drop the words (i,) and () from component i, which add [X_i, X_i] = [X_i, 1] = 0."""
     out = []
     for i, c in enumerate(comps, start=1):
-        if (i,) in c.terms:
-            c = NCSeries._nonzero(c.k, c.order, {w: x for w, x in c.terms.items() if w != (i,)})
+        if (i,) in c.terms or () in c.terms:
+            c = NCSeries._nonzero(c.k, c.order,
+                                  {w: x for w, x in c.terms.items() if w not in ((i,), ())})
         out.append(c)
     return tuple(out)
 
@@ -39,7 +42,7 @@ def _strip_gauge(comps: Sequence[NCSeries]) -> tuple[NCSeries, ...]:
 class TDerElem:
     """Tangential derivation, components as NC series that are Lie elements."""
 
-    __slots__ = ("k", "order", "comps", "_images")
+    __slots__ = ("k", "order", "comps", "_images", "_integer")
     _fill = staticmethod(NCSeries.zero)  # the component of an untouched slot
 
     def __init__(self, k: int, order: int, comps: Sequence[NCSeries]):
@@ -52,6 +55,7 @@ class TDerElem:
         self.order = order
         self.comps = _strip_gauge(comps)
         self._images: tuple[list, ...] | None = None
+        self._integer: tuple | None | bool = False  # False until over_integers runs
 
     @staticmethod
     def zero(k: int, order: int) -> "TDerElem":
@@ -101,8 +105,9 @@ class TDerElem:
         [X_a, u_a] that fits, len(v) <= N - len(w) + 1, and c*b, with b as
         the bracket gives it, is added at w[:j] + v + w[j+1:] in one
         accumulator, in the order the product ``w[:j] * image * w[j+1:]``
-        would give.  The images' ``length_views`` are built on the first call
-        and kept, as ``TAutElem.action`` is: the components never change.
+        would give, letter after letter (one ``add_scaled`` per word).  The
+        images' ``length_views`` are built on the first call and kept, as
+        ``TAutElem.action`` is: the components never change.
         """
         N = self.order
         if self._images is None:
@@ -114,10 +119,30 @@ class TDerElem:
             rem = N - len(w) + 1
             if rem < 0:  # only from an input truncated above N
                 continue
-            for j, a in enumerate(w):
-                head, tail = w[:j], w[j + 1:]
-                add_scaled(out, ((head + v + tail, x) for v, x in images[a - 1][rem]), c)
+            add_scaled(out, ((w[:j] + v + w[j + 1:], x) for j, a in enumerate(w)
+                             for v, x in images[a - 1][rem]), c)
         return NCSeries._nonzero(self.k, N, out)
+
+    def over_integers(self) -> tuple["TDerElem", int, bool] | None:
+        """(D*u over ints, D, all Fractions?) on rational u, else None: ``scalars.over_integers``.
+
+        Kept with the derivation, as its letter images are, so the scaled
+        copy and its own images serve every bracket and exponential of u.
+        On int data the copy is u itself (kept as None, so u holds no cycle).
+        """
+        if self._integer is False:
+            maps = [c.terms for c in self.comps]
+            scaled = over_integers(maps)
+            if scaled is not None:
+                terms, denom, fractions = scaled
+                copy = None if terms is maps else TDerElem(
+                    self.k, self.order, [NCSeries._nonzero(self.k, self.order, t) for t in terms])
+                scaled = copy, denom, fractions
+            self._integer = scaled
+        if self._integer is None:
+            return None
+        copy, denom, fractions = self._integer
+        return self if copy is None else copy, denom, fractions
 
     def to_json(self) -> dict:
         return {"arity": self.k, "order": self.order,
@@ -155,15 +180,15 @@ def tder_bracket(u: TDerElem, v: TDerElem) -> TDerElem:
 
     It is bilinear, so on rational operands (``integer_operands``) it is the
     bracket of their integer multiples, each output coefficient divided once.
+    The multiples are the ones the operands keep (``TDerElem.over_integers``),
+    so their letter images are built once across brackets.
     """
     u._check(v)
-    scaled = integer_operands([c.terms for c in u.comps], [c.terms for c in v.comps])
+    scaled = integer_operands(u.over_integers(), v.over_integers())
     if scaled is None:
         return _bracket(u, v)
     a, b, denom = scaled
-    k, order = u.k, u.order
-    u, v = (TDerElem(k, order, [NCSeries._nonzero(k, order, t) for t in ts]) for ts in (a, b))
-    return _bracket(u, v).map_coefficients(lambda n: Fraction(n, denom))
+    return _bracket(a, b).map_coefficients(lambda n: Fraction(n, denom))
 
 
 def _bracket(u: TDerElem, v: TDerElem) -> TDerElem:
@@ -302,28 +327,53 @@ def field_of(comps: Sequence[NCSeries]):
     return rational_field(x for c in comps for x in c.terms.values())
 
 
-def _derivation_powers(u: TDerElem) -> list[list[NCSeries]]:
-    """powers[a][i] = u^a(u_i)/a! = A_a for a < order, as documented on exp_tder."""
-    rational = field_of(u.comps)
-    powers = [list(u.comps)]
+def _derivation_powers(u: TDerElem) -> tuple[list[list[NCSeries]], int | None]:
+    """The derivation powers of exp_tder for a < order, and the denominator D or None.
+
+    powers[a][i] is A_a = u^a(u_i)/a!, with None; on rational u it is the
+    int A'_a = U^a(U_i) of U = D*u (``TDerElem.over_integers``), with D.
+    """
+    scaled = u.over_integers()
+    base, denom = (u, None) if scaled is None else scaled[:2]
+    rational = field_of(base.comps)
+    powers = [list(base.comps)]
     for a in range(1, u.order):
-        powers.append([u.apply_nc(c).scale(rational(1, a)) for c in powers[-1]])
-    return powers
+        power = [base.apply_nc(c) for c in powers[-1]]
+        powers.append(power if denom else [c.scale(rational(1, a)) for c in power])
+    return powers, denom
 
 
-def _exp_components(powers: list[list[NCSeries]]) -> tuple[NCSeries, ...]:
-    """Component tuple of exp(u) from its derivation powers, by the recurrence on exp_tder."""
+def _exp_components(powers: list[list[NCSeries]], denom: int | None) -> tuple[NCSeries, ...]:
+    """Component tuple of exp(u) from ``_derivation_powers``, by the recurrence on exp_tder.
+
+    On the int powers A'_a the one loop runs G'_n = n! D^n G_n: the G'_m A'_(n-1-m)
+    are weighted by C(n-1, m) and there is no 1/n, G'_n gets the weight
+    N! D^N / (n! D^n), and each coefficient of g_i - 1 is divided once by N! D^N.
+    """
     k, order = powers[0][0].k, powers[0][0].order
-    rational = field_of(powers[0])
+    if denom is None:
+        rational = field_of(powers[0])
+    else:
+        top = factorial(order) * denom ** order
     comps = []
     for i in range(k):
-        parts = [NCSeries.unit(k, order)]  # parts[n] = G_n
+        views = [length_views(p[i]) for p in powers[:-1]]  # each right factor viewed once
+        parts = [NCSeries.unit(k, order)]  # parts[n] = G_n, or G'_n
         for n in range(1, order + 1):
             gn = powers[n - 1][i]  # G_0 A_{n-1}, then G_m A_{n-1-m} for 0 < m < n
             for m in range(1, n):
-                gn = gn + parts[m] * powers[n - 1 - m][i]
-            parts.append(gn.scale(rational(1, n)))
-        comps.append(sum(parts[1:], parts[0]))
+                term = times_views(parts[m], views[n - 1 - m])
+                gn = gn + (term if denom is None else term.scale(comb(n - 1, m)))
+            parts.append(gn.scale(rational(1, n)) if denom is None else gn)
+        if denom is None:
+            comps.append(sum(parts[1:], parts[0]))
+            continue
+        acc: dict = {}
+        for n in range(1, order + 1):
+            add_scaled(acc, parts[n].terms.items(), top // (factorial(n) * denom ** n))
+        # no G_n past G_0 has a constant term, as no u_i has one
+        comps.append(NCSeries._nonzero(k, order, {(): 1, **{w: Fraction(x, top)
+                                                            for w, x in acc.items()}}))
     return tuple(comps)
 
 
@@ -339,8 +389,19 @@ def exp_tder(u: TDerElem) -> TAutElem:
     which is exact whenever u is.  G_n starts in degree n, so only
     A_0..A_{N-1} and G_0..G_N enter at order N.  The action is not stored:
     ``TAutElem.action`` computes it from the components.
+
+    On rational u (every coefficient an int or a Fraction) the recurrence
+    runs over ints: with U = D*u over one denominator D, A'_a = U^a(U_i)
+    and G'_n = n! D^n G_n satisfy
+
+        G'_0 = 1,    G'_n = sum_{p=1..n} C(n-1, p-1) G'_{n-p} A'_{p-1},
+
+    and each coefficient of g_i - 1 = sum_n G'_n / (n! D^n) is one Fraction
+    over N! D^N.  Every sum is the rational one times a fixed int, so the
+    values, the Fraction type, the int constant 1 and the term order are
+    those of the recurrence on Fractions.
     """
-    return TAutElem(u.k, u.order, _exp_components(_derivation_powers(u)))
+    return TAutElem(u.k, u.order, _exp_components(*_derivation_powers(u)))
 
 
 def exp_tder_pair(u: TDerElem) -> tuple[TAutElem, TAutElem]:
@@ -349,10 +410,10 @@ def exp_tder_pair(u: TDerElem) -> tuple[TAutElem, TAutElem]:
     The powers of -u are (-u)^a(-u_i)/a! = (-1)^(a+1) u^a(u_i)/a!, and
     negation is exact, so exp -u equals ``exp_tder(-u)``.
     """
-    powers = _derivation_powers(u)
+    powers, denom = _derivation_powers(u)
     negated = [p if a % 2 else [-c for c in p] for a, p in enumerate(powers)]
-    return (TAutElem(u.k, u.order, _exp_components(powers)),
-            TAutElem(u.k, u.order, _exp_components(negated)))
+    return (TAutElem(u.k, u.order, _exp_components(powers, denom)),
+            TAutElem(u.k, u.order, _exp_components(negated, denom)))
 
 
 def normalize_tuple_gauge(g: TAutElem) -> TAutElem:
@@ -380,7 +441,8 @@ def log_taut(g: TAutElem) -> TDerElem:
     only on the words of length <= d, so step d evaluates the closed-form
     components of the partial logarithm truncated at order d, with no action
     and no terms above d; every word of length <= d gets the same
-    contributions in the same order as at the full order.
+    contributions in the same order as at the full order.  On rational g
+    each step takes exp_tder's integer path, one division per coefficient.
     """
     for c in g.comps:
         if c.constant_term() - 1:
@@ -389,9 +451,10 @@ def log_taut(g: TAutElem) -> TDerElem:
     gn = normalize_tuple_gauge(g)
     u = TDerElem.zero(k, order)
     for d in range(1, order + 1):
-        e = _exp_components(_derivation_powers(TDerElem(k, d, [c.truncate(d) for c in u.comps])))
-        corr = [NCSeries._nonzero(k, order, (gn.comps[i].truncate(d) - e[i]).degree_part(d).terms)
-                for i in range(k)]
+        e = _exp_components(*_derivation_powers(TDerElem(k, d, [c.truncate(d) for c in u.comps])))
+        # only the degree-d part of the difference is kept, so only it is formed
+        corr = [NCSeries._nonzero(k, order, (gn.comps[i].truncate(d).degree_part(d)
+                                             - e[i].degree_part(d)).terms) for i in range(k)]
         delta = TDerElem(k, order, corr)
         if not delta.is_zero():
             u = u + delta

@@ -188,14 +188,14 @@ def test_pin_lambda_is_the_zeta3_closed_form():
     from assoclab.kz import build_phi_kz, mzv
     phi, _ = build_phi_kz(order=3, m_order=64)
     _, [(lam, _)] = pin_lambda(phi, [psi3_normalized(3)], Fraction(1), 1e-9)
-    expected = -30j * mzv((3,)) / (4 * math.pi ** 3)
+    expected = -30j * mzv((3,))[0] / (4 * math.pi ** 3)
     assert abs(lam - expected) <= 1e-14 * abs(expected)
     # c_5 * int_0^1 (t(1-t))^4 dt = i zeta(5) / (16 pi^5), pinned on the degree-5
     # miss of the sigma_3 flow, and the integral is 1/630
     phi5, _ = build_phi_kz(order=5, m_order=64)
     sigmas = [psi3_normalized(5), grt_generator(5, 5)]
     _, [_, (c5, resid)] = pin_lambda(phi5, sigmas, Fraction(1), 1e-9)
-    expected = 630j * mzv((5,)) / (16 * math.pi ** 5)
+    expected = 630j * mzv((5,))[0] / (16 * math.pi ** 5)
     assert resid < 1e-15
     assert abs(c5 - expected) <= 1e-14 * abs(expected)
 

@@ -108,6 +108,23 @@ def test_mzv_and_cache(tmp_path, capsys):
     assert abs(payload["value"] - 1.0823232337111382) < 1e-10
 
 
+def test_mzv_reports_its_error_bound(tmp_path, capsys):
+    argv = ["mzv", "2,1", "--tol", "1e-10", "--cache-dir", str(tmp_path)]
+    code, miss = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert 0 < miss["error_bound"] <= 1e-10
+    assert miss["converged"] is True and miss["passed"] is True
+    (cached,) = tmp_path.glob("mzv-*.json")
+    assert json.loads(cached.read_text())["error_bound"] == miss["error_bound"]
+    # a cache hit reports the same bound
+    code, hit = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert (hit["error_bound"], hit["converged"]) == (miss["error_bound"], True)
+    # a tolerance below the rounding of a double still exits 2
+    code, _ = run(capsys, "mzv", "2,1,1", "--tol", "1e-17", "--cache-dir", str(tmp_path))
+    assert code == EXIT_CHECK
+
+
 def test_kz_command(tmp_path, capsys):
     out = tmp_path / "kz.json"
     code, payload = run(capsys, "kz", "--order", "3", "--series-order", "48",
@@ -301,7 +318,7 @@ def test_cache_of_other_source_is_not_served(tmp_path, capsys, monkeypatch):
     other = "0" * 8
     # a payload that decodes, cached by another source
     (tmp_path / own.name.replace(cli.SOURCE_DIGEST, other)).write_text(
-        json.dumps({"index": [2], "value": 1.5}))
+        json.dumps({"index": [2], "value": 1.5, "error_bound": 1e-13}))
     code, again = run(capsys, *argv)
     assert code == EXIT_OK and again["value"] == fresh["value"] != 1.5
     # that source itself is served it

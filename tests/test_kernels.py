@@ -39,7 +39,11 @@ is bounded.
 The brackets of rational derivations and Lie series, which run over
 integers, are checked against the same brackets on the values as given:
 equal values, types and term order, on all-Fraction, int and mixed operands,
-with no Fraction operation per term pair.
+with no Fraction operation per term pair; so are the exponential and
+logarithm of rational derivations against the recurrence on Fractions, on
+seeded derivations of arity 2-4 and order 3-6, and the derivations are
+checked to keep their integer multiples, so that a bracket or exponential
+brackets each letter image once.
 The graph complex is checked against its earlier routines: a canonical form
 that tries every relabeling inside the color classes and counts selection
 sort swaps for the orientation sign, the differential as half the bracket
@@ -1742,6 +1746,67 @@ def test_ihara_bracket_of_rationals_makes_no_fraction_operation(monkeypatch):
     with generic_path():
         assert graphcx.ihara_bracket(psi1, psi2) == got
     assert sum(map(len, ops)) > 1000  # the same bracket on Fraction values, per term pair
+
+
+# (arity, order) of the seeded rational derivations of the exponential over integers
+EXP_SHAPES = [(2, 3), (2, 6), (3, 3), (3, 5), (3, 6), (4, 3), (4, 4), (4, 5)]
+
+
+def seeded_derivation(k, order, rng, values):
+    words = lie_words(k, order)
+    return TDerElem(k, order, [
+        lie_to_nc(LieSeries(k, order, {w: rng.choice(values)
+                                       for w in rng.sample(words, min(5, len(words)))}), order)
+        for _ in range(k)])
+
+
+@pytest.mark.parametrize("k, order", EXP_SHAPES)
+def test_exp_and_log_over_integers_match_the_fraction_recurrence(k, order):
+    """Equal values, types and term order, the constant term the int 1."""
+    rng = random.Random(1000 * k + order)
+    cases = [seeded_derivation(k, order, rng, SMALL),  # Fractions only
+             seeded_derivation(k, order, rng, SMALL[:3] + [1, 2, -3]),  # ints and Fractions
+             tk_generator(1, 2, k, order) + tk_generator(k - 1, k, k, order).scale(3),  # ints
+             TDerElem.zero(k, order)]
+    for u in cases:
+        assert tangent._derivation_powers(u)[1] is not None
+        match_tder_references(u, same_repr)
+        for g in (exp_tder(u), *exp_tder_pair(u)):
+            assert all(type(c.terms[()]) is int and c.terms[()] == 1 for c in g.comps)
+
+
+def test_exp_of_other_rings_takes_the_plain_recurrence():
+    order = 4
+    t = tk_generator(1, 2, 3, order) + tk_generator(2, 3, 3, order).scale(2)
+    for c in (0.5, 1 + 0.5j, PolyInT((Fraction(1), 2)), Dual(Fraction(1, 2), 1)):
+        u = t.scale(c)
+        assert tangent._derivation_powers(u)[1] is None
+        match_tder_references(u, same_repr)
+
+
+def test_exp_of_rationals_makes_no_fraction_operation(monkeypatch):
+    u = seeded_derivation(3, 6, random.Random(5), SMALL)
+    ops = [counter(monkeypatch, Fraction, name)
+           for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__")]
+    g = exp_tder(u)
+    assert sum(len(c.terms) for c in g.comps) > 100 and sum(map(len, ops)) == 0
+
+
+def test_rational_brackets_reuse_the_scaled_letter_images(monkeypatch):
+    a, b, c = (random_tder(3, 4, random.Random(seed), 0.4).scale(Fraction(1, 2))
+               for seed in (1, 2, 3))
+    brackets = counter(monkeypatch, NCSeries, "bracket")
+    jacobi = (tder_bracket(a, tder_bracket(b, c)) + tder_bracket(b, tder_bracket(c, a))
+              + tder_bracket(c, tder_bracket(a, b)))
+    assert jacobi.is_zero()
+    # the letter images of a, b, c and of the three inner brackets, each once,
+    # and [u_i, v_i] in each of the six brackets: 6 * 3 + 6 * 3
+    assert len(brackets) == 36
+    brackets.clear()
+    exp_tder(a)
+    assert len(brackets) == 0  # the exponential powers the same scaled copy of a
+    t12 = tk_generator(1, 2, 3, 4)
+    assert t12.over_integers()[0] is t12  # int data is its own multiple
 
 
 def test_graph_maps_keep_term_order():

@@ -57,13 +57,13 @@ def zeta3_single_sum(n0=2_000_000):
 
 
 def test_mzv_classics():
-    assert abs(mzv((2,)) - math.pi ** 2 / 6) < 1e-12
-    assert abs(mzv((3,)) - zeta3_single_sum()) < 1e-12
-    assert abs(mzv((2, 1)) - mzv((3,))) < 1e-10
-    assert abs(mzv((4,)) - math.pi ** 4 / 90) < 1e-12
+    assert abs(mzv((2,))[0] - math.pi ** 2 / 6) < 1e-12
+    assert abs(mzv((3,))[0] - zeta3_single_sum()) < 1e-12
+    assert abs(mzv((2, 1))[0] - mzv((3,))[0]) < 1e-10
+    assert abs(mzv((4,))[0] - math.pi ** 4 / 90) < 1e-12
     # a depth-2 shuffle relation as a second oracle
-    lhs = mzv((3, 2)) + mzv((2, 3))
-    rhs = mzv((2,)) * mzv((3,)) - mzv((5,))
+    lhs = mzv((3, 2))[0] + mzv((2, 3))[0]
+    rhs = mzv((2,))[0] * mzv((3,))[0] - mzv((5,))[0]
     assert abs(lhs - rhs) < 1e-11
 
 
@@ -83,13 +83,20 @@ def test_mzv_duality():
     # convolution, so the closed forms and the direct sum are the real checks
     tol = 1e-15
     z5 = math.fsum(m ** -5.0 for m in range(1, 2001)) + 0.25 * 2000.5 ** -4
-    assert abs(mzv((5,), tol) - z5) < 2e-15
-    assert abs(mzv((2, 1, 1), tol) - math.pi ** 4 / 90) < 2e-15
-    assert abs(mzv((2, 1, 1, 1), tol) - mzv((5,), tol)) < 2e-15
-    assert abs(mzv((3, 1, 1), tol) - mzv((4, 1), tol)) < 2e-15
+    assert abs(mzv((5,), tol)[0] - z5) < 2e-15
+    assert abs(mzv((2, 1, 1), tol)[0] - math.pi ** 4 / 90) < 2e-15
+    assert abs(mzv((2, 1, 1, 1), tol)[0] - mzv((5,), tol)[0]) < 2e-15
+    assert abs(mzv((3, 1, 1), tol)[0] - mzv((4, 1), tol)[0]) < 2e-15
     # Euler: zeta(4,1) = 2 zeta(5) - zeta(2) zeta(3)
-    euler = 2 * z5 - (math.pi ** 2 / 6) * mzv((3,), tol)
-    assert abs(mzv((4, 1), tol) - euler) < 2e-15
+    euler = 2 * z5 - (math.pi ** 2 / 6) * mzv((3,), tol)[0]
+    assert abs(mzv((4, 1), tol)[0] - euler) < 2e-15
+
+
+def test_mzv_returns_its_error_bound():
+    for index, tol in (((2,), 1e-12), ((2, 1, 1), 1e-15), ((5,), 1e-10)):
+        value, bound = mzv(index, tol)
+        # the bound covers the rounding of the value, and meets the tolerance
+        assert value * 2.0 ** -53 <= bound <= tol
 
 
 def test_frobenius_series():
@@ -186,5 +193,5 @@ def test_mzv_vs_kz_degree3():
     phi = build_phi_kz(order=3, m_order=64)[0]
     lg = nc_project_lie(phi.series.log())
     got = lg.coords[(1, 1, 2)]
-    expected = -mzv((3,)) / TWO_PI_I ** 3
+    expected = -mzv((3,))[0] / TWO_PI_I ** 3
     assert abs(got - expected) < 1e-12
