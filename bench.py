@@ -11,6 +11,10 @@ Run from the root of a checkout.  The file holds:
 * ``tier1``: the wall time and the outcome counts of the tier-1 tests;
 * ``interp7``: the wall seconds and exit code of ``assoclab interp
   --order 7 --t 1`` on an empty cache;
+* ``kz_cli``: for N = 7 and 8, the wall seconds and exit code of
+  ``assoclab kz --order N`` on an empty cache, which runs the hexagon in a
+  forked child beside the pentagon (the ``reach`` stages below run one
+  after the other, so they cannot show that overlap);
 * ``gc_bracket_self``: the wall seconds and exit code of ``assoclab gc
   bracket-self wheel5``, which canonicalises every reconnection of the
   wheel into itself;
@@ -54,6 +58,7 @@ REACH_SECONDS = 60.0
 REACH_WALL_SECONDS = 300.0
 REACH_MB = 2048.0
 REACH_STAGES = ("build", "to_taut3", "pentagon", "hexagon")
+KZ_CLI_ORDERS = (7, 8)
 
 # one N of the reach table; prints one JSON line per finished stage
 REACH_CHILD = r"""
@@ -150,9 +155,10 @@ def cli_run(*argv: str) -> dict:
     return {"wall_s": perf_counter() - t0, "exit_code": proc.returncode}
 
 
-def cold_interp7() -> dict:
+def cold_cli(*argv: str) -> dict:
+    """``cli_run`` on an empty cache."""
     with tempfile.TemporaryDirectory() as cache:
-        return cli_run("interp", "--order", "7", "--t", "1", "--cache-dir", cache)
+        return cli_run(*argv, "--cache-dir", cache)
 
 
 def timed_child(script: str) -> dict:
@@ -222,8 +228,12 @@ def main(argv=None):
         print(f"{name}: {report['workloads'][name]['metrics']}", file=sys.stderr)
     report["tier1"] = tier1()
     print(f"tier-1: {report['tier1']}", file=sys.stderr)
-    report["interp7"] = cold_interp7()
+    report["interp7"] = cold_cli("interp", "--order", "7", "--t", "1")
     print(f"interp --order 7 --t 1: {report['interp7']}", file=sys.stderr)
+    report["kz_cli"] = {}
+    for n in KZ_CLI_ORDERS:
+        report["kz_cli"][str(n)] = cold_cli("kz", "--order", str(n))
+        print(f"kz --order {n}: {report['kz_cli'][str(n)]}", file=sys.stderr)
     report["gc_bracket_self"] = cli_run("gc", "bracket-self", "wheel5")
     print(f"gc bracket-self wheel5: {report['gc_bracket_self']}", file=sys.stderr)
     report["exact_brackets"] = timed_child(BRACKETS_CHILD)

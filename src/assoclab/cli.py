@@ -10,6 +10,16 @@ tolerance was not met (a report that did not pass, or an
 ``assoclab.CheckError`` such as an MZV that cannot reach its tolerance or a
 log that is not Lie within tolerance), 3 an input/output or environment
 problem.
+
+``kz`` checks the pentagon and the hexagon on the same ``to_taut3``
+realisation.  Where ``os.fork`` exists, the hexagon runs in a forked child
+while this process runs the pentagon, so the two use both cores of a
+two-core host; the child is always reaped before ``kz`` returns or raises.
+It is a plain ``os.fork`` and a pipe, not ``multiprocessing``: that package
+costs about 20 ms to import, and its spawn start method would pickle the
+realisation.  A ``kz`` report carries a ``profile`` of its stage times
+(the hexagon's timed in the child) and the child's peak RSS.  A command
+that verifies nothing reports ``"checks": {}`` and says so in its table.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ import argparse
 import json
 import math
 import os
+import signal
 import sys
 import tempfile
 import time
@@ -39,6 +50,8 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_CHECK = 2
 EXIT_IO = 3
+# the text row of a report that passes with "checks": {}, as it verifies nothing
+NOTHING_CHECKED = ("checks", "none: nothing was verified, so passing says nothing")
 # names the cache files, so other code never reads them (crc32: hashlib loads OpenSSL)
 SOURCE_DIGEST = "%08x" % zlib.crc32(b"".join(
     p.read_bytes() for p in sorted(Path(__file__).parent.glob("*.py"))))
@@ -114,12 +127,96 @@ def _mzv_cached(index: tuple[int, ...], tol: float, cache: Path) -> tuple[float,
                    lambda data: (float(data["value"]), float(data["error_bound"])))
 
 
+def _hexagon_child(w: int, g, g_inv) -> None:
+    """The forked child: send the hexagon's outcome down the pipe ``w``, then end the process.
+
+    The outcome is (ok, residual or exception, the exception's traceback,
+    seconds, peak RSS in MB).  The child leaves by ``os._exit`` whatever
+    happens, so it flushes none of the parent's stdio buffers and runs none
+    of its exit handlers.
+    """
+    code = 1
+    try:
+        import gc
+        import pickle
+        import resource
+        # inherited objects stay out of the child's collections: no parent
+        # finalizer runs here, and no page is copied for a collector's write
+        gc.freeze()
+        t0 = time.perf_counter()
+        try:
+            outcome = [True, check_hexagon(g, g_inv), ""]
+        except BaseException as e:  # noqa: BLE001 - raised again in the parent
+            outcome = [False, e, "".join(traceback.format_exception(type(e), e, e.__traceback__))]
+        outcome += [time.perf_counter() - t0,
+                    resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024]
+        with os.fdopen(w, "wb") as pipe:
+            pipe.write(pickle.dumps(outcome))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _pentagon_and_hexagon(g, g_inv) -> tuple[float, float, dict]:
+    """``check_pentagon(g)``, ``check_hexagon(g, g_inv)`` and their profile fields.
+
+    Where ``os.fork`` exists the hexagon runs in a forked child while this
+    process runs the pentagon: the child shares ``g`` and ``g_inv`` without
+    copying them and pipes back only its pickled outcome.  An exception the
+    child raises is raised here, a child that ends without an outcome is a
+    ``RuntimeError``, and the child is reaped (killed first, if this process
+    raised) before this returns or raises.  Without ``os.fork`` the two
+    checks run here, one after the other.
+    """
+    if not hasattr(os, "fork"):
+        t0 = time.perf_counter()
+        pentagon = check_pentagon(g)
+        t1 = time.perf_counter()
+        hexagon = check_hexagon(g, g_inv)
+        return pentagon, hexagon, {"pentagon_s": t1 - t0, "hexagon_s": time.perf_counter() - t1,
+                                   "hexagon_child_peak_rss_mb": None}
+    import pickle
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(r)
+        _hexagon_child(w, g, g_inv)
+    os.close(w)
+    status = None
+    try:
+        with os.fdopen(r, "rb") as pipe:
+            t0 = time.perf_counter()
+            pentagon = check_pentagon(g)
+            t1 = time.perf_counter()
+            data = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+    finally:
+        if status is None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    try:
+        ok, hexagon, child_traceback, seconds, rss_mb = pickle.loads(data)
+    except Exception:  # noqa: BLE001 - nothing, or a part, came down the pipe
+        raise RuntimeError(f"the hexagon child (pid {pid}) ended without a readable result: "
+                           f"wait status {status}, exit code "
+                           f"{os.waitstatus_to_exitcode(status)}") from None
+    if not ok:
+        raise hexagon from RuntimeError(f"in the hexagon child:\n{child_traceback.rstrip()}")
+    return pentagon, hexagon, {"pentagon_s": t1 - t0, "hexagon_s": seconds,
+                               "hexagon_child_peak_rss_mb": rss_mb}
+
+
 def cmd_kz(args):
+    t0 = time.perf_counter()
     phi, report = _phi_kz_cached(args.order, args.series_order, args.tol, _cache_dir(args))
+    t1 = time.perf_counter()
     g, g_inv = to_taut3(phi, args.tol)
-    residuals = {**report, "pentagon": check_pentagon(g), "hexagon": check_hexagon(g, g_inv)}
+    t2 = time.perf_counter()
+    pentagon, hexagon, checks_profile = _pentagon_and_hexagon(g, g_inv)
+    residuals = {**report, "pentagon": pentagon, "hexagon": hexagon}
     fields = {"order": args.order, "series_order": args.series_order, "tol": args.tol,
-              "residuals": residuals, "associator": phi.to_json()}
+              "residuals": residuals, "associator": phi.to_json(),
+              "profile": {"phi_s": t1 - t0, "to_taut3_s": t2 - t1, **checks_profile}}
     return (fields, [(k, f"{v:.3e}") for k, v in residuals.items()],
             all(v <= args.tol for v in residuals.values()))
 
@@ -162,9 +259,9 @@ def cmd_interp(args):
 def cmd_etingof(args):
     c_a, c_b = etingof_coefficients()
     fields = {"c_a": _ratio(c_a), "c_b": _ratio(c_b), "equal": c_a == c_b,
-              "strong_form_fails": c_a != c_b}
+              "strong_form_fails": c_a != c_b, "checks": {}}
     return (fields, [("c_a", str(c_a)), ("c_b", str(c_b)),
-                     ("strong form fails", str(c_a != c_b))], True)
+                     ("strong form fails", str(c_a != c_b)), NOTHING_CHECKED], True)
 
 
 def _load_graph(args) -> GraphLinComb:
@@ -222,6 +319,8 @@ def cmd_gc(args):
             rows.append(("error", "psi is zero, which checks nothing: phi (pi after psi) also "
                                   "sends the loop-8 class [gamma3, gamma5], which is not exact, "
                                   "to zero, so a zero image does not tell the class"))
+    if args.action in ("delta", "divergence", "bracket-self"):
+        fields["checks"], rows = {}, [NOTHING_CHECKED]
     return fields, rows, passed
 
 

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -438,6 +440,7 @@ def test_truncated_cache_is_recomputed(tmp_path, capsys):
     assert code == EXIT_OK
     for payload in (first, again, first_kz, again_kz):
         payload.pop("seconds")
+        payload.pop("profile", None)
     assert again == first and again_kz == first_kz
     # the repaired files are whole again
     for p in tmp_path.iterdir():
@@ -458,6 +461,7 @@ def test_truncated_cache_is_recomputed(tmp_path, capsys):
         code, payload = run(capsys, *argv)
         assert code == EXIT_OK
         payload.pop("seconds")
+        payload.pop("profile", None)
         assert payload == cold
         assert json.loads(path.read_text()) == whole[path]
 
@@ -555,10 +559,119 @@ def test_exit_code_is_decided_by_the_error_class(capsys, monkeypatch, error, exi
     assert capsys.readouterr().err.startswith(f"{prefix}: {type(error).__name__}: ")
 
 
-def test_algebra_commands_do_not_load_numpy():
+def test_algebra_commands_do_not_load_numpy(tmp_path):
+    # nor multiprocessing: kz forks its hexagon child with os.fork
     src = Path(cli.__file__).resolve().parent.parent
-    probe = "import sys, assoclab.cli; print('numpy' in sys.modules)"
+    probe = ("import sys, assoclab.cli as cli; "
+             f"code = cli.main(['kz', '--order', '3', '--cache-dir', {str(tmp_path)!r}]); "
+             "print(code, 'numpy' in sys.modules, 'multiprocessing' in sys.modules)")
     env = {"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.splitlines()[-1] == "0 False False"
+
+
+# -- kz: the hexagon in a forked child ----------------------------------------------------
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(params=["forked", "sequential"])
+def hexagon_path(request, monkeypatch):
+    """Run kz with the hexagon in a forked child, or with os.fork removed, one after the other."""
+    if request.param == "sequential":
+        monkeypatch.delattr(os, "fork")
+    yield request.param
+    _no_child_left()
+
+
+@pytest.mark.parametrize("order", ["3", "4", "5"])
+def test_kz_report_is_the_same_with_and_without_fork(shared_cache, capsys, monkeypatch, order):
+    argv = ["kz", "--order", order, "--cache-dir", shared_cache]
+    code, forked = run(capsys, *argv)
+    _no_child_left()
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork")
+        code_seq, sequential = run(capsys, *argv)
+    assert code == code_seq == EXIT_OK
+    profiles = [forked.pop("profile"), sequential.pop("profile")]
+    forked.pop("seconds"), sequential.pop("seconds")
+    assert forked == sequential
+    for profile in profiles:
+        assert list(profile) == ["phi_s", "to_taut3_s", "pentagon_s", "hexagon_s",
+                                 "hexagon_child_peak_rss_mb"]
+        assert all(v >= 0 for v in list(profile.values())[:4])
+    # the child's own peak, which this process's RUSAGE_SELF does not see
+    assert profiles[0]["hexagon_child_peak_rss_mb"] > 0
+    assert profiles[1]["hexagon_child_peak_rss_mb"] is None
+
+
+@pytest.mark.parametrize("error, exit_code, line", [
+    (AssociatorError("refused"), EXIT_CHECK, "error: AssociatorError: refused"),
+    (ValueError("boom"), EXIT_INTERNAL, "internal error: ValueError: boom"),
+], ids=["AssociatorError", "ValueError"])
+def test_kz_hexagon_error_keeps_its_exit_code(tmp_path, capsys, monkeypatch, hexagon_path,
+                                              error, exit_code, line):
+    def refused(g, g_inv):
+        raise error
+
+    monkeypatch.setattr(cli, "check_hexagon", refused)
+    code = main(["kz", "--order", "3", "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == exit_code and captured.out == ""
+    assert captured.err.splitlines()[0] == line
+    if hexagon_path == "forked" and exit_code == EXIT_INTERNAL:
+        # the traceback shows where the child raised
+        assert "in the hexagon child:" in captured.err and "in refused" in captured.err
+
+
+def test_kz_child_flushes_no_buffer_and_runs_no_exit_handler(tmp_path):
+    # stdout to a pipe is block buffered: a child leaving by sys.exit would
+    # write the unflushed line a second time and run the exit handler too
+    src = Path(cli.__file__).resolve().parent.parent
+    probe = ("import atexit, sys, assoclab.cli as cli; print('buffered'); "
+             "atexit.register(print, 'exit handler'); "
+             f"sys.exit(cli.main(['kz', '--order', '3', '--cache-dir', {str(tmp_path)!r}]))")
+    env = {"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.count("buffered") == result.stdout.count("exit handler") == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the hexagon runs in-process without fork")
+def test_kz_hexagon_child_that_dies_is_an_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "check_hexagon", lambda g, g_inv: os._exit(9))
+    code = main(["kz", "--order", "3", "--cache-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code != EXIT_OK
+    assert "the hexagon child" in err.splitlines()[0] and "exit code 9" in err
+    _no_child_left()
+
+
+def test_kz_pentagon_interrupt_kills_the_hexagon_child(tmp_path, monkeypatch):
+    def interrupted(g):
+        raise KeyboardInterrupt
+
+    # a child that would outlive the call by a minute unless it is killed
+    monkeypatch.setattr(cli, "check_hexagon", lambda g, g_inv: time.sleep(60))
+    monkeypatch.setattr(cli, "check_pentagon", interrupted)
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        main(["kz", "--order", "3", "--cache-dir", str(tmp_path)])
+    assert time.perf_counter() - t0 < 30
+    _no_child_left()
+
+
+@pytest.mark.parametrize("argv", [["etingof"], ["gc", "delta", "tetrahedron"],
+                                  ["gc", "divergence", "wheel5"],
+                                  ["gc", "bracket-self", "tetrahedron"]], ids=" ".join)
+def test_report_that_checks_nothing_says_so(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert code == EXIT_OK and payload["passed"] is True
+    assert payload["checks"] == {}
+    rows = dict(line.split(None, 1) for line in captured.err.splitlines())
+    assert rows["checks"].startswith("none: nothing was verified")

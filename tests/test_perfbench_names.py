@@ -13,6 +13,7 @@ runs and checks it, and one small ``kz`` runs under the benchmark's tracer.
 import ast
 import importlib
 import importlib.util
+import os
 from fractions import Fraction
 from pathlib import Path
 
@@ -139,22 +140,27 @@ def test_associator_probe_passes_the_benchmark_check(tmp_path, monkeypatch):
     assert ops and all(op.ok for op in ops), [(op.name, op.detail) for op in ops]
 
 
-def test_kz_builds_the_realisation_once_under_the_tracer(tmp_path):
+def test_kz_builds_the_realisation_once_under_the_tracer(tmp_path, monkeypatch):
     # the benchmark's --trace wraps the checks and labels them by their
     # argument's order; the install needs every traced module loaded
     importlib.import_module("assoclab.confint")
     from assoclab.cli import EXIT_OK, main
-    tr = tracing.Tracer()
-    try:
-        tr.install()
-        code = main(["kz", "--order", "3", "--series-order", "48", "--tol", "1e-8",
-                     "--cache-dir", str(tmp_path), "--out", str(tmp_path / "kz.json")])
-    finally:
-        tr.uninstall()
-    assert code == EXIT_OK
-    for label in ("associator.to_taut3", "associator.check_pentagon.N3",
-                  "associator.check_hexagon.N3"):
-        assert tr.stat(label)[0] == 1, label
-    # the inverse is exp(-u) from to_taut3, not a logarithm of g
-    for label in ("tangent.log_taut", "tangent.taut_inverse"):
-        assert tr.stat(label)[0] == 0, label
+    for forked in (True, False):
+        tr = tracing.Tracer()
+        with monkeypatch.context() as m:
+            if not forked:
+                m.delattr(os, "fork")
+            try:
+                tr.install()
+                code = main(["kz", "--order", "3", "--series-order", "48", "--tol", "1e-8",
+                             "--cache-dir", str(tmp_path), "--out", str(tmp_path / "kz.json")])
+            finally:
+                tr.uninstall()
+        assert code == EXIT_OK
+        for label in ("associator.to_taut3", "associator.check_pentagon.N3"):
+            assert tr.stat(label)[0] == 1, label
+        # a hexagon run in the forked child is traced there, out of this tracer's sight
+        assert tr.stat("associator.check_hexagon.N3")[0] == (0 if forked else 1)
+        # the inverse is exp(-u) from to_taut3, not a logarithm of g
+        for label in ("tangent.log_taut", "tangent.taut_inverse"):
+            assert tr.stat(label)[0] == 0, label
