@@ -18,6 +18,11 @@ Run from the root of a checkout.  The file holds:
 * ``gc_bracket_self``: the wall seconds and exit code of ``assoclab gc
   bracket-self wheel5``, which canonicalises every reconnection of the
   wheel into itself;
+* ``loop8_bracket``: the wall seconds of building the loop-8 bracket
+  B = [gamma3, gamma5] and of d(B), timed in their own interpreter after
+  the imports and the loop-5 cocycle gamma5, their sum under ``wall_s``
+  and each under ``parts_s``, and the exit code (1 unless B has 68 terms
+  and d(B) = 0);
 * ``exact_brackets``: the wall seconds of one seeded Ihara Jacobi sum at
   order 9 on rational Lie series, timed in its own interpreter after the
   imports, and its exit code (1 if the sum is not zero);
@@ -76,6 +81,26 @@ t0 = time.perf_counter(); phi = build_phi_kz(n, 64)[0]; done("build", t0)
 t0 = time.perf_counter(); g, g_inv = to_taut3(phi); done("to_taut3", t0)
 t0 = time.perf_counter(); r = check_pentagon(g); done("pentagon", t0, residual=r)
 t0 = time.perf_counter(); r = check_hexagon(g, g_inv); done("hexagon", t0, residual=r)
+"""
+
+# B = [gamma3, gamma5], gamma3 the tetrahedron and gamma5 = w5 + (5/2) G' the loop-5
+# cocycle (w5 and G' the two 6-vertex, 10-edge graphs), then d(B); prints both seconds
+LOOP8_CHILD = r"""
+import time
+from fractions import Fraction
+from assoclab.graphcx import (GraphLinComb, differential, enumerate_gc_graphs, gc_bracket,
+                              tetrahedron)
+
+w5, other = [GraphLinComb({g: Fraction(1)}) for g in enumerate_gc_graphs(6)
+             if len(g.edges) == 10]
+gamma5 = w5 + other.scale(Fraction(5, 2))
+t0 = time.perf_counter()
+b = gc_bracket(tetrahedron(), gamma5)
+print(time.perf_counter() - t0)
+t0 = time.perf_counter()
+d_b = differential(b)
+print(time.perf_counter() - t0)
+assert len(b.terms) == 68 and d_b.is_zero()
 """
 
 # one Ihara Jacobi sum of seeded rational Lie series at order 9; prints its seconds
@@ -162,11 +187,12 @@ def cold_cli(*argv: str) -> dict:
 
 
 def timed_child(script: str) -> dict:
-    """The seconds a child script prints, and its exit code."""
+    """The seconds a child script prints (their sum, and each if several), and its exit code."""
     proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env(),
                           capture_output=True, text=True)
-    out = proc.stdout.split()
-    return {"wall_s": float(out[0]) if out else None, "exit_code": proc.returncode}
+    parts = [float(x) for x in proc.stdout.split()]
+    out = {"wall_s": sum(parts) if parts else None, "exit_code": proc.returncode}
+    return {**out, "parts_s": parts} if len(parts) > 1 else out
 
 
 def limit_memory():
@@ -236,6 +262,8 @@ def main(argv=None):
         print(f"kz --order {n}: {report['kz_cli'][str(n)]}", file=sys.stderr)
     report["gc_bracket_self"] = cli_run("gc", "bracket-self", "wheel5")
     print(f"gc bracket-self wheel5: {report['gc_bracket_self']}", file=sys.stderr)
+    report["loop8_bracket"] = timed_child(LOOP8_CHILD)
+    print(f"loop-8 B and d(B): {report['loop8_bracket']}", file=sys.stderr)
     report["exact_brackets"] = timed_child(BRACKETS_CHILD)
     print(f"Ihara Jacobi at order 9: {report['exact_brackets']}", file=sys.stderr)
     report["exact_roundtrip"] = timed_child(ROUNDTRIP_CHILD)

@@ -14,7 +14,8 @@ problem.
 ``kz`` checks the pentagon and the hexagon on the same ``to_taut3``
 realisation.  Where ``os.fork`` exists, the hexagon runs in a forked child
 while this process runs the pentagon, so the two use both cores of a
-two-core host; the child is always reaped before ``kz`` returns or raises.
+two-core host; the child is always reaped before ``kz`` returns or raises,
+and on Linux it dies with a parent killed by ``SIGKILL``.
 It is a plain ``os.fork`` and a pipe, not ``multiprocessing``: that package
 costs about 20 ms to import, and its spawn start method would pickle the
 realisation.  A ``kz`` report carries a ``profile`` of its stage times
@@ -50,6 +51,7 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_CHECK = 2
 EXIT_IO = 3
+PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 # the text row of a report that passes with "checks": {}, as it verifies nothing
 NOTHING_CHECKED = ("checks", "none: nothing was verified, so passing says nothing")
 # names the cache files, so other code never reads them (crc32: hashlib loads OpenSSL)
@@ -127,16 +129,26 @@ def _mzv_cached(index: tuple[int, ...], tol: float, cache: Path) -> tuple[float,
                    lambda data: (float(data["value"]), float(data["error_bound"])))
 
 
-def _hexagon_child(w: int, g, g_inv) -> None:
+def _hexagon_child(w: int, g, g_inv, parent: int) -> None:
     """The forked child: send the hexagon's outcome down the pipe ``w``, then end the process.
 
     The outcome is (ok, residual or exception, the exception's traceback,
     seconds, peak RSS in MB).  The child leaves by ``os._exit`` whatever
     happens, so it flushes none of the parent's stdio buffers and runs none
-    of its exit handlers.
+    of its exit handlers.  On Linux it asks to be killed when its parent
+    dies, which the parent cannot arrange if it is killed by ``SIGKILL``;
+    ``parent`` is the parent's pid taken before the fork, so a parent that
+    died before the request was made is seen too.
     """
     code = 1
     try:
+        if sys.platform.startswith("linux"):
+            import ctypes
+            prctl = ctypes.CDLL(None).prctl
+            prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+            prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
+        if os.getppid() != parent:
+            return
         import gc
         import pickle
         import resource
@@ -177,10 +189,11 @@ def _pentagon_and_hexagon(g, g_inv) -> tuple[float, float, dict]:
                                    "hexagon_child_peak_rss_mb": None}
     import pickle
     r, w = os.pipe()
+    parent = os.getpid()
     pid = os.fork()
     if pid == 0:
         os.close(r)
-        _hexagon_child(w, g, g_inv)
+        _hexagon_child(w, g, g_inv, parent)
     os.close(w)
     status = None
     try:
@@ -291,8 +304,11 @@ def cmd_gc(args):
     passed, rows = True, []
     if args.action == "cocycle":
         d = differential(g)
-        fields["closed"] = passed = d.is_zero()
+        fields["closed"] = d.is_zero()
         fields["differential_terms"] = len(d.terms)
+        fields["checks"] = {"closed": len(d.terms)}  # with bound 0
+        passed = len(d.terms) <= 0
+        rows.append(("closed", f"{len(d.terms)} differential terms (bound 0)"))
     elif args.action == "delta":
         fields["differential"] = differential(g).to_json()
     elif args.action == "divergence":

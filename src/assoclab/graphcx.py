@@ -9,11 +9,14 @@ at least trivalent) its antenna and bivalent terms cancel, so it is formed
 as the unordered splitting of each vertex into two at least trivalent
 vertices, and any other input is bracketed.  The divergence is the bracket
 with the one-vertex one-loop graph computed in the ambient complex that
-admits loops.  A canonical form is the least relabeling inside the classes
-of color refinement (a class of isolated vertices in one order only), found
-by a depth-first search that hands out the labels in increasing order and
-prunes a prefix by a bound on its key and a child by the automorphisms found
-at tied leaves, which also decide whether the graph is zero.  Graphs with
+admits loops.  The splittings and insertions are formed once per orbit of
+the automorphisms of the graphs involved, weighted by the orbit's count.
+A canonical form is the least relabeling inside the classes of color
+refinement (a class of isolated vertices in one order only), found by a
+depth-first search that hands out the labels in increasing order and
+prunes a prefix by a bound on its key and a child by the automorphisms
+found at tied leaves, which also decide whether the graph is zero and
+generate the automorphism group used for those orbits.  Graphs with
 external legs are the same types with ``ext`` > 0: vertices 1..ext are the
 legs and are never relabeled.
 """
@@ -97,7 +100,24 @@ def canonical_form(n: int, edges: list[Edge], fixed: int = 0):
 
     ``fixed`` leading vertices (external legs) are never relabeled.
     Returns (edge tuple, sign) with edges sorted, or None when the graph has
-    a sign-reversing automorphism or a repeated edge.  The representative is
+    a sign-reversing automorphism or a repeated edge.  It is the key and
+    sign of ``_search``, whose automorphism generators let ``differential``
+    and ``_pre_lie`` form each term once per automorphism orbit, weighted by
+    the orbit's count.
+    """
+    key, sign, _ = _search(n, edges, fixed)
+    return None if key is None else (key, sign)
+
+
+def _search(n: int, edges: list[Edge], fixed: int):
+    """(key, sign, gens): the canonical form, and automorphisms found on the way.
+
+    ``gens`` are the automorphisms kept at tied leaves, as vertex maps
+    (lists indexed by vertex, entry 0 unused) of even edge parity that fix
+    the first ``fixed`` vertices.  They generate the automorphism group of
+    the graph with its isolated vertices left in place.  On a zero graph key
+    and sign are None and 0, and ``gens`` holds the automorphisms found
+    before the search stopped.  The representative is
     the least sorted edge list over the relabelings that give each color
     class of ``_colors``, in color order, the next block of labels after
     ``fixed`` (a class of isolated vertices in one order only).
@@ -122,7 +142,7 @@ def canonical_form(n: int, edges: list[Edge], fixed: int = 0):
     """
     norm = [(u, v) if u <= v else (v, u) for u, v in edges]
     if len(set(norm)) < len(norm):
-        return None
+        return None, 0, []
     adj, loop = _adjacency(n, norm)
     col = _colors(n, adj, loop, fixed)
     classes: dict[int, list[int]] = {}
@@ -238,12 +258,12 @@ def canonical_form(n: int, edges: list[Edge], fixed: int = 0):
 
     node(0)
     if odd:
-        return None
+        return None, 0, gens
     for t, v in enumerate(best_path, fixed + 1):
         lab[v] = t
     lab_edges = [(a, b) if (a := lab[u]) <= (b := lab[v]) else (b, a) for u, v in norm]
     sign = _perm_sign(sorted(range(len(norm)), key=lab_edges.__getitem__))
-    return tuple(sorted(lab_edges)), sign
+    return tuple(sorted(lab_edges)), sign, gens
 
 
 @dataclass(frozen=True)
@@ -396,18 +416,67 @@ def _reassign_ends(edges: tuple[Edge, ...], v: int, choices, relabel=lambda w: w
         yield [(x, y) for x, y in base]
 
 
+def _insertion_orbits(g1: GCGraph, g2: GCGraph, gens: dict, targets) -> list[list]:
+    """The insertions of g2 at the vertices of g1, one raw term per orbit, with its count.
+
+    At vertex i of g1 the ends of its edges, taken as in ``_reassign_ends``,
+    go to the vertices of g2 (labels 1..g2.n) in each way ``targets(m, g2.n)``
+    yields for its m ends; g2's vertex j becomes i - 1 + j, the vertices of
+    g1 after i move past g2, and g2's edges follow g1's.  A reassignment's
+    key is (i, sorted (old neighbour, new endpoint) of its ends): it fixes
+    the raw term up to the order of a loop's two ends.  Aut(g1) x Aut(g2),
+    from the generators ``gens[g]``, acts on keys; being even, it keeps the
+    value of the term, so each orbit is formed once, at its first
+    enumerated member, and counts the enumerated reassignments whose key
+    lies in it.  Returns [vertex count, edge list, count] in the order of the
+    first members.
+    """
+    same1, same2 = range(g1.n + 1), range(g2.n + 1)  # the identity maps
+    moves = [(g, same2) for g in gens[g1]] + [(same1, h) for h in gens[g2]]
+    orbit: dict = {}  # key -> index of its orbit in out
+    out: list[list] = []
+    for i in range(1, g1.n + 1):
+        ends = [(idx, slot) for idx, e in enumerate(g1.edges) for slot in (0, 1) if e[slot] == i]
+        nbrs = [g1.edges[idx][1 - slot] for idx, slot in ends]
+        for t in targets(len(ends), g2.n):
+            key = (i, tuple(sorted(zip(nbrs, t))))
+            k = orbit.get(key)
+            if k is not None:
+                out[k][2] += 1
+                continue
+            k = orbit[key] = len(out)
+            stack = [key]
+            while stack:
+                v, pairs = stack.pop()
+                for g, h in moves:
+                    image = (g[v], tuple(sorted([(g[w], h[j]) for w, j in pairs])))
+                    if image not in orbit:
+                        orbit[image] = k
+                        stack.append(image)
+            edges = [[x if x < i else x + g2.n - 1 for x in e] for e in g1.edges]
+            for (idx, slot), j in zip(ends, t):
+                edges[idx][slot] = i - 1 + j
+            out.append([g1.n + g2.n - 1, [(x, y) for x, y in edges]
+                        + [(i - 1 + u, i - 1 + v) for u, v in g2.edges], 1])
+    return out
+
+
+def _automorphisms(graphs) -> dict:
+    """The automorphism generators ``_search`` finds for each of ``graphs``."""
+    return {g: _search(g.n, g.edges, 0)[2] for g in graphs}
+
+
 def _pre_lie(a: GraphLinComb, b: GraphLinComb) -> GraphLinComb:
-    """Sum over the vertices i of g1 of inserting g2 at i, in all reconnections."""
-    raw: list[tuple[int, list[Edge], Fraction]] = []
-    for g1, c1 in a.terms.items():
-        for g2, c2 in b.terms.items():
-            c = c1 * c2
-            n = g1.n + g2.n - 1
-            for i in range(1, g1.n + 1):
-                inner = [(i - 1 + u, i - 1 + v) for u, v in g2.edges]
-                for edges in _reassign_ends(g1.edges, i, lambda m: [range(i, i + g2.n)] * m,
-                                            lambda w: w if w < i else w + g2.n - 1):
-                    raw.append((n, edges + inner, c))
+    """Sum over the vertices i of g1 of inserting g2 at i, in all reconnections.
+
+    Each term is formed once per orbit of Aut(g1) x Aut(g2) and weighted by
+    the orbit's count (``_insertion_orbits``).
+    """
+    gens = _automorphisms([*a.terms, *b.terms])
+    anywhere = lambda m, k: itertools.product(range(1, k + 1), repeat=m)
+    raw = [(n, edges, c1 * c2 * count) for g1, c1 in a.terms.items()
+           for g2, c2 in b.terms.items()
+           for n, edges, count in _insertion_orbits(g1, g2, gens, anywhere)]
     return GraphLinComb.from_raw(raw)
 
 
@@ -464,22 +533,22 @@ def differential(a: GraphLinComb) -> GraphLinComb:
     unordered splits of a vertex into two at least trivalent vertices are
     formed: the first end stays at the split vertex i, the new edge
     (i, i + 1) goes last, and each split carries -(-1)^deg(a) times its
-    coefficient.  Any other input is bracketed.
+    coefficient.  Each split is formed once per orbit of Aut(g) x Aut(edge)
+    (the edge's swap exchanges i and i + 1) and weighted by the orbit's
+    count (``_insertion_orbits``).  Any other input is bracketed.
     """
     if a.is_zero():
         return GraphLinComb()
     if not all(g.is_gc() for g in a.terms):
         return gc_bracket(edge_graph(), a).scale(Fraction(1, 2))
     sign = 1 if _homogeneous_degree(a) % 2 else -1
-    raw: list[tuple[int, list[Edge], Fraction]] = []
-    for g, c in a.terms.items():
-        for i, val in enumerate(g.valences(), start=1):
-            for edges in _reassign_ends(g.edges, i, lambda m: [(i,)] + [(i, i + 1)] * (m - 1),
-                                        lambda w: w if w < i else w + 1):
-                # ends moved to the new vertex i + 1 (the old vertices after i are shifted past it)
-                moved = sum(e.count(i + 1) for e in edges)
-                if 2 <= moved <= val - 2:
-                    raw.append((g.n + 1, edges + [(i, i + 1)], sign * c))
+    (edge,) = edge_graph().terms
+    gens = _automorphisms([*a.terms, edge])
+    # the first end stays at i, and at least two ends stay and two move to i + 1
+    splits = lambda m, k: (t for t in itertools.product((1,), *[(1, 2)] * (m - 1))
+                           if 2 <= t.count(2) <= m - 2)
+    raw = [(n, edges, sign * c * count) for g, c in a.terms.items()
+           for n, edges, count in _insertion_orbits(g, edge, gens, splits)]
     return GraphLinComb.from_raw(raw)
 
 

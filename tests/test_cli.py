@@ -53,6 +53,19 @@ def test_gc_cocycle_and_phi(capsys):
     assert code == EXIT_CHECK
 
 
+@pytest.mark.parametrize("graph, count, exit_code", [("tetrahedron", 0, EXIT_OK),
+                                                     ("wheel5", 1, EXIT_CHECK)])
+def test_gc_cocycle_checks_that_the_differential_has_no_terms(capsys, graph, count, exit_code):
+    code = main(["gc", "cocycle", graph])
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert code == exit_code and payload["passed"] is (count == 0)
+    assert payload["checks"] == {"closed": count} and payload["differential_terms"] == count
+    assert payload["closed"] is (count == 0)
+    rows = dict(line.split(None, 1) for line in captured.err.splitlines())
+    assert rows["closed"] == f"{count} differential terms (bound 0)"
+
+
 def test_gc_divergence_computes_it_once(capsys, monkeypatch):
     calls = []
     orig = cli.divergence
@@ -662,6 +675,49 @@ def test_kz_pentagon_interrupt_kills_the_hexagon_child(tmp_path, monkeypatch):
         main(["kz", "--order", "3", "--cache-dir", str(tmp_path)])
     assert time.perf_counter() - t0 < 30
     _no_child_left()
+
+
+def _gone(pid: int) -> bool:
+    """Whether process ``pid`` has ended: it is absent, or a zombie no one has reaped yet."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] in ("Z", "X")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="PR_SET_PDEATHSIG is Linux's")
+def test_kz_parent_killed_by_sigkill_takes_the_hexagon_child_with_it(tmp_path):
+    # SIGKILL runs none of the parent's cleanup, so only the child's own
+    # request to the kernel can end it before its (here minute-long) hexagon
+    src = Path(cli.__file__).resolve().parent.parent
+    pid_file = tmp_path / "child.pid"
+    probe = ("import os, time, assoclab.cli as cli\n"
+             "def slow(g, g_inv):\n"
+             f"    open({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
+             "    time.sleep(60)\n"
+             "cli.check_hexagon = slow\n"
+             f"cli.main(['kz', '--order', '3', '--cache-dir', {str(tmp_path)!r}])\n")
+    env = {"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    parent = subprocess.Popen([sys.executable, "-c", probe], env=env,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not (pid_file.exists() and pid_file.read_text()):
+            assert parent.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        child = int(pid_file.read_text())
+        assert not _gone(child)
+    finally:
+        parent.kill()
+        parent.wait()
+    deadline = time.monotonic() + 5
+    while not _gone(child) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    alive = not _gone(child)
+    if alive:
+        os.kill(child, 9)
+    assert not alive
 
 
 @pytest.mark.parametrize("argv", [["etingof"], ["gc", "delta", "tetrahedron"],

@@ -1,8 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from assoclab import graphcx
 from assoclab.associator import nu_embedding, nu_extract
 from assoclab.graphcx import (GCGraph, GraphError, GraphLinComb, canonicalize,
                               delta_ext, differential, divergence,
@@ -153,18 +155,24 @@ def test_phi_map_tetrahedron():
 
 
 @pytest.fixture(scope="module")
-def loop8_bracket():
-    """B = [gamma3, gamma5], gamma3 the tetrahedron and gamma5 = w5 + (5/2) G'.
+def gamma5():
+    """gamma5 = w5 + (5/2) G', the loop-5 cocycle with wheel coefficient 1.
 
     w5 and G' are the two 6-vertex, 10-edge graphs, with d(w5) = 5 H and
-    d(G') = -2 H, so gamma5 is the loop-5 cocycle with wheel coefficient 1.
+    d(G') = -2 H.
     """
     w5, other = [GraphLinComb({g: Fraction(1)}) for g in enumerate_gc_graphs(6)
                  if len(g.edges) == 10]
     assert w5 == wheel(5)
     h = differential(other).scale(Fraction(-1, 2))
     assert len(h.terms) == 1 and differential(w5) == h.scale(5)
-    return gc_bracket(tetrahedron(), w5 + other.scale(Fraction(5, 2)))
+    return w5 + other.scale(Fraction(5, 2))
+
+
+@pytest.fixture(scope="module")
+def loop8_bracket(gamma5):
+    """B = [gamma3, gamma5], gamma3 the tetrahedron."""
+    return gc_bracket(tetrahedron(), gamma5)
 
 
 def test_loop8_bracket_is_closed(loop8_bracket):
@@ -267,3 +275,153 @@ def test_ihara_refuses_inexact_coordinates(factor):
     for pair in ((sigma3.scale(factor), sigma5), (sigma3, sigma5.scale(factor))):
         with pytest.raises(GraphError, match="needs exact coordinates"):
             ihara_bracket(*pair)
+
+
+# -- the orbit kernels against the term-by-term reference ------------------------------------
+
+def ref_pre_lie(a, b):
+    """Every reconnection of g2 inserted at each vertex of g1, each canonicalised."""
+    raw = []
+    for g1, c1 in a.terms.items():
+        for g2, c2 in b.terms.items():
+            c = c1 * c2
+            n = g1.n + g2.n - 1
+            for i in range(1, g1.n + 1):
+                inner = [(i - 1 + u, i - 1 + v) for u, v in g2.edges]
+                for edges in graphcx._reassign_ends(g1.edges, i,
+                                                    lambda m: [range(i, i + g2.n)] * m,
+                                                    lambda w: w if w < i else w + g2.n - 1):
+                    raw.append((n, edges + inner, c))
+    return GraphLinComb.from_raw(raw)
+
+
+def ref_differential(a):
+    """Every unordered split of every vertex, each canonicalised; other inputs bracketed."""
+    if a.is_zero():
+        return GraphLinComb()
+    if not all(g.is_gc() for g in a.terms):
+        return graphcx.gc_bracket(edge_graph(), a).scale(Fraction(1, 2))
+    sign = 1 if graphcx._homogeneous_degree(a) % 2 else -1
+    raw = []
+    for g, c in a.terms.items():
+        for i, val in enumerate(g.valences(), start=1):
+            for edges in graphcx._reassign_ends(g.edges, i,
+                                                lambda m: [(i,)] + [(i, i + 1)] * (m - 1),
+                                                lambda w: w if w < i else w + 1):
+                moved = sum(e.count(i + 1) for e in edges)
+                if 2 <= moved <= val - 2:
+                    raw.append((g.n + 1, edges + [(i, i + 1)], sign * c))
+    return GraphLinComb.from_raw(raw)
+
+
+def reference(name, *args):
+    """graphcx.<name>(*args), computed with the reference kernels."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(graphcx, "_pre_lie", ref_pre_lie)
+        m.setattr(graphcx, "differential", ref_differential)
+        return getattr(graphcx, name)(*args)
+
+
+def exact(a):
+    """The terms in order, with their coefficients' types: equal only if all of these are."""
+    return repr(list(a.terms.items()))
+
+
+def relabelled(g, rng):
+    """g under a random vertex relabelling, edge order and end order, not canonicalised."""
+    perm = list(range(1, g.n + 1))
+    rng.shuffle(perm)
+    edges = [(perm[u - 1], perm[v - 1])[::rng.choice((1, -1))] for u, v in g.edges]
+    rng.shuffle(edges)
+    return GCGraph(g.n, tuple(edges))
+
+
+def test_orbit_differential_matches_the_reference_under_relabelling():
+    rng = random.Random(39)
+    for g in enumerate_gc_graphs(6):
+        for _ in range(3):
+            x = GraphLinComb({relabelled(g, rng): Fraction(3, 2)})
+            d = differential(x)
+            assert exact(d) == exact(reference("differential", x))
+            assert exact(differential(d)) == exact(reference("differential", d))
+            assert differential(d).is_zero()
+
+
+def test_orbit_kernels_match_the_reference_on_the_wheel_and_loop8(gamma5, loop8_bracket):
+    w5, tet = wheel(5), tetrahedron()
+    assert exact(differential(w5)) == exact(reference("differential", w5))
+    assert exact(gc_bracket(tet, w5)) == exact(reference("gc_bracket", tet, w5))
+    assert exact(loop8_bracket) == exact(reference("gc_bracket", tet, gamma5))
+    d_b = differential(loop8_bracket)
+    assert d_b.is_zero() and exact(d_b) == exact(reference("differential", loop8_bracket))
+
+
+def test_orbit_divergence_matches_the_reference():
+    # the tadpole's two loop ends give one key, counted twice
+    for x in (tetrahedron(), wheel(5)):
+        assert exact(divergence(x)) == exact(reference("divergence", x))
+    assert not divergence(wheel(5)).is_zero()
+
+
+def test_orbit_pre_lie_with_the_edge_graph_on_either_side():
+    e = edge_graph()
+    for x in (e, tetrahedron(), wheel(5), tadpole_graph()):
+        assert exact(graphcx._pre_lie(e, x)) == exact(ref_pre_lie(e, x))
+        assert exact(graphcx._pre_lie(x, e)) == exact(ref_pre_lie(x, e))
+
+
+def test_orbit_differential_of_non_gc_inputs_matches_the_reference():
+    k4 = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+    bivalent = GraphLinComb.single(4, [(1, 2), (2, 3), (3, 4), (1, 3), (1, 4)])
+    antenna = GraphLinComb.single(5, k4 + [(4, 5)])
+    cases = [bivalent, antenna, GraphLinComb.single(4, k4 + [(4, 4)]), tadpole_graph(),
+             edge_graph(), bivalent.scale(Fraction(2, 3)) + antenna]
+    for x in cases:
+        assert not x.is_zero()
+        assert exact(differential(x)) == exact(reference("differential", x))
+
+
+def group_order(gens, n):
+    """The order of the group the vertex maps ``gens`` generate."""
+    seen = {tuple(range(n + 1))}
+    stack = list(seen)
+    while stack:
+        p = stack.pop()
+        for g in gens:
+            q = tuple(g[x] for x in p)
+            if q not in seen:
+                seen.add(q)
+                stack.append(q)
+    return len(seen)
+
+
+def automorphism_count(n, edges, fixed=0):
+    norm = sorted((min(u, v), max(u, v)) for u, v in edges)
+    count = 0
+    for perm in itertools.permutations(range(fixed + 1, n + 1)):
+        g = (*range(fixed + 1), *perm)
+        count += sorted((min(g[u], g[v]), max(g[u], g[v])) for u, v in norm) == norm
+    return count
+
+
+def test_search_generators_are_even_and_generate_the_automorphism_group():
+    rng = random.Random(7)
+    graphs = [(g, 0) for g in enumerate_gc_graphs(6)] + [(*wheel(5).terms, 0)]
+    graphs += [(g, 2) for g in psi_map(wheel(5)).terms]
+    orders = []
+    for g, fixed in graphs:
+        for h in (g, relabelled(g, rng)) if not fixed else (g,):
+            key, sign, gens = graphcx._search(h.n, list(h.edges), fixed)
+            assert (key, sign) == graphcx.canonical_form(h.n, list(h.edges), fixed)
+            norm = [(min(u, v), max(u, v)) for u, v in h.edges]
+            index = {e: i for i, e in enumerate(norm)}
+            for a in gens:
+                assert all(a[v] == v for v in range(fixed + 1))
+                perm = [index[(min(a[u], a[v]), max(a[u], a[v]))] for u, v in norm]
+                assert sorted(perm) == list(range(len(norm)))
+                assert graphcx._perm_sign(perm) == 1
+            order = group_order(gens, h.n)
+            assert order == automorphism_count(h.n, h.edges, fixed)
+        if not fixed:
+            orders.append(order)
+    assert orders == [24, 10, 2, 2, 48, 720, 10]
