@@ -30,6 +30,9 @@ Run from the root of a checkout.  The file holds:
   one seeded rational tangential derivation u of arity 3 at order 7, timed
   the same way, and its exit code (1 unless the round trip gives u back
   exactly);
+* ``grt_space``: for d = 8 and 9, the seconds, the peak RSS and the
+  dimension of ``grt_solution_space(d)``, each d in its own interpreter
+  with its address space capped as a reach N's is, and the exit code;
 * ``reach``: for N = 5, 6, ... the seconds of ``build_phi_kz(N, 64)``,
   ``to_taut3``, ``check_pentagon`` and ``check_hexagon`` and the peak RSS,
   each N in its own interpreter, stopping after the first N over
@@ -64,6 +67,7 @@ REACH_WALL_SECONDS = 300.0
 REACH_MB = 2048.0
 REACH_STAGES = ("build", "to_taut3", "pentagon", "hexagon")
 KZ_CLI_ORDERS = (7, 8)
+GRT_DEGREES = (8, 9)
 
 # one N of the reach table; prints one JSON line per finished stage
 REACH_CHILD = r"""
@@ -81,6 +85,18 @@ t0 = time.perf_counter(); phi = build_phi_kz(n, 64)[0]; done("build", t0)
 t0 = time.perf_counter(); g, g_inv = to_taut3(phi); done("to_taut3", t0)
 t0 = time.perf_counter(); r = check_pentagon(g); done("pentagon", t0, residual=r)
 t0 = time.perf_counter(); r = check_hexagon(g, g_inv); done("hexagon", t0, residual=r)
+"""
+
+# the grt solution space in one word length; prints one JSON line
+GRT_CHILD = r"""
+import json, resource, sys, time
+from assoclab.graphcx import grt_solution_space
+
+d = int(sys.argv[1])
+t0 = time.perf_counter()
+space = grt_solution_space(d)
+print(json.dumps({"s": time.perf_counter() - t0, "dimension": len(space),
+                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
 """
 
 # B = [gamma3, gamma5], gamma3 the tetrahedron and gamma5 = w5 + (5/2) G' the loop-5
@@ -200,6 +216,22 @@ def limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
 
+def grt_space(d: int) -> dict:
+    """``GRT_CHILD`` for word length d, under ``limit_memory`` and ``REACH_WALL_SECONDS``."""
+    row = {"d": d}
+    try:
+        proc = subprocess.run([sys.executable, "-c", GRT_CHILD, str(d)], cwd=ROOT, env=env(),
+                              capture_output=True, text=True, preexec_fn=limit_memory,
+                              timeout=REACH_WALL_SECONDS)
+    except subprocess.TimeoutExpired:
+        return {**row, "stopped_after_s": REACH_WALL_SECONDS}
+    row["exit_code"] = proc.returncode
+    if proc.returncode:
+        err = proc.stderr.strip()
+        return {**row, "error": err.splitlines()[-1] if err else f"exit {proc.returncode}"}
+    return {**row, **json.loads(proc.stdout)}
+
+
 def reach_one(n: int) -> dict:
     row = {"N": n, "stages": {}, "finished": False}
     proc = subprocess.Popen([sys.executable, "-c", REACH_CHILD, str(n)], cwd=ROOT, env=env(),
@@ -268,6 +300,8 @@ def main(argv=None):
     print(f"Ihara Jacobi at order 9: {report['exact_brackets']}", file=sys.stderr)
     report["exact_roundtrip"] = timed_child(ROUNDTRIP_CHILD)
     print(f"log_taut(exp_tder(u)) at order 7: {report['exact_roundtrip']}", file=sys.stderr)
+    report["grt_space"] = [grt_space(d) for d in GRT_DEGREES]
+    print(f"grt_solution_space: {report['grt_space']}", file=sys.stderr)
     report["reach"] = reach()
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(report, indent=2) + "\n")

@@ -30,10 +30,11 @@ from functools import lru_cache
 
 from . import CheckError
 from .associator import GrtElem, nu_extract
-from .ncalg import LieSeries, NCSeries, lie_coords_from_nc, lie_to_nc, lyndon_words
+from .ncalg import (LieSeries, NCSeries, lie_coords_from_nc, lie_to_nc, lyndon_words,
+                    relabeled_terms)
 from .scalars import (add_scaled, coeff_abs, eliminate, integer_operands, over_integers,
                       over_one_denominator)
-from .tangent import TDerElem, pentagon_faces, t3_embed, tder_bracket
+from .tangent import PENTAGON_FACES, TDerElem, _t3_word_image, t3_embed, tder_bracket
 
 Edge = tuple[int, int]
 
@@ -786,13 +787,32 @@ def ihara_bracket(psi1: LieSeries, psi2: LieSeries) -> LieSeries:
     return LieSeries(2, order, {w: Fraction(n, denom) for w, n in out.coords.items()})
 
 
+def _pentagon_component(u: TDerElem, i: int) -> dict:
+    """Component i of the linearized pentagon residual of u in tder3, by word.
+
+    It is the signed sum of the faces' component i (``PENTAGON_FACES``): each
+    face's source component of u, relabelled by the face's letter map, is
+    added straight into one accumulator, face after face, so no face is built
+    and no relabelled series is copied.  Component 0 reads only u_1, as the
+    face u^{2,3,4} has a zero first component.
+    """
+    acc: dict = {}
+    for sign, letters, sources in PENTAGON_FACES:
+        if sources[i] is not None:
+            add_scaled(acc, relabeled_terms(u.comps[sources[i] - 1].terms, letters), sign)
+    return acc
+
+
 def _grt_residual_vector(psi: LieSeries) -> dict:
     """All coordinates of the three condition residuals, for linear algebra.
 
     The pentagon is the sum of the left faces minus the sum of the right
     faces of psi(t12, t23), from the simplicial maps ``check_pentagon`` uses;
     they are Lie morphisms (Alekseev-Torossian, Ann. Math. 175, 2012), so
-    each face is psi evaluated on the faces of t12 and t23.
+    each face is psi evaluated on the faces of t12 and t23.  Its four
+    components are ``_pentagon_component``s of u = ``t3_embed(psi)``;
+    ``grt_solution_space`` eliminates on component 0 alone and certifies
+    the kernel with this full vector.
     """
     order = psi.order
     nc = lie_to_nc(psi)
@@ -805,13 +825,9 @@ def _grt_residual_vector(psi: LieSeries) -> dict:
     for tag, series in (("a", anti), ("h", hexa)):
         for w, c in series.terms.items():
             out[(tag, w)] = c
-    (l1, l2), (r1, r2, r3) = pentagon_faces(t3_embed(psi))
-    penta = ({}, {}, {}, {})  # summed in place: the dense faces are not copied
-    for face, sign in ((l1, 1), (l2, 1), (r1, -1), (r2, -1), (r3, -1)):
-        for acc, comp in zip(penta, face.comps):
-            add_scaled(acc, comp.terms.items(), sign)
-    for i, acc in enumerate(penta):
-        for w, c in acc.items():
+    u = t3_embed(psi)
+    for i in range(4):
+        for w, c in _pentagon_component(u, i).items():
             out[("p", i, w)] = c
     return out
 
@@ -819,15 +835,29 @@ def _grt_residual_vector(psi: LieSeries) -> dict:
 def grt_solution_space(word_length: int, order: int | None = None) -> list[LieSeries]:
     """Exact rational basis of the grt conditions in one word length.
 
-    Each Lyndon word's residual vector is integer-valued and ``eliminate``
-    reduces them in integer arithmetic; only the kernel vectors, divided by
-    their entry on their own column, are Fractions.
+    The elimination runs on a subset of the rows: each Lyndon word's column
+    is component 0 of its pentagon residual (``_pentagon_component`` of its
+    t3 image), made as ``eliminate`` asks for it.  The subset's kernel
+    contains the true one, so when every kernel vector passes the full
+    exact ``grt_check`` with residuals (0, 0, 0) the two kernels are equal;
+    the RREF basis depends only on the kernel and the column order, so it
+    is the basis the full rows give.  If a vector fails, the elimination is
+    redone on the full residual vectors: in word length 2 the component-0
+    rows leave [x, y], which the hexagon rows remove.  The columns are integer-valued
+    and ``eliminate`` reduces them in integer arithmetic; only the kernel
+    vectors, divided by their entry on their own column, are Fractions.
     """
     order = word_length if order is None else order
     words = lyndon_words(2, word_length)
-    kernel, _, _ = eliminate([_grt_residual_vector(LieSeries(2, order, {w: 1}))
-                              for w in words])
-    return [LieSeries(2, order, {words[j]: c for j, c in vec.items()}) for vec in kernel]
+
+    def solve(columns):
+        kernel, _, _ = eliminate(columns)
+        return [LieSeries(2, order, {words[j]: c for j, c in vec.items()}) for vec in kernel]
+
+    space = solve(_pentagon_component(_t3_word_image(w, order), 0) for w in words)
+    if all(grt_check(psi) == (0, 0, 0) for psi in space):
+        return space
+    return solve(_grt_residual_vector(LieSeries(2, order, {w: 1})) for w in words)
 
 
 @lru_cache(maxsize=None)

@@ -382,8 +382,12 @@ def relabel(s: NCSeries, k: int, letters: Mapping[int, Sequence[int]]) -> NCSeri
     must be disjoint and inside 1..k, so that no two words of ``s`` meet:
     each coefficient is copied as it is, with no sum and no check.
     """
-    return NCSeries._nonzero(k, s.order, {w2: c for w, c in s.terms.items()
-                                          for w2 in product(*(letters[a] for a in w))})
+    return NCSeries._nonzero(k, s.order, dict(relabeled_terms(s.terms, letters)))
+
+
+def relabeled_terms(terms: Mapping[Word, object], letters: Mapping[int, Sequence[int]]):
+    """The (word, coefficient) pairs of ``relabel``, in its order, with no series built."""
+    return ((w2, c) for w, c in terms.items() for w2 in product(*(letters[a] for a in w)))
 
 
 # -- Lie elements -------------------------------------------------------------

@@ -341,7 +341,7 @@ def rational_field(values: Iterable) -> Callable[[int, int], object]:
     return truediv if any(isinstance(x, (float, complex)) for x in values) else Fraction
 
 
-def eliminate(columns: Sequence[Mapping], rhs: Mapping | None = None):
+def eliminate(columns: Iterable[Mapping], rhs: Mapping | None = None):
     """Exact sparse elimination of integer or rational columns, left to right.
 
     Fraction-free: column j is scaled to integers by the lcm D_j of its
@@ -355,11 +355,15 @@ def eliminate(columns: Sequence[Mapping], rhs: Mapping | None = None):
     vector).  ``rhs``, with entries in any ring containing the rationals, is
     reduced with rational multipliers.  Returns the kernel vectors (dicts
     column -> Fraction), the coefficient of each column in ``rhs`` (0 off
-    the pivots) and the remainder of ``rhs``.
+    the pivots) and the remainder of ``rhs``.  The columns are consumed one
+    at a time and counted as they come, so a generator of columns never has
+    them all alive at once.
     """
     pivots = []  # (key, reduced integer column, its entry there, combination of columns)
     kernel = []
+    count = 0
     for j, column in enumerate(columns):
+        count = j + 1
         scale = lcm(*(x.denominator for x in column.values()))
         vec = {r: x.numerator * (scale // x.denominator) for r, x in column.items() if x}
         combo = {j: scale}
@@ -389,7 +393,7 @@ def eliminate(columns: Sequence[Mapping], rhs: Mapping | None = None):
             f = rest[r] * Fraction(1, p)
             add_scaled(rest, pvec.items(), -f)
             add_scaled(solution, pcombo.items(), f)
-    return kernel, [solution.get(j, Fraction(0)) for j in range(len(columns))], rest
+    return kernel, [solution.get(j, Fraction(0)) for j in range(count)], rest
 
 
 # -- JSON encoding ------------------------------------------------------------

@@ -301,16 +301,34 @@ def duplicate_slot(u: TDerElem | TAutElem, i: int) -> TDerElem | TAutElem:
     return type(u)(k2, u.order, comps)
 
 
-def pentagon_faces(u: TDerElem | TAutElem) -> tuple[tuple, tuple]:
-    """The five arity-4 faces of an arity-3 element, as (left, right).
+# The five arity-4 faces of an arity-3 element, left then right, as
+# (sign in the linearized pentagon, letter map, source slot of each target
+# slot, None for an untouched slot): u^{1,2,34}, u^{12,3,4}; u^{2,3,4},
+# u^{1,23,4}, u^{1,2,3}, which ``duplicate_slot`` 3 and 1, ``pad_left``,
+# ``duplicate_slot`` 2 and ``pad_right`` give.
+PENTAGON_FACES = (
+    (1, {1: (1,), 2: (2,), 3: (3, 4)}, (1, 2, 3, 3)),
+    (1, {1: (1, 2), 2: (3,), 3: (4,)}, (1, 1, 2, 3)),
+    (-1, {1: (2,), 2: (3,), 3: (4,)}, (None, 1, 2, 3)),
+    (-1, {1: (1,), 2: (2, 3), 3: (4,)}, (1, 2, 2, 3)),
+    (-1, {1: (1,), 2: (2,), 3: (3,)}, (1, 2, 3, None)),
+)
 
-    Left: u^{1,2,34}, u^{12,3,4}; right: u^{2,3,4}, u^{1,23,4}, u^{1,2,3}.
+
+def pentagon_faces(u: TDerElem | TAutElem) -> tuple[tuple, tuple]:
+    """The five arity-4 faces of an arity-3 element, as (left, right), from ``PENTAGON_FACES``.
+
     The pentagon equates the products of the two sides in this order
     (Drinfeld, Leningrad Math. J. 2, 1991); on derivations its
-    linearization equates their sums.
+    linearization equates their sums.  Each component is relabelled once
+    per face and shared by the target slots that take it.
     """
-    return ((duplicate_slot(u, 3), duplicate_slot(u, 1)),
-            (pad_left(u), duplicate_slot(u, 2), pad_right(u)))
+    faces = []
+    for _, letters, sources in PENTAGON_FACES:
+        moved = [relabel(c, 4, letters) for c in u.comps]
+        faces.append(type(u)(4, u.order, [u._fill(4, u.order) if s is None else moved[s - 1]
+                                          for s in sources]))
+    return tuple(faces[:2]), tuple(faces[2:])
 
 
 def sym_action(sigma: Sequence[int], u: TDerElem | TAutElem) -> TDerElem | TAutElem:

@@ -236,6 +236,13 @@ def test_grt_solution_space_dimensions():
     assert grt_solution_space(6) == []  # grt has no degree-6 element
 
 
+def test_grt_in_degree_8_is_spanned_by_sigma3_and_sigma5():
+    """grt_8 is one-dimensional: its one vector is -1/5 [sigma_3, sigma_5] (Ihara bracket)."""
+    (space,) = grt_solution_space(8)
+    bracket = ihara_bracket(grt_generator(3, 8), grt_generator(5, 8))
+    assert space.order == 8 and space == bracket.scale(Fraction(-1, 5))
+
+
 def test_grt_generator_is_the_normalized_solution():
     sigma5 = grt_generator(5, 7)
     assert sigma5.order == 7 and {len(w) for w in sigma5.coords} == {5}

@@ -50,6 +50,9 @@ sort swaps for the orientation sign, the differential as half the bracket
 with the one-edge graph, one loop over edge ends per operation, the grt
 pentagon from tder4 brackets of the pair generators, and the projection to
 sder_2 that built each leg's tree as nested tuples and folded it after.
+The grt solution space, eliminated on the component-0 pentagon rows and
+certified, is checked against the elimination on every residual row, with
+a certification that fails once sending it to the full rows.
 """
 
 import contextlib
@@ -1176,6 +1179,8 @@ def test_eliminate_matches_dense_reduction(case):
     columns, rhs = case
     kernel, solution, rest = scalars.eliminate(columns, rhs)
     assert kernel == ref_null_space(columns)
+    # consumed from a generator, with no len(), it gives the same
+    assert repr(scalars.eliminate((c for c in columns), rhs)) == repr((kernel, solution, rest))
     if all(isinstance(c, Fraction) for c in rhs.values()):
         assert repr((kernel, solution, rest)) == repr(ref_eliminate(columns, rhs))
     assert all(isinstance(c, Fraction) for vec in kernel for c in vec.values())
@@ -1630,6 +1635,77 @@ def test_grt_check_on_solution_spaces():
         for psi in graphcx.grt_solution_space(word_length):
             assert_same_residuals(psi)
             assert graphcx.grt_check(psi) == (0, 0, 0)
+
+
+def ref_grt_solution_space(word_length, order=None):
+    """The elimination on every residual coordinate of every Lyndon word."""
+    order = word_length if order is None else order
+    words = lyndon_words(2, word_length)
+    kernel, _, _ = scalars.eliminate([graphcx._grt_residual_vector(LieSeries(2, order, {w: 1}))
+                                      for w in words])
+    return [LieSeries(2, order, {words[j]: c for j, c in vec.items()}) for vec in kernel]
+
+
+def same_space(got, want):
+    """Equal values, Fraction types, coordinate order and truncation, vector by vector."""
+    assert repr([(p.order, list(p.coords.items())) for p in got]) == \
+        repr([(p.order, list(p.coords.items())) for p in want])
+
+
+@pytest.mark.parametrize("word_length", [2, 3, 4, 5, 6, 7])
+def test_grt_solution_space_on_component_zero_rows_matches_full_rows(word_length):
+    orders = (word_length,) if word_length == 7 else (word_length, word_length + 2)
+    for order in orders:
+        same_space(graphcx.grt_solution_space(word_length, order),
+                   ref_grt_solution_space(word_length, order))
+
+
+def test_grt_solution_space_redoes_on_full_rows_when_certification_fails():
+    real_check, real_vector = graphcx.grt_check, graphcx._grt_residual_vector
+    checks, full_rows = [], []
+
+    def failing_once(psi):
+        checks.append(psi)
+        return (1.0, 0.0, 0.0) if len(checks) == 1 else real_check(psi)
+
+    def recording(psi):
+        full_rows.append(tuple(psi.coords))
+        return real_vector(psi)
+
+    with mock.patch.object(graphcx, "grt_check", failing_once), \
+            mock.patch.object(graphcx, "_grt_residual_vector", recording):
+        space = graphcx.grt_solution_space(5, 7)
+    same_space(space, ref_grt_solution_space(5, 7))
+    assert len(checks) == 1
+    assert full_rows == [(w,) for w in lyndon_words(2, 5)]
+
+
+def test_component_zero_rows_leave_a_false_kernel_vector_in_word_length_2():
+    """[x, y] solves the rows of component 0; certification sends it to the full rows."""
+    words = lyndon_words(2, 2)
+    kernel, _, _ = scalars.eliminate(
+        [graphcx._pentagon_component(tangent._t3_word_image(w, 2), 0) for w in words])
+    assert kernel == [{0: 1}]
+    assert graphcx.grt_check(LieSeries(2, 2, {words[0]: Fraction(1)})) != (0, 0, 0)
+    assert graphcx.grt_solution_space(2) == []
+
+
+def test_pentagon_faces_are_the_simplicial_maps():
+    """The one table of face maps gives the faces the slot maps give, slot sharing included."""
+    u = t3_embed(LieSeries(2, 4, {(1, 2): Fraction(1, 2), (1, 1, 2): Fraction(-3),
+                                  (1, 2, 2, 2): 2}))
+    g = to_taut3(build_phi_kz(4, 64)[0])[0]
+    for elem in (u, g):
+        want = ((tangent.duplicate_slot(elem, 3), tangent.duplicate_slot(elem, 1)),
+                (tangent.pad_left(elem), tangent.duplicate_slot(elem, 2),
+                 tangent.pad_right(elem)))
+        got = pentagon_faces(elem)
+        for a, b in zip(got[0] + got[1], want[0] + want[1]):
+            assert type(a) is type(b)
+            assert repr([list(c.terms.items()) for c in a.comps]) == \
+                repr([list(c.terms.items()) for c in b.comps])
+            assert [id(c) for c in a.comps].count(id(a.comps[1])) == \
+                [id(c) for c in b.comps].count(id(b.comps[1]))
 
 
 def ref_ihara_bracket(psi1, psi2):
