@@ -11,7 +11,7 @@ Run from the root of a checkout.  The file holds:
 * ``tier1``: the wall time and the outcome counts of the tier-1 tests;
 * ``interp7``: the wall seconds and exit code of ``assoclab interp
   --order 7 --t 1`` on an empty cache;
-* ``kz_cli``: for N = 7 and 8, the wall seconds and exit code of
+* ``kz_cli``: for N = 7, 8 and 9, the wall seconds and exit code of
   ``assoclab kz --order N`` on an empty cache, which runs the hexagon in a
   forked child beside the pentagon (the ``reach`` stages below run one
   after the other, so they cannot show that overlap);
@@ -66,7 +66,7 @@ REACH_SECONDS = 60.0
 REACH_WALL_SECONDS = 300.0
 REACH_MB = 2048.0
 REACH_STAGES = ("build", "to_taut3", "pentagon", "hexagon")
-KZ_CLI_ORDERS = (7, 8)
+KZ_CLI_ORDERS = (7, 8, 9)
 GRT_DEGREES = (8, 9)
 
 # one N of the reach table; prints one JSON line per finished stage

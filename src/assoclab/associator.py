@@ -23,12 +23,11 @@ from typing import NamedTuple, Sequence
 
 from . import CheckError
 from .ncalg import (LieSeries, NCSeries, SeriesError, is_grouplike, lie_to_nc,
-                    lie_coords_from_nc, nc_project_lie, relabel)
+                    lie_coords_from_nc, nc_project_lie, relabel, substitute_many)
 from .scalars import Dual, PolyInT, coeff_abs, iterated_word_integral, s_one_minus_s_power
-from .tangent import (TAutElem, TDerElem, center_decompose_t3, duplicate_slot,
+from .tangent import (PENTAGON_FACES, TAutElem, TDerElem, center_decompose_t3, duplicate_slot,
                       exp_tder, exp_tder_pair, field_of, log_taut, pad_left, pad_right,
-                      pentagon_faces, sym_action, t3_embed, taut_compose, taut_distance,
-                      tk_generator)
+                      sym_action, t3_embed, taut_compose, taut_distance, tk_generator)
 
 
 class AssociatorError(CheckError):
@@ -120,20 +119,48 @@ def to_taut3(phi: Associator, tol: float = 1e-9) -> tuple[TAutElem, TAutElem]:
     return exp_tder_pair(_t3_log(phi, tol))
 
 
+def _face_images(g: TAutElem, face: tuple, outer: list[NCSeries] | None = None) -> list[NCSeries]:
+    """The images of X_1..X_4 under outer o F, for F the face of g given by ``face``.
+
+    ``outer`` lists the outer map's images, None for the identity.  The
+    letter map L is an algebra map that commutes with the antipode, so a
+    slot j whose source s is not doubled (L[s] = (j,)) sends X_j to L(A_s),
+    A_s = g_s^{-1} X_s g_s in ``g.action()``, and outer o F sends it to A_s
+    under X_a -> sum of outer(X_b) over b in L[a].  The two slots of the
+    doubled source are conjugated in arity 4; an untouched slot keeps outer(X_j).
+    """
+    _, letters, sources = face
+    gens = [NCSeries.generator(4, g.order, j) for j in range(1, 5)]
+    out = list(outer or gens)
+    plain = [(j, s) for j, s in enumerate(sources) if s and letters[s] == (j + 1,)]
+    doubled = [(j, s) for j, s in enumerate(sources) if s and letters[s] != (j + 1,)]
+    if outer is None:
+        images = [relabel(g.action()[s - 1], 4, letters) for _, s in plain]
+    else:
+        through = [sum((outer[b - 1] for b in letters[a][1:]), outer[letters[a][0] - 1])
+                   for a in (1, 2, 3)]
+        images = substitute_many(through, [g.action()[s - 1] for _, s in plain])
+    if doubled:
+        comp = relabel(g.comps[doubled[0][1] - 1], 4, letters)  # shared by both slots
+        conj = [comp.inverse() * gens[j] * comp for j, _ in doubled]
+        images += conj if outer is None else substitute_many(outer, conj)
+    for (j, _), img in zip(plain + doubled, images):
+        out[j] = img
+    return out
+
+
 def check_pentagon(g: TAutElem) -> float:
     """Extensional residual of the five-term equation in arity 4, for g of to_taut3(Phi).
 
     Compares the generator images l1(l2(X_i)) with r1(r2(r3(X_i))) for
-    i = 1..4, with no composite automorphism built: the residual is the
-    largest distance over the four images.  Each face is dropped, with the
-    action it caches, as soon as its images are used.
+    i = 1..4, with no face and no composite automorphism built: the
+    residual is the largest distance over the four images.  Each composite
+    is formed through the faces' letter maps (``_face_images``), so all
+    but the six doubled slots substitute into g's arity-3 images.
     """
-    (l1, l2), (r1, r2, r3) = pentagon_faces(g)
-    lhs = l1.apply_many(l2.action())
-    del l1, l2
-    mid = r2.apply_many(r3.action())
-    del r2, r3
-    rhs = r1.apply_many(mid)
+    l1, l2, r1, r2, r3 = PENTAGON_FACES
+    lhs = _face_images(g, l2, _face_images(g, l1))
+    rhs = _face_images(g, r3, _face_images(g, r2, _face_images(g, r1)))
     return max(a.distance(b) for a, b in zip(lhs, rhs))
 
 

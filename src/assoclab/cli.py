@@ -46,6 +46,7 @@ from .graphcx import (NAMED_GRAPHS, GraphError, GraphLinComb, differential, dive
                       psi3_normalized, tetrahedron)
 from .kz import build_phi_kz, mzv
 from .ncalg import lyndon_words, witt_dimension
+from .scalars import scalar_from_json
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -277,6 +278,24 @@ def cmd_etingof(args):
                      ("strong form fails", str(c_a != c_b)), NOTHING_CHECKED], True)
 
 
+def _graph_item(entry, infile: str) -> tuple[int, list, Fraction]:
+    """(vertices, edges, coefficient) of one ``{"graph", "coeff"}`` entry of an --in file."""
+    graph, coeff = entry["graph"], scalar_from_json(entry["coeff"])
+    if not isinstance(graph, dict) or type(coeff) is not Fraction:
+        raise TypeError(f"need a graph object and a rational coefficient, got {entry!r}")
+    if graph.get("external"):
+        raise IOError(f"{infile}: graphs with external legs are not read")
+    vertices, edges = graph["vertices"], [tuple(e) for e in graph["edges"]]
+    # type(...) is int: JSON true and false load as bools, which are ints
+    if not (type(vertices) is int and vertices >= 1) or any(
+            len(e) != 2 or not all(type(v) is int and 1 <= v <= vertices for v in e)
+            for e in edges):
+        raise IOError(f"{infile}: need integer vertices >= 1 and integer edges "
+                      f"between vertices 1..{vertices}, got vertices {vertices!r}, "
+                      f"edges {edges}")
+    return vertices, edges, coeff
+
+
 def _load_graph(args) -> GraphLinComb:
     name = args.graph
     if name in NAMED_GRAPHS:
@@ -284,17 +303,12 @@ def _load_graph(args) -> GraphLinComb:
     if args.infile:
         try:
             data = json.loads(Path(args.infile).read_text())
-            vertices, edges = data["vertices"], [tuple(e) for e in data["edges"]]
-        except (ValueError, KeyError, TypeError) as e:
+            # one graph, or a combination as gc writes it: [numerator, denominator] strings
+            entries = data if isinstance(data, list) else [{"graph": data, "coeff": ["1", "1"]}]
+            items = [_graph_item(entry, args.infile) for entry in entries]
+        except (ValueError, KeyError, TypeError, ZeroDivisionError) as e:
             raise IOError(f"cannot read a graph from {args.infile}: {type(e).__name__}: {e}")
-        # type(...) is int: JSON true and false load as bools, which are ints
-        if not (type(vertices) is int and vertices >= 1) or any(
-                len(e) != 2 or not all(type(v) is int and 1 <= v <= vertices for v in e)
-                for e in edges):
-            raise IOError(f"{args.infile}: need integer vertices >= 1 and integer edges "
-                          f"between vertices 1..{vertices}, got vertices {vertices!r}, "
-                          f"edges {edges}")
-        return GraphLinComb.single(vertices, edges)
+        return GraphLinComb.from_raw(items)
     raise IOError(f"unknown graph {name!r} and no --in file")
 
 

@@ -257,14 +257,6 @@ def tetra_weight_from_type1(base: WeightResult, t: float) -> WeightResult:
 ALPHA = 1.0 / (2j * PI)
 
 
-def propagator_phi(t: float, z1: complex, z2: complex) -> complex:
-    """Multi-valued potential of the interpolating propagator (principal branch)."""
-    if z1 == z2:
-        raise QuadratureError("coincident points")
-    return ((1.0 - t) * ALPHA * np.log((z1 - z2) / (np.conj(z1) - z2))
-            - t * ALPHA * np.log((np.conj(z1) - np.conj(z2)) / (z1 - np.conj(z2))))
-
-
 @dataclass
 class PropagatorEval:
     t: float
@@ -285,39 +277,6 @@ def propagator_omega(t: float, z1: complex, z2: complex) -> PropagatorEval:
     d_z2 = s * ALPHA * (1.0 / (z1b - z2) - 1.0 / (z1 - z2))
     d_z2bar = t * ALPHA * (1.0 / (z1b - z2b) - 1.0 / (z1 - z2b))
     return PropagatorEval(t, complex(d_z1), complex(d_z1bar), complex(d_z2), complex(d_z2bar))
-
-
-def propagator_closedness_residual(t: float, z1: complex, z2: complex,
-                                   h: float = 1e-5) -> float:
-    """Finite-difference exterior derivative of the form at a point."""
-    def comps(a, b):
-        p = propagator_omega(t, a, b)
-        # real coordinates (x1, y1, x2, y2)
-        return np.array([
-            p.d_z1 + p.d_z1bar,
-            1j * (p.d_z1 - p.d_z1bar),
-            p.d_z2 + p.d_z2bar,
-            1j * (p.d_z2 - p.d_z2bar),
-        ])
-
-    coords = [z1.real, z1.imag, z2.real, z2.imag]
-
-    def at(c):
-        return comps(complex(c[0], c[1]), complex(c[2], c[3]))
-
-    worst = 0.0
-    for i in range(4):
-        for j in range(i + 1, 4):
-            cp, cm = list(coords), list(coords)
-            cp[i] += h
-            cm[i] -= h
-            didj = (at(cp)[j] - at(cm)[j]) / (2 * h)
-            cp, cm = list(coords), list(coords)
-            cp[j] += h
-            cm[j] -= h
-            djdi = (at(cp)[i] - at(cm)[i]) / (2 * h)
-            worst = max(worst, abs(didj - djdi))
-    return worst
 
 
 def propagator_boundary_arg_residual(t: float, z1: complex, x2: float) -> float:

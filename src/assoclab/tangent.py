@@ -240,9 +240,6 @@ class TAutElem:
             self._action = tuple(imgs)
         return self._action
 
-    def apply_many(self, series: Sequence[NCSeries]) -> list[NCSeries]:
-        return substitute_many(self.action(), series)
-
     def to_json(self) -> dict:
         return {"arity": self.k, "order": self.order,
                 "components": [c.to_json() for c in self.comps]}
@@ -254,7 +251,7 @@ class TAutElem:
 def taut_compose(g: TAutElem, h: TAutElem) -> TAutElem:
     """Composition g then h read as automorphisms: (g o h)(x) = g(h(x))."""
     g._check(h)
-    gh = g.apply_many(list(h.comps))
+    gh = substitute_many(g.action(), list(h.comps))
     return TAutElem(g.k, g.order, tuple(g.comps[i] * gh[i] for i in range(g.k)))
 
 
@@ -305,7 +302,9 @@ def duplicate_slot(u: TDerElem | TAutElem, i: int) -> TDerElem | TAutElem:
 # (sign in the linearized pentagon, letter map, source slot of each target
 # slot, None for an untouched slot): u^{1,2,34}, u^{12,3,4}; u^{2,3,4},
 # u^{1,23,4}, u^{1,2,3}, which ``duplicate_slot`` 3 and 1, ``pad_left``,
-# ``duplicate_slot`` 2 and ``pad_right`` give.
+# ``duplicate_slot`` 2 and ``pad_right`` give.  The pentagon equates the
+# products of the two sides in this order (Drinfeld, Leningrad Math. J. 2,
+# 1991); on derivations its linearization equates their sums.
 PENTAGON_FACES = (
     (1, {1: (1,), 2: (2,), 3: (3, 4)}, (1, 2, 3, 3)),
     (1, {1: (1, 2), 2: (3,), 3: (4,)}, (1, 1, 2, 3)),
@@ -313,22 +312,6 @@ PENTAGON_FACES = (
     (-1, {1: (1,), 2: (2, 3), 3: (4,)}, (1, 2, 2, 3)),
     (-1, {1: (1,), 2: (2,), 3: (3,)}, (1, 2, 3, None)),
 )
-
-
-def pentagon_faces(u: TDerElem | TAutElem) -> tuple[tuple, tuple]:
-    """The five arity-4 faces of an arity-3 element, as (left, right), from ``PENTAGON_FACES``.
-
-    The pentagon equates the products of the two sides in this order
-    (Drinfeld, Leningrad Math. J. 2, 1991); on derivations its
-    linearization equates their sums.  Each component is relabelled once
-    per face and shared by the target slots that take it.
-    """
-    faces = []
-    for _, letters, sources in PENTAGON_FACES:
-        moved = [relabel(c, 4, letters) for c in u.comps]
-        faces.append(type(u)(4, u.order, [u._fill(4, u.order) if s is None else moved[s - 1]
-                                          for s in sources]))
-    return tuple(faces[:2]), tuple(faces[2:])
 
 
 def sym_action(sigma: Sequence[int], u: TDerElem | TAutElem) -> TDerElem | TAutElem:

@@ -10,7 +10,7 @@ import pytest
 
 from assoclab import CheckError, __version__, associator, cli, confint
 from assoclab.associator import Associator, AssociatorError, interpolate
-from assoclab.graphcx import GraphError, grt_generator
+from assoclab.graphcx import NAMED_GRAPHS, GraphError, grt_generator
 from assoclab.kz import KZError, MzvError, build_phi_kz
 from assoclab.ncalg import LieSeries, NCSeries, SeriesError
 from assoclab.tangent import NotInT3Error, TDerElem
@@ -100,6 +100,40 @@ def test_gc_file_input_rejects_booleans(tmp_path, capsys, graph):
     assert code == EXIT_IO
     err = capsys.readouterr().err
     assert str(path) in err and "need integer vertices" in err and "True" in err
+
+
+def test_gc_reads_back_the_combinations_it_writes(tmp_path, capsys):
+    code, want = run(capsys, "gc", "delta", "wheel5")
+    assert code == EXIT_OK and want["differential"]
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(want["differential"]))
+    # d(d(wheel5)) = 0
+    code, payload = run(capsys, "gc", "cocycle", "-", "--in", str(path))
+    assert code == EXIT_OK and payload["closed"] is True
+    # the coefficients are read: 2/3 of the wheel has 2/3 of its differential
+    path.write_text(json.dumps([{**entry, "coeff": ["2", "3"]}
+                                for entry in NAMED_GRAPHS["wheel5"]().to_json()]))
+    code, got = run(capsys, "gc", "delta", "-", "--in", str(path))
+    assert code == EXIT_OK
+    assert [(e["graph"], Fraction(*map(int, e["coeff"]))) for e in got["differential"]] == \
+        [(e["graph"], Fraction(2, 3) * Fraction(*map(int, e["coeff"])))
+         for e in want["differential"]]
+
+
+@pytest.mark.parametrize("data", [
+    [{"graph": {"vertices": 4, "edges": [[1, 2]]}, "coeff": 0.5}],
+    [{"graph": {"vertices": 4, "edges": [[1, 2]]}, "coeff": ["1", "0"]}],
+    [{"graph": [4], "coeff": ["1", "1"]}],
+    [{"graph": {"vertices": 4, "edges": [[1, 2]]}}],
+    [3],
+], ids=["float coefficient", "zero denominator", "graph not an object", "no coefficient",
+        "entry not an object"])
+def test_gc_file_input_rejects_malformed_combinations(tmp_path, capsys, data):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(data))
+    code = main(["gc", "cocycle", "-", "--in", str(path)])
+    assert code == EXIT_IO
+    assert "cannot read a graph" in capsys.readouterr().err
 
 
 def test_unknown_graph_is_io_error(capsys):

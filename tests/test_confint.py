@@ -10,10 +10,9 @@ from assoclab.confint import (QuadratureError, QuadratureSpec, ZETA3,
                               adaptive_quad_2d, at_one_vertex_closed_form,
                               at_one_vertex_coefficient, beta_tilde_pointwise,
                               dilog, dilog_F, propagator_boundary_arg_residual,
-                              propagator_closedness_residual,
                               propagator_diagonal_expansion,
                               propagator_first_to_boundary_residual,
-                              propagator_omega, propagator_phi,
+                              propagator_omega,
                               tetra_type1_integral, tetra_weight)
 
 PI = math.pi
@@ -149,6 +148,47 @@ def test_at_one_vertex_conjugate_symmetry():
         _, b_cf = at_one_vertex_closed_form(t, z)
         a_swap, _ = at_one_vertex_closed_form(1.0 - t, z)
         assert abs(b_cf - np.conj(a_swap)) < 1e-15
+
+
+def propagator_phi(t: float, z1: complex, z2: complex) -> complex:
+    """Multi-valued potential of the interpolating propagator (principal branch)."""
+    if z1 == z2:
+        raise QuadratureError("coincident points")
+    return ((1.0 - t) * confint.ALPHA * np.log((z1 - z2) / (np.conj(z1) - z2))
+            - t * confint.ALPHA * np.log((np.conj(z1) - np.conj(z2)) / (z1 - np.conj(z2))))
+
+
+def propagator_closedness_residual(t: float, z1: complex, z2: complex,
+                                   h: float = 1e-5) -> float:
+    """Finite-difference exterior derivative of the form at a point."""
+    def comps(a, b):
+        p = propagator_omega(t, a, b)
+        # real coordinates (x1, y1, x2, y2)
+        return np.array([
+            p.d_z1 + p.d_z1bar,
+            1j * (p.d_z1 - p.d_z1bar),
+            p.d_z2 + p.d_z2bar,
+            1j * (p.d_z2 - p.d_z2bar),
+        ])
+
+    coords = [z1.real, z1.imag, z2.real, z2.imag]
+
+    def at(c):
+        return comps(complex(c[0], c[1]), complex(c[2], c[3]))
+
+    worst = 0.0
+    for i in range(4):
+        for j in range(i + 1, 4):
+            cp, cm = list(coords), list(coords)
+            cp[i] += h
+            cm[i] -= h
+            didj = (at(cp)[j] - at(cm)[j]) / (2 * h)
+            cp, cm = list(coords), list(coords)
+            cp[j] += h
+            cm[j] -= h
+            djdi = (at(cp)[i] - at(cm)[i]) / (2 * h)
+            worst = max(worst, abs(didj - djdi))
+    return worst
 
 
 def test_propagator_values():

@@ -79,7 +79,7 @@ from assoclab.ncalg import (LieSeries, NCSeries, SeriesError, add_scaled, length
                             relabel, standard_factorization, substitute_many)
 from assoclab.scalars import Dual, PolyInT, coeff_abs, s_one_minus_s_power
 from assoclab.tangent import (TAutElem, TDerElem, center_decompose_t3, exp_tder,
-                              exp_tder_pair, log_taut, normalize_tuple_gauge, pentagon_faces, t3_embed,
+                              exp_tder_pair, log_taut, normalize_tuple_gauge, t3_embed,
                               taut_compose, taut_distance, tder_bracket, tk_generator)
 
 from test_tangent import random_tder
@@ -883,10 +883,58 @@ def test_hexagon_braids_stay_exact_on_exact_data():
     assert check_hexagon(g, g_inv) == ref_rational_hexagon(g, g_inv)
 
 
+def pentagon_faces(u):
+    """The five arity-4 faces of an arity-3 element, as (left, right), from ``PENTAGON_FACES``.
+
+    Each component is relabelled once per face and shared by the target
+    slots that take it.
+    """
+    faces = []
+    for _, letters, sources in tangent.PENTAGON_FACES:
+        moved = [relabel(c, 4, letters) for c in u.comps]
+        faces.append(type(u)(4, u.order, [u._fill(4, u.order) if s is None else moved[s - 1]
+                                          for s in sources]))
+    return tuple(faces[:2]), tuple(faces[2:])
+
+
+def test_pentagon_faces_are_the_simplicial_maps():
+    """The one table of face maps gives the faces the slot maps give, slot sharing included."""
+    u = t3_embed(LieSeries(2, 4, {(1, 2): Fraction(1, 2), (1, 1, 2): Fraction(-3),
+                                  (1, 2, 2, 2): 2}))
+    g = to_taut3(build_phi_kz(4, 64)[0])[0]
+    for elem in (u, g):
+        want = ((tangent.duplicate_slot(elem, 3), tangent.duplicate_slot(elem, 1)),
+                (tangent.pad_left(elem), tangent.duplicate_slot(elem, 2),
+                 tangent.pad_right(elem)))
+        got = pentagon_faces(elem)
+        for a, b in zip(got[0] + got[1], want[0] + want[1]):
+            assert type(a) is type(b)
+            assert repr([list(c.terms.items()) for c in a.comps]) == \
+                repr([list(c.terms.items()) for c in b.comps])
+            assert [id(c) for c in a.comps].count(id(a.comps[1])) == \
+                [id(c) for c in b.comps].count(id(b.comps[1]))
+
+
 def ref_check_pentagon(g):
     """The five-term equation on composed automorphisms, compared through their actions."""
     (l1, l2), (r1, r2, r3) = pentagon_faces(g)
     return taut_distance(taut_compose(l1, l2), taut_compose(r1, taut_compose(r2, r3)))
+
+
+def ref_face_image_pentagon(g):
+    """l1(l2(X_i)) against r1(r2(r3(X_i))) on the generator images of the built faces."""
+    (l1, l2), (r1, r2, r3) = pentagon_faces(g)
+    lhs = substitute_many(l1.action(), l2.action())
+    rhs = substitute_many(r1.action(), substitute_many(r2.action(), r3.action()))
+    return max(a.distance(b) for a, b in zip(lhs, rhs))
+
+
+def perturbed(g, slot, word, delta):
+    """g with delta added to the coefficient of ``word`` in component ``slot`` (0-based)."""
+    comps = list(g.comps)
+    c = comps[slot]
+    comps[slot] = NCSeries(c.k, c.order, {**c.terms, word: c.terms.get(word, 0) + delta})
+    return TAutElem(g.k, g.order, comps)
 
 
 @pytest.mark.parametrize("order", [3, 4, 5, 6])
@@ -901,6 +949,26 @@ def test_pentagon_on_generator_images_matches_composed_reference_exact():
     for phi in (rational_associator(4, 7), Associator.one(4), Associator(bracket_exp)):
         g = to_taut3(phi)[0]
         assert check_pentagon(g) == ref_check_pentagon(g)
+
+
+# components 0, 1 and 2 are the sources of the doubled slots of u^{12,3,4},
+# u^{1,23,4} and u^{1,2,34}, which check_pentagon conjugates in arity 4
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_pentagon_doubled_slots_match_references_when_perturbed(slot):
+    exact = to_taut3(Associator.one(5))[0]
+    floats = to_taut3(build_phi_kz(5, 64)[0])[0]
+    for g, delta in ((exact, Fraction(1, 7)), (floats, 1e-3), (floats, 0.3)):
+        for word in ((1, 2), (2, 3), (3, 1), (1, 3, 2)):
+            h = perturbed(g, slot, word, delta)
+            got = check_pentagon(h)
+            assert got > 0
+            assert got == ref_face_image_pentagon(h)
+            if g is exact:
+                assert got == ref_check_pentagon(h)
+            else:
+                # the composed automorphisms sum in another order, which can
+                # move the last bit once the perturbation acts nonlinearly
+                assert got == pytest.approx(ref_check_pentagon(h), rel=1e-12)
 
 
 def test_kernels_leave_no_cyclic_garbage():
@@ -930,9 +998,10 @@ def test_pentagon_memory_peak_at_order_6():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 11.7 MB; 18.2 MB with the faces and their cached actions kept to the end,
-    # and 23.7 MB with substitute_many's prefix products cached for each call too
-    assert peak < 16e6
+    # 7.9 MB; 11.6 MB with the five faces built and each face's action
+    # conjugated in arity 4, 18.2 MB with those faces kept to the end, and
+    # 23.7 MB with substitute_many's prefix products cached for each call too
+    assert peak < 9e6
 
 
 FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
@@ -1688,24 +1757,6 @@ def test_component_zero_rows_leave_a_false_kernel_vector_in_word_length_2():
     assert kernel == [{0: 1}]
     assert graphcx.grt_check(LieSeries(2, 2, {words[0]: Fraction(1)})) != (0, 0, 0)
     assert graphcx.grt_solution_space(2) == []
-
-
-def test_pentagon_faces_are_the_simplicial_maps():
-    """The one table of face maps gives the faces the slot maps give, slot sharing included."""
-    u = t3_embed(LieSeries(2, 4, {(1, 2): Fraction(1, 2), (1, 1, 2): Fraction(-3),
-                                  (1, 2, 2, 2): 2}))
-    g = to_taut3(build_phi_kz(4, 64)[0])[0]
-    for elem in (u, g):
-        want = ((tangent.duplicate_slot(elem, 3), tangent.duplicate_slot(elem, 1)),
-                (tangent.pad_left(elem), tangent.duplicate_slot(elem, 2),
-                 tangent.pad_right(elem)))
-        got = pentagon_faces(elem)
-        for a, b in zip(got[0] + got[1], want[0] + want[1]):
-            assert type(a) is type(b)
-            assert repr([list(c.terms.items()) for c in a.comps]) == \
-                repr([list(c.terms.items()) for c in b.comps])
-            assert [id(c) for c in a.comps].count(id(a.comps[1])) == \
-                [id(c) for c in b.comps].count(id(b.comps[1]))
 
 
 def ref_ihara_bracket(psi1, psi2):
