@@ -15,6 +15,8 @@ Run from the root of a checkout.  The file holds:
   ``assoclab kz --order N`` on an empty cache, which runs the hexagon in a
   forked child beside the pentagon (the ``reach`` stages below run one
   after the other, so they cannot show that overlap);
+* ``weights_cli``: for ``--tol`` 1e-8, 1e-10 and 1e-12, the wall seconds
+  and exit code of ``assoclab weights --t 0.5 --budget 200000``;
 * ``gc_bracket_self``: the wall seconds and exit code of ``assoclab gc
   bracket-self wheel5``, which canonicalises every reconnection of the
   wheel into itself;
@@ -67,6 +69,7 @@ REACH_WALL_SECONDS = 300.0
 REACH_MB = 2048.0
 REACH_STAGES = ("build", "to_taut3", "pentagon", "hexagon")
 KZ_CLI_ORDERS = (7, 8, 9)
+WEIGHTS_CLI_TOLS = ("1e-8", "1e-10", "1e-12")
 GRT_DEGREES = (8, 9)
 
 # one N of the reach table; prints one JSON line per finished stage
@@ -292,6 +295,11 @@ def main(argv=None):
     for n in KZ_CLI_ORDERS:
         report["kz_cli"][str(n)] = cold_cli("kz", "--order", str(n))
         print(f"kz --order {n}: {report['kz_cli'][str(n)]}", file=sys.stderr)
+    report["weights_cli"] = {}
+    for tol in WEIGHTS_CLI_TOLS:
+        report["weights_cli"][tol] = cli_run("weights", "--t", "0.5", "--tol", tol,
+                                             "--budget", "200000")
+        print(f"weights --tol {tol}: {report['weights_cli'][tol]}", file=sys.stderr)
     report["gc_bracket_self"] = cli_run("gc", "bracket-self", "wheel5")
     print(f"gc bracket-self wheel5: {report['gc_bracket_self']}", file=sys.stderr)
     report["loop8_bracket"] = timed_child(LOOP8_CHILD)

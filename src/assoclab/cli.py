@@ -19,7 +19,8 @@ and on Linux it dies with a parent killed by ``SIGKILL``.
 It is a plain ``os.fork`` and a pipe, not ``multiprocessing``: that package
 costs about 20 ms to import, and its spawn start method would pickle the
 realisation.  A ``kz`` report carries a ``profile`` of its stage times
-(the hexagon's timed in the child) and the child's peak RSS.  A command
+(the hexagon's timed in the child) and the child's peak RSS, a ``weights``
+report one of its quadrature seconds and integrand evaluations.  A command
 that verifies nothing reports ``"checks": {}`` and says so in its table.
 """
 
@@ -356,9 +357,13 @@ def cmd_gc(args):
 
 def cmd_weights(args):
     from . import confint  # numpy, which no other command needs
-    base = confint.tetra_type1_integral(confint.QuadratureSpec(tol=args.tol,
-                                                               max_cells=args.budget))
+    spec = confint.QuadratureSpec(tol=args.tol, max_cells=args.budget)
+    t0 = time.perf_counter()
+    base = confint.tetra_type1_integral(spec)
+    type1_s = time.perf_counter() - t0
     w = confint.tetra_weight_from_type1(base, args.t)
+    checks = {"type1-error": base.error}
+    passed = all(v <= args.tol for v in checks.values())
     fields = {
         "graph": args.graph,
         "t": args.t,
@@ -367,14 +372,17 @@ def cmd_weights(args):
         "symmetry_factor": confint.TETRA_SYMMETRY_FACTOR,
         "prefactor": _ratio(confint.TETRA_PREFACTOR),
         "lambda_ratio": _ratio(confint.RECORDED_LAMBDA_RATIO),
+        "checks": checks,
+        "profile": {"type1_s": type1_s, "integrand_evaluations":
+                    base.cells * (spec.order ** 2 + spec.order_fine ** 2)},
     }
     rows = [("type-I", f"{base.value:.8f} +- {base.error:.1e}"),
             ("weight", f"{w.value:.8f} +- {w.error:.1e}")]
-    if not base.converged:
+    if not passed:
         rows.append(("error", f"the type-I integral did not converge: error estimate "
                               f"{base.error:.1e} > tol {args.tol:.1e} after {base.cells} "
                               f"cells (budget {args.budget})"))
-    return fields, rows, base.converged
+    return fields, rows, passed
 
 
 def cmd_check(args):

@@ -422,10 +422,24 @@ def test_weights_not_converged_exits_check(capsys):
     assert code == EXIT_CHECK
     assert payload["type1"]["converged"] is False and payload["weight"]["converged"] is False
     assert payload["type1"]["error"] > 1e-12
+    assert payload["checks"] == {"type1-error": payload["type1"]["error"]}
+    assert payload["passed"] is False
     assert "did not converge" in captured.err
     code, payload = run(capsys, "weights")
     assert code == EXIT_OK
     assert payload["type1"]["converged"] is True and payload["type1"]["error"] <= 1e-6
+    assert payload["checks"] == {"type1-error": payload["type1"]["error"]}
+    assert payload["passed"] is True
+
+
+def test_weights_profile(capsys):
+    code, payload = run(capsys, "weights", "--tol", "1e-5", "--budget", "4000")
+    assert code == EXIT_OK
+    profile = payload["profile"]
+    assert set(profile) == {"type1_s", "integrand_evaluations"}
+    assert 0 <= profile["type1_s"] <= payload["seconds"]
+    # an 8-point and a 12-point tensor rule per cell: 64 + 144 evaluations
+    assert profile["integrand_evaluations"] == 208 * payload["type1"]["cells"] > 0
 
 
 def test_exit_codes(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import heapq
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -47,6 +48,7 @@ def test_disk_function_properties():
     for _ in range(20):
         w = complex(rng.uniform(-2, 2), rng.uniform(0.05, 2))
         assert abs(dilog_F(np.conj(w)) + dilog_F(w)) < 1e-14
+        assert abs(dilog_F(1 / w) + dilog_F(w)) < 1e-14
         assert dilog_F(w) > 0
     for x in (0.1, 0.5, 0.9):
         assert abs(dilog_F(x + 0.0j)) < 1e-14
@@ -69,26 +71,62 @@ def test_tetra_type1_value():
     assert abs(res.value - honest) < 5 * max(res.error, 1e-8)
 
 
+# -- the two-chart type-I integral that the disk chart replaced ----------------------
+
+def _disk(r, th):
+    w = r * np.exp(1j * th)
+    return dilog_F(w) * confint._angle_measure_density(w) * r
+
+
+def _outside(r, th):
+    """The exterior of the unit disk on the inverted chart w = 1/u, u = r e^{i th}."""
+    u = r * np.exp(1j * th)
+    w = 1.0 / u
+    return dilog_F(w) * confint._angle_measure_density(w) * r / r ** 4
+
+
+def _two_chart_type1(spec):
+    """(value, error, cells, converged): the disk plus the exterior, each at half of spec."""
+    half = replace(spec, tol=spec.tol / 2, max_cells=spec.max_cells // 2)
+    v1, e1, c1 = adaptive_quad_2d(_disk, 1e-14, 1.0, -PI, PI, half)
+    v2, e2, c2 = adaptive_quad_2d(_outside, 1e-14, 1.0, -PI, PI, half)
+    return v1 + v2, e1 + e2, c1 + c2, e1 + e2 <= spec.tol
+
+
+def test_exterior_chart_is_the_disk_chart():
+    # D(1/u) = -D(u), and under w = 1/u the measure turns to minus itself
+    rng = np.random.default_rng(11)
+    r = rng.uniform(1e-6, 1.0, 100_000)
+    th = rng.uniform(-PI, PI, 100_000)
+    assert np.max(np.abs(_disk(r, th) - _outside(r, th))) <= 1e-14
+
+
+@pytest.mark.parametrize("spec", [
+    QuadratureSpec(tol=2e-7, max_cells=40000),
+    QuadratureSpec(tol=1e-8, max_cells=200000),
+    QuadratureSpec(tol=1e-6),
+    QuadratureSpec(tol=1e-5, max_cells=1000, order=5, order_fine=7),
+], ids=lambda spec: f"{spec.tol:g}-{spec.max_cells}-{spec.order}")
+def test_type1_is_the_two_chart_sum(spec):
+    got = tetra_type1_integral(spec)
+    value, error, cells, converged = _two_chart_type1(spec)
+    assert abs(got.value - value) <= 4 * math.ulp(value)
+    assert got.converged == converged
+    # each cell's estimate |fine - coarse| cancels to far below the value, so
+    # the two charts' last-bit differences reach it as a fraction of one ulp
+    assert abs(got.error - error) <= max(1e-12 * error, math.ulp(value))
+    assert 2 * got.cells == cells
+
+
 def test_tetra_type1_half_plane_split():
     # upper and lower half plane contributions agree
-    from assoclab.confint import _angle_measure_density
-
     def make(fhalf):
-        def disk(r, th):
-            w = r * np.exp(1j * th)
-            return dilog_F(w) * _angle_measure_density(w) * r
-
-        def outside(r, th):
-            u = r * np.exp(1j * th)
-            w = 1.0 / u
-            return dilog_F(w) * _angle_measure_density(w) * r / r ** 4
-
         spec = QuadratureSpec(tol=2e-6, max_cells=20000)
         lo, hi = (0.0, PI) if fhalf == "upper" else (-PI, 0.0)
-        v1, e1, _ = adaptive_quad_2d(disk, 1e-14, 1.0, lo, hi, spec)
+        v1, e1, _ = adaptive_quad_2d(_disk, 1e-14, 1.0, lo, hi, spec)
         # inversion flips the half planes
         lo2, hi2 = (-PI, 0.0) if fhalf == "upper" else (0.0, PI)
-        v2, e2, _ = adaptive_quad_2d(outside, 1e-14, 1.0, lo2, hi2, spec)
+        v2, e2, _ = adaptive_quad_2d(_outside, 1e-14, 1.0, lo2, hi2, spec)
         return v1 + v2, e1 + e2
 
     up, eu = make("upper")
@@ -343,5 +381,6 @@ def test_type1_converged_flag():
     assert ok.converged and ok.error <= 1e-6
     short = tetra_type1_integral(QuadratureSpec(tol=1e-12, max_cells=8))
     assert not short.converged and short.error > 1e-12
+    assert 8 <= short.cells <= 8 + 3  # the whole budget, and a last split of three more
     assert tetra_weight(0.5, QuadratureSpec(tol=1e-12, max_cells=8)).converged is False
     assert short.to_json()["converged"] is False
